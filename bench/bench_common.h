@@ -65,8 +65,9 @@ struct RunOptions {
   // 0 disables. Ground truth feeds precision columns only.
   int ground_truth_every = 0;
   // Worker threads for the NPV engine; 1 runs the sequential
-  // ContinuousQueryEngine, >1 the sharded ParallelQueryEngine (identical
-  // output, update+join barriers run shard-concurrently).
+  // ContinuousQueryEngine, >1 the threaded PipelinedQueryEngine with one
+  // epoch per timestamp (identical output; each timestamp's update and
+  // join run shard-concurrently).
   int num_threads = 1;
 };
 

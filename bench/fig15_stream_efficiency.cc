@@ -5,7 +5,8 @@
 //
 // Paper scale: fig15_stream_efficiency --pairs=70 --real_streams=25 ...
 //                  --timestamps=1000 --gindex_timestamps=1000
-// --threads=N runs the NPV engine on the sharded parallel engine.
+// --threads=N runs the NPV engine on the threaded pipelined engine, one
+// epoch per timestamp.
 
 #include <algorithm>
 #include <cstdio>

@@ -6,7 +6,8 @@
 //
 // Paper scale: fig17_scalability_streams --pairs=70 --real_streams=25 ...
 //                  --timestamps=1000
-// --threads=N runs the NPV engine on the sharded parallel engine.
+// --threads=N runs the NPV engine on the threaded pipelined engine, one
+// epoch per timestamp.
 
 #include <cstdio>
 #include <vector>

@@ -1,37 +1,39 @@
-// Pipelined-vs-barrier microbenchmark: sustained ingest throughput of the
-// barrier-free PipelinedQueryEngine against the lockstep ParallelQueryEngine
-// at equal thread count on a Zipf-skewed workload — the distribution the
-// pipeline exists for. Stream i's graph and per-tick delta budget scale as
-// 1/(i+1)^zipf, so one heavy stream dominates while the tail idles; the
-// barrier engine pays max-shard latency twice per tick while the pipeline
-// lets light shards run ahead between epochs.
+// Pipelined-vs-lockstep microbenchmark: sustained ingest throughput of the
+// PipelinedQueryEngine closing one epoch per cycle against the same engine
+// closing an epoch after every tick (lockstep) at equal thread count on a
+// Zipf-skewed workload — the distribution the pipeline exists for. Stream
+// i's graph and per-tick delta budget scale as 1/(i+1)^zipf, so one heavy
+// stream dominates while the tail idles; the lockstep run waits for the
+// slowest shard at every tick while the pipelined run lets light shards
+// run ahead between epochs.
 //
 // The delta schedule is cyclic and bursty: each cycle inserts stream i's
 // whole extra edge set at its burst tick (i mod phases) and deletes it at
 // the mirror tick, so the graph returns to its start state every cycle and
 // at any tick only ~streams/phases streams are active — the arrival shape
-// where the lockstep engine's per-tick max-shard wait hurts most. Cycles 1-2 are warmup
-// for both engines (cycle 1 fills every buffer, cycle 2 completes the slab
-// and free-list reuse pass; the pipelined engine's alloc_warmup_epochs is
-// set to match — one epoch closes per cycle); cycles 3..N are timed. The
-// cyclic shape makes the zero-steady-state-allocation gate meaningful:
-// after the warm cycles every slab slot, lane buffer, and scratch vector
-// has reached its high-water mark, so the worker loops (pop, coalesce,
-// ApplyChange, flush, epoch snapshot) must not touch the heap. The binary links
+// where the lockstep run's per-tick max-shard wait hurts most. Cycles 1-2
+// are warmup for both runs (cycle 1 fills every buffer, cycle 2 completes
+// the slab and free-list reuse pass; the pipelined run's
+// alloc_warmup_epochs is set to match — one epoch closes per cycle);
+// cycles 3..N are timed. The cyclic shape makes the
+// zero-steady-state-allocation gate meaningful: after the warm cycles
+// every slab slot, lane buffer, and scratch vector has reached its
+// high-water mark, so the worker loops (pop, coalesce, ApplyChange, flush,
+// epoch snapshot) must not touch the heap. The binary links
 // gsps_alloc_hook and injects the thread-local counter as the engine's
 // alloc probe (strict zero in Release builds without sanitizers).
 //
 // Gates regressed by CI's bench-trajectory job: steady_allocs == 0 plus
-// losslessness (the two engines must agree on the final candidate pairs
-// and every lane audit must be clean — violations exit non-zero here)
-// always, and speedup_pipelined >= 1.3 on runners with >= 4 hardware
-// threads (like micro_parallel, the concurrency win needs real cores; the
-// JSON carries hardware_threads so the gate can tell).
+// losslessness (the two runs must agree on the final candidate pairs and
+// every lane audit must be clean — violations exit non-zero here) always,
+// and speedup_pipelined >= 1.3 on runners with >= 4 hardware threads (the
+// concurrency win needs real cores; the JSON carries hardware_threads so
+// the gate can tell).
 //
 // Flags:
 //   --streams=N    number of streams (default 24)
 //   --queries=N    registered queries (default 8, capped at streams)
-//   --threads=N    worker threads for BOTH engines (default 4)
+//   --threads=N    worker threads for BOTH runs (default 4)
 //   --cycles=N     total cycles incl. the two warmup cycles (default 6)
 //   --phases=N     burst slots per half-cycle (cycle = 2*phases ticks; default 6)
 //   --heavy=N      edge budget of the heaviest stream's delta set (default 96)
@@ -48,6 +50,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -55,9 +58,7 @@
 #include "gsps/common/alloc_hook.h"
 #include "gsps/common/random.h"
 #include "gsps/common/stopwatch.h"
-#include "gsps/common/thread_pool.h"
 #include "gsps/engine/ingest_queue.h"
-#include "gsps/engine/parallel_query_engine.h"
 #include "gsps/engine/pipelined_query_engine.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph.h"
@@ -104,9 +105,9 @@ PipelineWorkload MakeWorkload(int num_streams, int num_queries, int phases,
 
   // Per stream: a Zipf-sized set of fresh edges among existing vertices,
   // all landing in the stream's burst phase (i mod phases) and deleted at
-  // the mirror phase. Bursty arrival is what makes the barrier's cost
+  // the mirror phase. Bursty arrival is what makes the lockstep cost
   // visible: at every tick only ~streams/phases streams are active, so the
-  // lockstep engine pays the busiest shard's burst while the other shards
+  // lockstep run pays the busiest shard's burst while the other shards
   // idle, whereas the pipeline overlaps bursts across ticks (each shard's
   // total per-cycle work is what bounds it, not the per-tick maximum).
   for (int i = 0; i < num_streams; ++i) {
@@ -157,6 +158,39 @@ GraphChange SliceChange(const PipelineWorkload& w, int stream, int tick) {
   std::exit(1);
 }
 
+// Feeds `cycles` cycles of the workload into a started engine, closing an
+// epoch after every tick (lockstep) or once per cycle, then reads the final
+// candidate pairs into *pairs. Returns the wall time of the timed cycles
+// (every cycle after the warmup ones) in seconds.
+double RunCycles(PipelinedQueryEngine& engine, const PipelineWorkload& w,
+                 int cycles, int warmup_cycles, bool lockstep,
+                 std::vector<std::pair<int, int>>* pairs) {
+  const int num_streams = static_cast<int>(w.starts.size());
+  double seconds = 0;
+  Stopwatch watch;
+  int32_t tick = 0;
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    if (cycle == warmup_cycles) watch.Restart();  // Warmup cycles untimed.
+    for (int p = 0; p < 2 * w.phases; ++p) {
+      ++tick;
+      for (int i = 0; i < num_streams; ++i) {
+        IngestEvent event;
+        event.stream = i;
+        event.timestamp = tick;
+        event.change = SliceChange(w, i, p);
+        if (!engine.Ingest(std::move(event))) {
+          Fail("ingest rejected before shutdown");
+        }
+      }
+      if (lockstep) engine.AdvanceEpoch(tick);
+    }
+    if (!lockstep) engine.AdvanceEpoch(tick);
+    if (cycle == cycles - 1) seconds = watch.ElapsedMicros() / 1e6;
+  }
+  engine.AllCandidatePairs(pairs);
+  return seconds;
+}
+
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const int num_streams = flags.GetInt("streams", 24);
@@ -178,6 +212,8 @@ int Main(int argc, char** argv) {
   const int cycle_ticks = 2 * phases;
   const int timed_cycles = cycles - kWarmupCycles;
   const int64_t timed_ops = w.ops_per_cycle * timed_cycles;
+  const int hardware_threads =
+      static_cast<int>(std::thread::hardware_concurrency());
 
   obs::MetricSink root_sink;
   std::optional<obs::ScopedObsContext> obs_scope;
@@ -188,91 +224,53 @@ int Main(int argc, char** argv) {
               "%d threads (%d hardware)\n",
               num_streams, num_queries, zipf, heavy,
               static_cast<long long>(w.ops_per_cycle), cycles, cycle_ticks,
-              threads, ThreadPool::HardwareThreads());
+              threads, hardware_threads);
 
-  // --- Barrier engine: ApplyChanges lockstep per tick, join per cycle. ---
-  ParallelEngineOptions barrier_options;
-  barrier_options.engine.nnt_depth = depth;
-  barrier_options.num_threads = threads;
-  barrier_options.assignment = ShardAssignment::kLpt;
-  ParallelQueryEngine barrier(barrier_options);
-  for (const Graph& q : w.queries) barrier.AddQuery(q);
-  for (const Graph& g : w.starts) barrier.AddStream(g);
-  barrier.Start();
+  PipelinedEngineOptions options;
+  options.engine.nnt_depth = depth;
+  options.num_threads = threads;
 
-  std::vector<GraphChange> batches(static_cast<size_t>(num_streams));
-  std::vector<std::pair<int, int>> barrier_pairs;
-  double barrier_seconds = 0;
+  // --- Lockstep baseline: an epoch after every tick. ---
+  std::vector<std::pair<int, int>> lockstep_pairs;
+  double lockstep_seconds = 0;
   {
-    Stopwatch watch;
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      if (cycle == kWarmupCycles) watch.Restart();  // Warmup cycles untimed.
-      for (int p = 0; p < cycle_ticks; ++p) {
-        for (int i = 0; i < num_streams; ++i) {
-          batches[static_cast<size_t>(i)] = SliceChange(w, i, p);
-        }
-        barrier.ApplyChanges(batches);
-      }
-      barrier.AllCandidatePairs(&barrier_pairs);
-      if (cycle == cycles - 1) barrier_seconds = watch.ElapsedMicros() / 1e6;
-    }
+    PipelinedQueryEngine lockstep(options);
+    for (const Graph& q : w.queries) lockstep.AddQuery(q);
+    for (const Graph& g : w.starts) lockstep.AddStream(g);
+    lockstep.Start();
+    lockstep_seconds = RunCycles(lockstep, w, cycles, kWarmupCycles,
+                                 /*lockstep=*/true, &lockstep_pairs);
   }
-  const double barrier_rate =
-      barrier_seconds > 0 ? static_cast<double>(timed_ops) / barrier_seconds
-                          : 0.0;
+  const double lockstep_rate =
+      lockstep_seconds > 0 ? static_cast<double>(timed_ops) / lockstep_seconds
+                           : 0.0;
 
-  // --- Pipelined engine: async ingest, one epoch close per cycle. ---
-  PipelinedEngineOptions pipeline_options;
-  pipeline_options.engine.nnt_depth = depth;
-  pipeline_options.num_threads = threads;
-  pipeline_options.assignment = ShardAssignment::kLpt;
+  // --- Pipelined: async ingest, one epoch close per cycle. ---
   // This binary links gsps_alloc_hook, so the worker threads' counters are
   // live; the engine itself never references the hook symbols.
-  pipeline_options.alloc_probe = +[]() -> int64_t {
+  options.alloc_probe = +[]() -> int64_t {
     return ThreadAllocCounts().allocs;
   };
   // Epoch 0 plus one epoch per warmup cycle; the steady-state clock starts
   // with the first timed cycle.
-  pipeline_options.alloc_warmup_epochs = kWarmupCycles + 1;
-  PipelinedQueryEngine pipeline(pipeline_options);
+  options.alloc_warmup_epochs = kWarmupCycles + 1;
+  PipelinedQueryEngine pipeline(options);
   for (const Graph& q : w.queries) pipeline.AddQuery(q);
   for (const Graph& g : w.starts) pipeline.AddStream(g);
   pipeline.Start();
-
   std::vector<std::pair<int, int>> pipeline_pairs;
-  double pipeline_seconds = 0;
-  {
-    Stopwatch watch;
-    int32_t tick = 0;
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      if (cycle == kWarmupCycles) watch.Restart();
-      for (int p = 0; p < cycle_ticks; ++p) {
-        ++tick;
-        for (int i = 0; i < num_streams; ++i) {
-          IngestEvent event;
-          event.stream = i;
-          event.timestamp = tick;
-          event.change = SliceChange(w, i, p);
-          if (!pipeline.Ingest(std::move(event))) {
-            Fail("ingest rejected before shutdown");
-          }
-        }
-      }
-      pipeline.AdvanceEpoch(tick);
-      if (cycle == cycles - 1) pipeline_seconds = watch.ElapsedMicros() / 1e6;
-    }
-    pipeline.AllCandidatePairs(&pipeline_pairs);
-  }
+  const double pipeline_seconds = RunCycles(
+      pipeline, w, cycles, kWarmupCycles, /*lockstep=*/false, &pipeline_pairs);
   const double pipeline_rate =
       pipeline_seconds > 0 ? static_cast<double>(timed_ops) / pipeline_seconds
                            : 0.0;
   const double speedup =
-      barrier_rate > 0 ? pipeline_rate / barrier_rate : 0.0;
+      lockstep_rate > 0 ? pipeline_rate / lockstep_rate : 0.0;
 
-  // The epoch snapshot at the final cycle boundary must be byte-identical
-  // to the barrier engine's state (both graphs are back at their start
-  // state, but the candidate sets went through the same history).
-  if (pipeline_pairs != barrier_pairs) Fail("engines disagree on candidates");
+  // The final epoch snapshots of both runs must be byte-identical (both
+  // graphs are back at their start state, but the candidate sets went
+  // through the same history).
+  if (pipeline_pairs != lockstep_pairs) Fail("runs disagree on candidates");
 
   pipeline.Shutdown();
   obs::HistogramData lag;
@@ -303,7 +301,7 @@ int Main(int argc, char** argv) {
   PrintHeader("micro_pipeline (threads=" + std::to_string(threads) +
               " shards=" + std::to_string(pipeline.num_shards()) + ")");
   const std::vector<std::string> columns = {"value"};
-  PrintRow("barrier_events_per_sec", {barrier_rate}, columns);
+  PrintRow("lockstep_events_per_sec", {lockstep_rate}, columns);
   PrintRow("pipelined_events_per_sec", {pipeline_rate}, columns);
   PrintRow("speedup_pipelined", {speedup}, columns);
   PrintRow("watermark_lag_p99_micros", {lag_p99}, columns);
@@ -312,16 +310,15 @@ int Main(int argc, char** argv) {
   PrintRow("steady_allocs", {static_cast<double>(steady_allocs)}, columns);
 
   EmitBenchJson(
-      "micro_pipeline", "pipelined_vs_barrier",
+      "micro_pipeline", "pipelined_vs_lockstep",
       {{"streams", static_cast<double>(num_streams)},
        {"queries", static_cast<double>(num_queries)},
        {"num_threads", static_cast<double>(threads)},
-       {"hardware_threads",
-        static_cast<double>(ThreadPool::HardwareThreads())},
+       {"hardware_threads", static_cast<double>(hardware_threads)},
        {"num_shards", static_cast<double>(pipeline.num_shards())},
        {"zipf", zipf},
        {"timed_ops", static_cast<double>(timed_ops)},
-       {"barrier_events_per_sec", barrier_rate},
+       {"lockstep_events_per_sec", lockstep_rate},
        {"pipelined_events_per_sec", pipeline_rate},
        {"speedup_pipelined", speedup},
        {"watermark_lag_p99_micros", lag_p99},
@@ -331,7 +328,7 @@ int Main(int argc, char** argv) {
        {"steady_allocs", static_cast<double>(steady_allocs)}});
 
   std::printf("\nShape check: speedup_pipelined exceeds 1.3x under skew "
-              "(the barrier engine\npays max-shard latency twice per tick; "
+              "(the lockstep run\npays max-shard latency at every tick; "
               "the pipeline pays it once per cycle)\nand steady_allocs is 0 "
               "— the worker loops never touch the heap after the\nwarmup "
               "cycle.\n");

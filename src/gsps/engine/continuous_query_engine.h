@@ -2,10 +2,11 @@
 //
 // A thin sequential scheduler over exactly one StreamShard: every call
 // forwards to the shard, which owns the whole pipeline (NNTs, join
-// strategy, tracker, stage timers, attribution, churn). The parallel
-// engine drives many shards of the same type; this class exists so
-// single-threaded callers keep a minimal API with no sharding vocabulary.
-// See stream_shard.h for the semantics of each method.
+// strategy, tracker, stage timers, attribution, churn). The pipelined
+// engine (pipelined_query_engine.h) drives many shards of the same type on
+// worker threads; this class exists so single-threaded callers keep a
+// minimal API with no sharding vocabulary. See stream_shard.h for the
+// semantics of each method.
 //
 // Usage:
 //   ContinuousQueryEngine engine(options);
@@ -103,11 +104,6 @@ class ContinuousQueryEngine {
     return shard_.StreamNnts(stream);
   }
   const DimensionTable& dimensions() const { return shard_.dimensions(); }
-
-  // The underlying shard, for drivers that want the scheduler-state block
-  // (barrier stats, obs sink) without going through the parallel engine.
-  StreamShard& shard() { return shard_; }
-  const StreamShard& shard() const { return shard_; }
 
  private:
   StreamShard shard_;

@@ -5,7 +5,7 @@
 namespace gsps {
 
 TimestampStats MergeParallelSamples(const std::vector<TimestampStats>& shards) {
-  // Zero shards (an engine with no streams, or a barrier that recorded
+  // Zero shards (an engine with no streams, or an epoch that recorded
   // nothing) merges to the empty sample: all-zero counts, no ground truth.
   if (shards.empty()) return TimestampStats{};
   TimestampStats merged;

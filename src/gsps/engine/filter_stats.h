@@ -26,13 +26,13 @@ struct TimestampStats {
   // Aggregate CPU time spent inside update/join work across all shards.
   // For a sequential run this equals update + join; for a parallel run it
   // exceeds the critical-path update/join costs, and the gap between
-  // num_shards * (update + join) and busy is barrier-wait (idle) time.
+  // num_shards * (update + join) and busy is the shards' idle time.
   double busy_millis = 0.0;
 };
 
-// Merges the per-shard samples of one parallel barrier into a single
+// Merges the per-shard samples of one parallel epoch into a single
 // timestamp sample. Pair counts are summed across shards; update/join costs
-// take the maximum (the barrier's critical path — the wall-clock cost the
+// take the maximum (the epoch's critical path — the wall-clock cost the
 // caller observed, not aggregate CPU time) while busy_millis sums (aggregate
 // work done); true_pairs sums when every shard computed it and stays -1
 // otherwise. The timestamp is taken from the first shard. Sums and maxima

@@ -7,7 +7,7 @@
 
 #include "gsps/common/check.h"
 #include "gsps/common/stopwatch.h"
-#include "gsps/common/thread_pool.h"
+#include "gsps/engine/shard_assignment.h"
 
 namespace gsps {
 
@@ -27,7 +27,8 @@ PipelinedQueryEngine::PipelinedQueryEngine(
   GSPS_CHECK(options.ingest_capacity >= 1);
   GSPS_CHECK(options.lane_capacity >= 1);
   if (options_.num_threads == 0) {
-    options_.num_threads = ThreadPool::HardwareThreads();
+    options_.num_threads =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   }
 }
 
@@ -56,28 +57,23 @@ void PipelinedQueryEngine::Start() {
   for (size_t i = 0; i < pending_streams_.size(); ++i) {
     weights[i] = pending_streams_[i].NumEdges();
   }
-  const ShardPlan plan =
-      PlanShardAssignment(weights, num_shards, options_.assignment);
+  const ShardPlan plan = PlanShardAssignment(weights, num_shards);
   stream_to_shard_ = plan.stream_to_shard;
   stream_to_local_ = plan.stream_to_local;
 
-  // Shards and workers are constructed on the driver thread (trace buffers
-  // in ascending shard order, as in the barrier engine); the heavy setup —
-  // query vectors and initial NNT builds — runs on the worker threads.
-  shards_.resize(static_cast<size_t>(num_shards));
+  // Workers are constructed on the driver thread (trace buffers in
+  // ascending shard order); the heavy setup — query vectors and initial
+  // NNT builds — runs on the worker threads.
   workers_.resize(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    auto& shard = shards_[static_cast<size_t>(s)];
-    shard = std::make_unique<StreamShard>(options_.engine);
-    if constexpr (obs::kEnabled) {
-      shard->trace = obs::Tracer::Global().NewBuffer(s + 1);
-    }
-    shard->global_streams = plan.shard_streams[static_cast<size_t>(s)];
-    shard->epoch_candidates.resize(shard->global_streams.size());
-
     auto& worker = workers_[static_cast<size_t>(s)];
-    worker = std::make_unique<Worker>(options_.lane_capacity);
-    const size_t locals = shard->global_streams.size();
+    worker = std::make_unique<Worker>(options_.lane_capacity, options_.engine);
+    if constexpr (obs::kEnabled) {
+      worker->trace = obs::Tracer::Global().NewBuffer(s + 1);
+    }
+    worker->global_streams = plan.shard_streams[static_cast<size_t>(s)];
+    const size_t locals = worker->global_streams.size();
+    worker->epoch_candidates.resize(locals);
     worker->pending.resize(locals);
     worker->pending_ts.assign(locals, -1);
     worker->pending_stamp.assign(locals, 0);
@@ -138,10 +134,18 @@ void PipelinedQueryEngine::PushMarker(int32_t stream, int32_t timestamp) {
 
 int32_t PipelinedQueryEngine::MinWatermark() const {
   int32_t low = INT32_MAX;
-  for (const auto& shard : shards_) {
-    low = std::min(low, shard->watermark.load(std::memory_order_acquire));
+  for (const auto& worker : workers_) {
+    low = std::min(low, worker->watermark.load(std::memory_order_acquire));
   }
   return low;
+}
+
+const PipelinedQueryEngine::Worker& PipelinedQueryEngine::WorkerOf(
+    int stream) const {
+  GSPS_CHECK(started_);
+  GSPS_CHECK(stream >= 0 && stream < num_streams());
+  return *workers_[static_cast<size_t>(
+      stream_to_shard_[static_cast<size_t>(stream)])];
 }
 
 void PipelinedQueryEngine::AdvanceEpoch(int32_t timestamp) {
@@ -161,12 +165,9 @@ std::vector<int> PipelinedQueryEngine::CandidatesForStream(int stream) const {
 
 void PipelinedQueryEngine::CandidatesForStream(int stream,
                                                std::vector<int>* out) const {
-  GSPS_CHECK(started_);
-  GSPS_CHECK(stream >= 0 && stream < num_streams());
-  const StreamShard& shard =
-      *shards_[static_cast<size_t>(stream_to_shard_[stream])];
-  const std::vector<int>& snapshot = shard.epoch_candidates[static_cast<size_t>(
-      stream_to_local_[static_cast<size_t>(stream)])];
+  const std::vector<int>& snapshot =
+      WorkerOf(stream).epoch_candidates[static_cast<size_t>(
+          stream_to_local_[static_cast<size_t>(stream)])];
   out->assign(snapshot.begin(), snapshot.end());
 }
 
@@ -184,9 +185,7 @@ void PipelinedQueryEngine::AllCandidatePairs(
   // Deterministic merge: ascending global stream, queries ascending within
   // (each snapshot is already ascending) — the sequential engine's order.
   for (int i = 0; i < num_streams(); ++i) {
-    const StreamShard& shard =
-        *shards_[static_cast<size_t>(stream_to_shard_[i])];
-    for (const int q : shard.epoch_candidates[static_cast<size_t>(
+    for (const int q : WorkerOf(i).epoch_candidates[static_cast<size_t>(
              stream_to_local_[static_cast<size_t>(i)])]) {
       out->emplace_back(i, q);
     }
@@ -207,19 +206,17 @@ const std::vector<int>& PipelinedQueryEngine::LastObservedCandidates(
 }
 
 bool PipelinedQueryEngine::VerifyCandidate(int stream, int query) const {
-  GSPS_CHECK(started_);
-  GSPS_CHECK(stream >= 0 && stream < num_streams());
-  return shards_[static_cast<size_t>(stream_to_shard_[stream])]
-      ->VerifyCandidate(stream_to_local_[static_cast<size_t>(stream)], query);
+  return WorkerOf(stream).shard.VerifyCandidate(
+      stream_to_local_[static_cast<size_t>(stream)], query);
 }
 
 TimestampStats PipelinedQueryEngine::TakeBarrierStats() {
   GSPS_CHECK(started_);
   std::vector<TimestampStats> samples;
-  samples.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    samples.push_back(shard->epoch_stats);
-    shard->epoch_stats = TimestampStats{};
+  samples.reserve(workers_.size());
+  for (auto& worker : workers_) {
+    samples.push_back(worker->epoch_stats);
+    worker->epoch_stats = TimestampStats{};
   }
   return MergeParallelSamples(samples);
 }
@@ -285,10 +282,10 @@ void PipelinedQueryEngine::RemoveQueryDynamic(int query) {
 
 void PipelinedQueryEngine::CheckChurnInvariants() const {
   GSPS_CHECK(started_);
-  for (const auto& shard : shards_) {
-    shard->CheckChurnInvariants();
-    GSPS_CHECK(shard->num_queries() == num_queries_);
-    GSPS_CHECK(shard->num_active_queries() == num_active_queries_);
+  for (const auto& worker : workers_) {
+    worker->shard.CheckChurnInvariants();
+    GSPS_CHECK(worker->shard.num_queries() == num_queries_);
+    GSPS_CHECK(worker->shard.num_active_queries() == num_active_queries_);
   }
 }
 
@@ -316,15 +313,13 @@ void PipelinedQueryEngine::Shutdown() {
 }
 
 const Graph& PipelinedQueryEngine::StreamGraph(int stream) const {
-  GSPS_CHECK(started_);
-  GSPS_CHECK(stream >= 0 && stream < num_streams());
-  return shards_[static_cast<size_t>(stream_to_shard_[stream])]->StreamGraph(
+  return WorkerOf(stream).shard.StreamGraph(
       stream_to_local_[static_cast<size_t>(stream)]);
 }
 
 const Graph& PipelinedQueryEngine::QueryGraph(int query) const {
   GSPS_CHECK(started_);
-  return shards_.front()->QueryGraph(query);
+  return workers_.front()->shard.QueryGraph(query);
 }
 
 PipelinedQueryEngine::LaneReport PipelinedQueryEngine::ReportLane(
@@ -338,8 +333,7 @@ PipelinedQueryEngine::LaneReport PipelinedQueryEngine::ReportLane(
   report.coalesced_events = worker.coalesced_events;
   report.order_violations = worker.audit.violations();
   report.steady_allocs = worker.steady_allocs;
-  report.watermark = shards_[static_cast<size_t>(shard)]->watermark.load(
-      std::memory_order_acquire);
+  report.watermark = worker.watermark.load(std::memory_order_acquire);
   report.e2e_micros = worker.e2e;
   report.watermark_lag_micros = worker.lag;
   return report;
@@ -380,35 +374,34 @@ void PipelinedQueryEngine::RouterLoop() {
 
 // --- Worker ----------------------------------------------------------------
 
-void PipelinedQueryEngine::FlushPending(Worker& worker, StreamShard& shard,
-                                        int local) {
-  const int global = shard.global_streams[static_cast<size_t>(local)];
-  worker.audit.ObserveInOrder(global,
-                              worker.pending_ts[static_cast<size_t>(local)]);
+void PipelinedQueryEngine::FlushPending(Worker& worker, int local) {
+  const size_t l = static_cast<size_t>(local);
+  worker.audit.ObserveInOrder(worker.global_streams[l], worker.pending_ts[l]);
   Stopwatch watch;
-  shard.ApplyChange(local, worker.pending[static_cast<size_t>(local)]);
+  {
+    GSPS_OBS_SPAN("shard_update", "engine");
+    worker.shard.ApplyChange(local, worker.pending[l]);
+  }
   const double elapsed = watch.ElapsedMillis();
-  shard.pending.update_millis += elapsed;
-  shard.pending.busy_millis += elapsed;
-  const int64_t e2e = obs::MonotonicMicros() -
-                      worker.pending_stamp[static_cast<size_t>(local)];
+  worker.open_stats.update_millis += elapsed;
+  worker.open_stats.busy_millis += elapsed;
+  const int64_t e2e = obs::MonotonicMicros() - worker.pending_stamp[l];
   worker.e2e.Observe(e2e);
   GSPS_OBS_OBSERVE(Hist::kIngestE2eMicros, e2e);
   ++worker.applied_batches;
-  worker.pending[static_cast<size_t>(local)].ops.clear();
-  worker.pending_ts[static_cast<size_t>(local)] = -1;
+  worker.pending[l].ops.clear();
+  worker.pending_ts[l] = -1;
 }
 
-void PipelinedQueryEngine::FlushAllPending(Worker& worker,
-                                           StreamShard& shard) {
+void PipelinedQueryEngine::FlushAllPending(Worker& worker) {
   for (size_t local = 0; local < worker.pending_ts.size(); ++local) {
     if (worker.pending_ts[local] >= 0) {
-      FlushPending(worker, shard, static_cast<int>(local));
+      FlushPending(worker, static_cast<int>(local));
     }
   }
 }
 
-void PipelinedQueryEngine::HandleDataEvent(Worker& worker, StreamShard& shard,
+void PipelinedQueryEngine::HandleDataEvent(Worker& worker,
                                            IngestEvent& event) {
   const size_t local =
       static_cast<size_t>(stream_to_local_[static_cast<size_t>(event.stream)]);
@@ -425,7 +418,7 @@ void PipelinedQueryEngine::HandleDataEvent(Worker& worker, StreamShard& shard,
     return;
   }
   if (worker.pending_ts[local] >= 0) {
-    FlushPending(worker, shard, static_cast<int>(local));
+    FlushPending(worker, static_cast<int>(local));
   }
   // Copy into the retained buffer (ops are PODs) instead of stealing the
   // event's vector: the buffer's warmed capacity is what keeps the steady
@@ -436,31 +429,36 @@ void PipelinedQueryEngine::HandleDataEvent(Worker& worker, StreamShard& shard,
   worker.pending_stamp[local] = event.enqueue_micros;
 }
 
-void PipelinedQueryEngine::HandleMarker(Worker& worker, StreamShard& shard,
+void PipelinedQueryEngine::HandleMarker(Worker& worker,
                                         const IngestEvent& marker) {
-  FlushAllPending(worker, shard);
+  FlushAllPending(worker);
   // Snapshot each local stream's candidates for the epoch readers.
   Stopwatch watch;
   int64_t candidates = 0;
-  for (size_t local = 0; local < shard.global_streams.size(); ++local) {
-    shard.CandidatesForStream(static_cast<int>(local),
-                              &shard.epoch_candidates[local]);
-    candidates += static_cast<int64_t>(shard.epoch_candidates[local].size());
+  {
+    GSPS_OBS_SPAN("shard_join", "engine");
+    for (size_t local = 0; local < worker.global_streams.size(); ++local) {
+      worker.shard.CandidatesForStream(static_cast<int>(local),
+                                       &worker.epoch_candidates[local]);
+      candidates +=
+          static_cast<int64_t>(worker.epoch_candidates[local].size());
+    }
   }
   const double elapsed = watch.ElapsedMillis();
-  shard.pending.join_millis += elapsed;
-  shard.pending.busy_millis += elapsed;
-  shard.pending.candidate_pairs += candidates;
+  TimestampStats& open = worker.open_stats;
+  open.join_millis += elapsed;
+  open.busy_millis += elapsed;
   // Fold this epoch's sample into the snapshot TakeBarrierStats drains;
-  // shard.pending restarts for the next epoch.
-  shard.epoch_stats.timestamp = marker.timestamp;
-  shard.epoch_stats.candidate_pairs += shard.pending.candidate_pairs;
-  shard.epoch_stats.total_pairs =
-      static_cast<int64_t>(shard.global_streams.size()) * shard.num_queries();
-  shard.epoch_stats.update_millis += shard.pending.update_millis;
-  shard.epoch_stats.join_millis += shard.pending.join_millis;
-  shard.epoch_stats.busy_millis += shard.pending.busy_millis;
-  shard.pending = TimestampStats{};
+  // open_stats restarts for the next epoch.
+  TimestampStats& epoch = worker.epoch_stats;
+  epoch.timestamp = marker.timestamp;
+  epoch.candidate_pairs += candidates;
+  epoch.total_pairs = static_cast<int64_t>(worker.global_streams.size()) *
+                      worker.shard.num_queries();
+  epoch.update_millis += open.update_millis;
+  epoch.join_millis += open.join_millis;
+  epoch.busy_millis += open.busy_millis;
+  open = TimestampStats{};
 
   const int64_t lag = obs::MonotonicMicros() - marker.enqueue_micros;
   worker.lag.Observe(lag);
@@ -479,13 +477,13 @@ void PipelinedQueryEngine::HandleMarker(Worker& worker, StreamShard& shard,
     GSPS_OBS_OBSERVE(Hist::kPipelineWatermarkLagMicros, lag);
     GSPS_OBS_GAUGE_SET(Gauge::kPipelineLaneDepth,
                        worker.lane.Stats().depth_high_water);
-    shard.FlushAttribution();
-    obs::MetricsRegistry::Global().MergeAndReset(shard.sink);
+    worker.shard.FlushAttribution();
+    obs::MetricsRegistry::Global().MergeAndReset(worker.sink);
   }
 
   // Publish only after every snapshot write above: the driver's acquire
   // load of the watermark is what makes them visible.
-  shard.watermark.store(marker.timestamp, std::memory_order_release);
+  worker.watermark.store(marker.timestamp, std::memory_order_release);
   { std::lock_guard<std::mutex> lock(epoch_mutex_); }
   epoch_cv_.notify_all();
   if (options_.alloc_probe != nullptr) {
@@ -493,18 +491,18 @@ void PipelinedQueryEngine::HandleMarker(Worker& worker, StreamShard& shard,
   }
 }
 
-void PipelinedQueryEngine::HandleControlOp(Worker& worker, StreamShard& shard,
+void PipelinedQueryEngine::HandleControlOp(Worker& worker,
                                            const IngestEvent& event) {
   // Pending data precedes the op in this shard's history; flush so the op
   // lands at the same point on every shard.
-  FlushAllPending(worker, shard);
+  FlushAllPending(worker);
   const size_t index = static_cast<size_t>(event.timestamp);
   const ControlOp& op = control_ops_[index];
   int slot = -1;
   if (op.add) {
-    slot = shard.AddQueryDynamic(op.query);
+    slot = worker.shard.AddQueryDynamic(op.query);
   } else {
-    shard.RemoveQueryDynamic(op.query_id);
+    worker.shard.RemoveQueryDynamic(op.query_id);
   }
   worker.last_control_slot = slot;
   worker.acked_ops.store(static_cast<int64_t>(index) + 1,
@@ -514,12 +512,11 @@ void PipelinedQueryEngine::HandleControlOp(Worker& worker, StreamShard& shard,
 }
 
 void PipelinedQueryEngine::WorkerLoop(int s) {
-  StreamShard& shard = *shards_[static_cast<size_t>(s)];
   Worker& worker = *workers_[static_cast<size_t>(s)];
-  // Shard setup runs here so it is parallel across workers, like the
-  // barrier engine's setup ParallelFor.
+  StreamShard& shard = worker.shard;
+  // Shard setup runs here so it is parallel across workers.
   for (const Graph& query : pending_queries_) shard.AddQuery(query);
-  for (const int i : shard.global_streams) {
+  for (const int i : worker.global_streams) {
     shard.AddStream(pending_streams_[static_cast<size_t>(i)]);
   }
   shard.Start();
@@ -528,7 +525,7 @@ void PipelinedQueryEngine::WorkerLoop(int s) {
   epoch_cv_.notify_all();
 
   std::optional<obs::ScopedObsContext> obs_scope;
-  if constexpr (obs::kEnabled) obs_scope.emplace(&shard.sink, shard.trace);
+  if constexpr (obs::kEnabled) obs_scope.emplace(&worker.sink, worker.trace);
   if (options_.alloc_probe != nullptr) {
     worker.last_probe = options_.alloc_probe();
   }
@@ -537,20 +534,20 @@ void PipelinedQueryEngine::WorkerLoop(int s) {
   while (worker.lane.PopBatch(&batch, kWorkerBatch) > 0) {
     for (IngestEvent& event : batch) {
       if (event.stream == kEpochMarkerStream) {
-        HandleMarker(worker, shard, event);
+        HandleMarker(worker, event);
       } else if (event.stream == kControlOpStream) {
-        HandleControlOp(worker, shard, event);
+        HandleControlOp(worker, event);
       } else {
-        HandleDataEvent(worker, shard, event);
+        HandleDataEvent(worker, event);
       }
     }
   }
   // Lane closed and drained. Apply any tail batches never covered by a
   // marker so every accepted event reaches the shard (lossless shutdown).
-  FlushAllPending(worker, shard);
+  FlushAllPending(worker);
   if constexpr (obs::kEnabled) {
     shard.FlushAttribution();
-    obs::MetricsRegistry::Global().MergeAndReset(shard.sink);
+    obs::MetricsRegistry::Global().MergeAndReset(worker.sink);
   }
 }
 

@@ -1,13 +1,18 @@
-// Barrier-free pipelined execution over StreamShards.
+// Threaded execution over StreamShards.
 //
-// The barrier engine (parallel_query_engine.h) advances all shards in
-// lockstep: every timestamp fans out one ParallelFor and blocks until the
-// slowest shard finishes, so under a skewed stream-size distribution most
-// workers idle at every tick. This engine removes that barrier. Each shard
-// gets a dedicated worker thread fed by its own bounded SPSC lane; a
-// router thread classifies incoming IngestEvents by the stream -> shard
-// plan and forwards them (IngestQueue's lossless/backpressure contract end
-// to end), so shards tick asynchronously at their own pace:
+// By Lemma 4.2 a stream's candidate set depends only on that stream's own
+// NPVs, so the streams are partitioned across shards — each a complete,
+// independent engine core with its own DimensionTable, NntSets and join
+// strategy over the full query workload (see stream_shard.h) — and every
+// shard gets a dedicated worker thread fed by its own bounded SPSC lane.
+// Duplicating the query-side state per shard costs a one-time setup pass
+// plus a few kilobytes per query, and buys a hot path with zero shared
+// mutable state (dimension ids then differ between shards, but ids are a
+// private encoding; candidate sets do not). A router thread classifies
+// incoming IngestEvents by the stream -> shard plan (LPT, see
+// shard_assignment.h) and forwards them (IngestQueue's lossless/
+// backpressure contract end to end), so shards tick asynchronously at
+// their own pace, with no barrier between timestamps:
 //
 //   producers -> IngestQueue (MPSC) -> router -> SpscLane x S -> workers
 //
@@ -20,31 +25,34 @@
 // sequential engine. A batch is flushed when a later timestamp arrives for
 // its stream, or at an epoch/control marker.
 //
-// Consistency is reconciled at epochs instead of barriers. The driver
-// publishes a target timestamp as an in-band marker that the router
-// broadcasts to every lane; because lanes are FIFO, a marker reaches each
-// worker only after every event published before it. On the marker, a
-// worker flushes its pending batches, snapshots each local stream's
-// candidate set and its accumulated stats into the shard's epoch_* fields,
-// merges its metric sink, and only then release-publishes the shard
-// watermark. AdvanceEpoch returns once min(watermarks) >= target, after
-// which AllCandidatePairs / CandidatesForStream / ObserveTransitions /
-// TakeBarrierStats read the snapshots — byte-identical to the sequential
-// engine at that timestamp (fuzz oracle 8 enforces this).
+// Consistency is reconciled at epochs. The driver publishes a target
+// timestamp as an in-band marker that the router broadcasts to every lane;
+// because lanes are FIFO, a marker reaches each worker only after every
+// event published before it. On the marker, a worker flushes its pending
+// batches, snapshots each local stream's candidate set and its accumulated
+// stats into its epoch_* fields, merges its metric sink, and only then
+// release-publishes its watermark. AdvanceEpoch returns once
+// min(watermarks) >= target, after which AllCandidatePairs /
+// CandidatesForStream / ObserveTransitions / TakeBarrierStats read the
+// snapshots — byte-identical to the sequential engine at that timestamp
+// (fuzz oracle 8 enforces this). A driver that closes an epoch after every
+// timestamp runs the shards in lockstep (gsps_monitor, the figure
+// harnesses' --threads mode); one that closes epochs less often lets light
+// shards run ahead of heavy ones in between.
 //
 // Driver discipline the snapshot protocol relies on (checked where cheap,
 // documented where not): AdvanceEpoch(t) may only be called once every
 // data event with timestamp <= t has been pushed, epoch targets are
 // strictly increasing, and a single driver thread issues epochs and churn
 // ops. Producers may keep pushing data for later epochs while the driver
-// reads — workers write only shard.pending and next-epoch state until the
-// next marker, never the published snapshots.
+// reads — workers write only next-epoch state until the next marker, never
+// the published snapshots.
 //
 // Dynamic queries ride the same in-band channel: AddQueryDynamic /
 // RemoveQueryDynamic append a control op, broadcast a control marker, and
 // block until every worker has applied it (flushing pending data first, so
-// the op lands at the same point of every shard's history) — the slot
-// agreement check carries over from the barrier engine.
+// the op lands at the same point of every shard's history); every shard
+// must then report the same reused query slot (checked).
 
 #ifndef GSPS_ENGINE_PIPELINED_QUERY_ENGINE_H_
 #define GSPS_ENGINE_PIPELINED_QUERY_ENGINE_H_
@@ -62,7 +70,6 @@
 #include "gsps/engine/filter_stats.h"
 #include "gsps/engine/ingest_audit.h"
 #include "gsps/engine/ingest_queue.h"
-#include "gsps/engine/shard_assignment.h"
 #include "gsps/engine/stream_shard.h"
 #include "gsps/graph/graph.h"
 #include "gsps/graph/graph_change.h"
@@ -77,17 +84,14 @@ inline constexpr int32_t kControlOpStream = -2;    // timestamp = op index.
 
 struct PipelinedEngineOptions {
   EngineOptions engine;
-  // Worker count; 0 means ThreadPool::HardwareThreads(). The effective
-  // shard count is min(num_threads, num_streams). The router adds one
+  // Worker count; 0 means one per hardware thread. The effective shard
+  // count is min(num_threads, num_streams). The router adds one
   // mostly-idle thread on top.
   int num_threads = 0;
   // Capacity of the shared producer-facing MPSC queue and of each
   // per-shard SPSC lane.
   size_t ingest_capacity = 4096;
   size_t lane_capacity = 1024;
-  // Skew is what this engine exists for, so it defaults to the balanced
-  // placement (either policy is output-identical).
-  ShardAssignment assignment = ShardAssignment::kLpt;
   // Optional allocation probe sampled by each worker around its marker
   // processing (a per-thread allocation count, e.g. from
   // gsps/common/alloc_hook.h). The engine never references the alloc-hook
@@ -116,9 +120,10 @@ class PipelinedQueryEngine {
   int AddQuery(const Graph& query);
   int AddStream(Graph start);
 
-  // Builds the shards (shard-parallel, on the worker threads), starts the
-  // router, and completes epoch 0 — the timestamp-0 snapshot — so reads
-  // are valid immediately.
+  // Places the streams on min(num_threads, num_streams) shards, builds the
+  // shards (shard-parallel, on the worker threads), starts the router, and
+  // completes epoch 0 — the timestamp-0 snapshot — so reads are valid
+  // immediately.
   void Start();
 
   // --- Ingest ---------------------------------------------------------------
@@ -166,8 +171,10 @@ class PipelinedQueryEngine {
   // pushed since AdvanceEpoch returned).
   bool VerifyCandidate(int stream, int query) const;
 
-  // Merged per-shard stats accumulated at epoch closes since the previous
-  // call (same shape as the barrier engine's TakeBarrierStats).
+  // Merges and clears the per-shard stats accumulated at epoch closes
+  // since the previous call: candidate counts sum across shards, update
+  // (batch apply) and join (epoch snapshot) costs take the slowest shard,
+  // busy time sums. See MergeParallelSamples.
   TimestampStats TakeBarrierStats();
 
   // --- Dynamic queries (driver thread) --------------------------------------
@@ -190,7 +197,7 @@ class PipelinedQueryEngine {
   int num_streams() const { return static_cast<int>(stream_to_shard_.size()); }
   int num_queries() const { return num_queries_; }
   int num_active_queries() const { return num_active_queries_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  int num_shards() const { return static_cast<int>(workers_.size()); }
   int num_threads() const { return options_.num_threads; }
   const Graph& StreamGraph(int stream) const;  // Quiescent-only.
   const Graph& QueryGraph(int query) const;    // Quiescent-only.
@@ -218,17 +225,38 @@ class PipelinedQueryEngine {
     int query_id = -1;  // Remove target.
   };
 
+  // One shard and everything its worker thread needs to drive it.
   struct Worker {
-    explicit Worker(size_t lane_capacity) : lane(lane_capacity) {}
+    Worker(size_t lane_capacity, const EngineOptions& engine)
+        : lane(lane_capacity), shard(engine) {}
 
     SpscLane lane;
-    std::thread thread;
+    StreamShard shard;
+    std::vector<int> global_streams;  // Global id of each local stream.
+
+    // Observability: the worker records into sink/trace (installed via
+    // ScopedObsContext on its thread) and folds the sink into
+    // MetricsRegistry::Global() at every epoch close — never a lock on the
+    // hot path.
+    obs::MetricSink sink;
+    obs::TraceBuffer* trace = nullptr;
 
     // Worker-local coalescing state, indexed by local stream: the pending
     // batch, its timestamp (-1 = none), and the earliest fragment stamp.
     std::vector<GraphChange> pending;
     std::vector<int32_t> pending_ts;
     std::vector<int64_t> pending_stamp;
+    // Costs and candidates since the previous marker (worker-private).
+    TimestampStats open_stats;
+
+    // Epoch snapshot: filled for the just-completed epoch before
+    // `watermark` is release-published; the driver reads it only after
+    // observing watermark >= target and publishes no new epoch until its
+    // reads are done, so the pair needs no lock.
+    std::vector<std::vector<int>> epoch_candidates;  // Per local stream.
+    TimestampStats epoch_stats;  // Accumulated across epochs, drained by
+                                 // TakeBarrierStats.
+    std::atomic<int32_t> watermark{-1};
 
     IngestOrderAudit audit;
     int64_t applied_batches = 0;
@@ -244,18 +272,21 @@ class PipelinedQueryEngine {
     // then release-publishes the count; the driver reads after acquire.
     int last_control_slot = -1;
     std::atomic<int64_t> acked_ops{0};
+
+    // Declared last: the thread uses every member above and is joined
+    // (Shutdown) before any of them is destroyed.
+    std::thread thread;
   };
 
+  const Worker& WorkerOf(int stream) const;
   void WorkerLoop(int s);
   void RouterLoop();
   // Applies the pending batch of `local` (audit, e2e stamp, shard apply).
-  void FlushPending(Worker& worker, StreamShard& shard, int local);
-  void FlushAllPending(Worker& worker, StreamShard& shard);
-  void HandleDataEvent(Worker& worker, StreamShard& shard, IngestEvent& event);
-  void HandleMarker(Worker& worker, StreamShard& shard,
-                    const IngestEvent& marker);
-  void HandleControlOp(Worker& worker, StreamShard& shard,
-                       const IngestEvent& event);
+  void FlushPending(Worker& worker, int local);
+  void FlushAllPending(Worker& worker);
+  void HandleDataEvent(Worker& worker, IngestEvent& event);
+  void HandleMarker(Worker& worker, const IngestEvent& marker);
+  void HandleControlOp(Worker& worker, const IngestEvent& event);
   // Pushes a broadcast marker (negative stream) and returns.
   void PushMarker(int32_t stream, int32_t timestamp);
   int32_t MinWatermark() const;
@@ -264,7 +295,6 @@ class PipelinedQueryEngine {
   std::vector<Graph> pending_queries_;
   std::vector<Graph> pending_streams_;
 
-  std::vector<std::unique_ptr<StreamShard>> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<int> stream_to_shard_;
   std::vector<int> stream_to_local_;
@@ -275,7 +305,7 @@ class PipelinedQueryEngine {
   CandidateTracker tracker_{0};
 
   // Epoch / ack / setup rendezvous. Workers publish state with release
-  // stores (shard watermarks, acked_ops, ready_workers_) and notify under
+  // stores (watermarks, acked_ops, ready_workers_) and notify under
   // the mutex; the driver re-checks its predicate under the mutex.
   mutable std::mutex epoch_mutex_;
   std::condition_variable epoch_cv_;

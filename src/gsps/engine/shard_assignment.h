@@ -1,18 +1,16 @@
-// Stream -> shard placement shared by the barrier and pipelined engines.
+// Stream -> shard placement for the pipelined engine.
 //
-// Round-robin (the historical default) interleaves stream ids across
-// shards and ignores stream size entirely: under a skewed (Zipf) stream
-// population one shard can end up with several of the heavy streams and
-// every barrier waits for it. The LPT (largest-processing-time-first)
-// policy greedily places the heaviest remaining stream on the lightest
-// shard, the classic 4/3-approximation to makespan scheduling, using the
-// initial graph edge counts as weights.
+// LPT (largest-processing-time-first) greedily places the heaviest
+// remaining stream on the lightest shard, the classic 4/3-approximation to
+// makespan scheduling, using the initial graph edge counts as weights. A
+// size-blind interleave would let one shard collect several heavy streams
+// of a skewed (Zipf) population while the others idle.
 //
-// Both policies are deterministic (ties broken by lowest stream/shard id)
-// and both report the resulting imbalance so the placement quality is
-// observable: imbalance_ratio = max shard weight / mean shard weight, 1.0
-// when perfectly balanced, exported as the gsps_shard_imbalance_ratio
-// gauge in millis.
+// The plan is deterministic (ties broken by lowest stream/shard id) and
+// reports the resulting imbalance so the placement quality is observable:
+// imbalance_ratio = max shard weight / mean shard weight, 1.0 when
+// perfectly balanced, exported as the gsps_shard_imbalance_ratio gauge in
+// millis.
 
 #ifndef GSPS_ENGINE_SHARD_ASSIGNMENT_H_
 #define GSPS_ENGINE_SHARD_ASSIGNMENT_H_
@@ -22,16 +20,11 @@
 
 namespace gsps {
 
-enum class ShardAssignment {
-  kRoundRobin,  // stream i -> shard i % num_shards.
-  kLpt,         // Greedy largest-processing-time-first by initial edges.
-};
-
 struct ShardPlan {
   std::vector<int> stream_to_shard;
   // Position of each stream within its shard's stream list. Streams stay
-  // ascending within a shard regardless of policy, so merge order (and
-  // therefore engine output) is policy-independent.
+  // ascending within a shard, so the merge order (and therefore engine
+  // output) does not depend on the placement.
   std::vector<int> stream_to_local;
   std::vector<std::vector<int>> shard_streams;  // Ascending global ids.
   double imbalance_ratio = 1.0;  // max shard weight / mean shard weight.
@@ -40,7 +33,7 @@ struct ShardPlan {
 // `weights[i]` is the placement weight of stream i (initial edge count;
 // zero-weight streams are fine). `num_shards` must be >= 1.
 ShardPlan PlanShardAssignment(const std::vector<int64_t>& weights,
-                              int num_shards, ShardAssignment policy);
+                              int num_shards);
 
 }  // namespace gsps
 

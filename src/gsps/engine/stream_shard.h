@@ -6,32 +6,29 @@
 // obs timers, per-query attribution, and the dynamic-query churn machinery.
 // It is the single implementation of the tick path (NNT maintain → dirty
 // drain → join refresh → tracker observe); the engines in
-// continuous_query_engine.h and parallel_query_engine.h are thin schedulers
-// over one or many identical shards and contain no copies of this logic.
+// continuous_query_engine.h and pipelined_query_engine.h are thin
+// schedulers over one or many identical shards and contain no copies of
+// this logic.
 //
-// A shard is single-threaded by construction: whichever worker drives it
-// during a barrier has exclusive access, so nothing in here locks. The
-// scheduler-state block at the bottom of the class exists for those
-// drivers — the shard core itself never reads it.
+// A shard is single-threaded by construction: exactly one thread drives
+// it (the caller, or the pipelined engine's worker that owns it), so
+// nothing in here locks. Scheduling state — stream placement, epoch
+// snapshots, per-worker metric sinks — lives with the scheduler.
 
 #ifndef GSPS_ENGINE_STREAM_SHARD_H_
 #define GSPS_ENGINE_STREAM_SHARD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "gsps/engine/candidate_tracker.h"
-#include "gsps/engine/filter_stats.h"
 #include "gsps/graph/graph.h"
 #include "gsps/graph/graph_change.h"
 #include "gsps/join/join_strategy.h"
 #include "gsps/nnt/dimension.h"
 #include "gsps/nnt/nnt_set.h"
-#include "gsps/obs/metrics.h"
-#include "gsps/obs/trace.h"
 
 namespace gsps {
 
@@ -90,7 +87,7 @@ class StreamShard {
 
   // Pushes the join strategy's pending per-query attribution (dominance
   // probes, refresh time) into the global AttributionRegistry. Call at
-  // metrics-flush cadence — per barrier in the parallel engine, per
+  // metrics-flush cadence — per epoch close in the pipelined engine, per
   // metrics interval in single-threaded drivers. No-op before Start().
   void FlushAttribution();
 
@@ -143,38 +140,6 @@ class StreamShard {
   const Graph& QueryGraph(int query) const;
   const NntSet& StreamNnts(int stream) const;
   const DimensionTable& dimensions() const { return dimensions_; }
-
-  // --- Scheduler state ------------------------------------------------------
-  // Owned by whichever engine drives this shard; the shard core never
-  // touches these. They live here so the sequential and parallel engines
-  // share one shard type instead of wrapping it in per-engine structs.
-
-  // Global index of each local stream (parallel round-robin partitioning).
-  std::vector<int> global_streams;
-  // AllCandidatePairs scratch: per local stream, the candidate queries.
-  std::vector<std::vector<int>> join_results;
-  // Per-worker barrier sample; touched only by the worker running this
-  // shard during a barrier, merged by TakeBarrierStats between barriers.
-  TimestampStats pending;
-  // Observability: the worker running this shard records into sink/trace
-  // during a barrier (installed via ScopedObsContext); the calling thread
-  // folds the sink into MetricsRegistry::Global() after the barrier —
-  // never a lock on the hot path. busy_micros carries this barrier's work
-  // time out to that post-barrier accounting.
-  obs::MetricSink sink;
-  obs::TraceBuffer* trace = nullptr;
-  int64_t busy_micros = 0;
-
-  // Pipelined-engine state (engine/pipelined_query_engine.cc). The shard's
-  // worker thread fills the epoch_* snapshots for the just-completed epoch
-  // and only then release-publishes `watermark`; the driver reads the
-  // snapshots only after observing watermark >= target and publishes no new
-  // epoch until its reads are done, so the pair needs no lock. The barrier
-  // engine leaves all of this untouched.
-  std::vector<std::vector<int>> epoch_candidates;  // Per local stream.
-  TimestampStats epoch_stats;  // Accumulated across epochs, drained by
-                               // TakeBarrierStats.
-  std::atomic<int32_t> watermark{-1};
 
  private:
   struct StreamState {

@@ -8,7 +8,6 @@
 #include "gsps/baselines/gindex/gindex_filter.h"
 #include "gsps/baselines/graphgrep/graphgrep_filter.h"
 #include "gsps/engine/continuous_query_engine.h"
-#include "gsps/engine/parallel_query_engine.h"
 #include "gsps/engine/pipelined_query_engine.h"
 #include "gsps/fuzz/replay.h"
 #include "gsps/graph/delta_codec.h"
@@ -21,7 +20,10 @@
 namespace gsps {
 namespace {
 
-constexpr int kParallelThreadCounts[] = {1, 2, 4};
+// Oracle 8's worker counts: one shard holding every stream, and several
+// shards (capped at the stream count, so small cases get one stream per
+// shard).
+constexpr int kPipelinedWorkerCounts[] = {1, 3};
 
 std::string At(int timestamp, int stream) {
   return "t=" + std::to_string(timestamp) + " stream=" +
@@ -288,40 +290,31 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
   }
   ContinuousQueryEngine& reference = *engines[1].engine;  // DSC.
 
-  std::vector<std::unique_ptr<ParallelQueryEngine>> parallel_engines;
-  if (options.check_parallel) {
-    for (const int threads : kParallelThreadCounts) {
-      ParallelEngineOptions parallel_options;
-      parallel_options.engine.nnt_depth = c.nnt_depth;
-      parallel_options.engine.join_kind = JoinKind::kDominatedSetCover;
-      parallel_options.num_threads = threads;
-      auto engine = std::make_unique<ParallelQueryEngine>(parallel_options);
+  // Oracle 8: the threaded engine at each worker count, deliberately
+  // configured to stress its concurrency machinery — tiny lanes (router
+  // backpressure on nearly every forward) and fragmented batches
+  // (worker-side coalescing).
+  std::vector<std::unique_ptr<PipelinedQueryEngine>> pipelined;
+  if (options.check_pipelined) {
+    for (const int workers : kPipelinedWorkerCounts) {
+      PipelinedEngineOptions pipelined_options;
+      pipelined_options.engine.nnt_depth = c.nnt_depth;
+      pipelined_options.engine.join_kind = JoinKind::kDominatedSetCover;
+      pipelined_options.num_threads = workers;
+      pipelined_options.lane_capacity = 8;
+      auto engine = std::make_unique<PipelinedQueryEngine>(pipelined_options);
       for (const int q : engine_to_query) {
         engine->AddQuery(queries[static_cast<size_t>(q)]);
       }
       for (const GraphStream& s : streams) engine->AddStream(s.StartGraph());
       engine->Start();
-      parallel_engines.push_back(std::move(engine));
+      pipelined.push_back(std::move(engine));
     }
   }
-
-  // Oracle 8: the barrier-free engine, deliberately configured to stress
-  // its concurrency machinery — tiny lanes (router backpressure on nearly
-  // every forward) and fragmented batches (worker-side coalescing).
-  std::unique_ptr<PipelinedQueryEngine> pipelined;
-  if (options.check_pipelined) {
-    PipelinedEngineOptions pipelined_options;
-    pipelined_options.engine.nnt_depth = c.nnt_depth;
-    pipelined_options.engine.join_kind = JoinKind::kDominatedSetCover;
-    pipelined_options.num_threads = 3;
-    pipelined_options.lane_capacity = 8;
-    pipelined = std::make_unique<PipelinedQueryEngine>(pipelined_options);
-    for (const int q : engine_to_query) {
-      pipelined->AddQuery(queries[static_cast<size_t>(q)]);
-    }
-    for (const GraphStream& s : streams) pipelined->AddStream(s.StartGraph());
-    pipelined->Start();
-  }
+  // "workers=N " for the diagnostics of pipelined engine p.
+  const auto workers_of = [](size_t p) {
+    return "workers=" + std::to_string(kPipelinedWorkerCounts[p]) + " ";
+  };
 
   GraphGrepFilter graphgrep;
   if (options.check_baselines) graphgrep.SetQueries(queries);
@@ -349,11 +342,10 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
           named.engine->ApplyChange(i, batches[static_cast<size_t>(i)]);
         }
       }
-      for (auto& engine : parallel_engines) engine->ApplyChanges(batches);
-      if (pipelined) {
-        // Two fragments per (stream, timestamp): the worker must merge
-        // them back into one batch before NNT maintenance or the
-        // deletions-first protocol (and so the results) would diverge.
+      // Two fragments per (stream, timestamp): the worker must merge them
+      // back into one batch before NNT maintenance or the deletions-first
+      // protocol (and so the results) would diverge.
+      for (size_t p = 0; p < pipelined.size(); ++p) {
         for (int i = 0; i < num_streams; ++i) {
           const std::vector<EdgeOp>& ops =
               batches[static_cast<size_t>(i)].ops;
@@ -367,9 +359,10 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
           second.stream = i;
           second.timestamp = t;
           second.change.ops.assign(half, ops.end());
-          if (!pipelined->Ingest(std::move(first)) ||
-              !pipelined->Ingest(std::move(second))) {
-            return "pipelined: ingest rejected at t=" + std::to_string(t);
+          if (!pipelined[p]->Ingest(std::move(first)) ||
+              !pipelined[p]->Ingest(std::move(second))) {
+            return "pipelined: " + workers_of(p) + "ingest rejected at t=" +
+                   std::to_string(t);
           }
         }
       }
@@ -396,11 +389,8 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
             if (slot < 0) slot = id;
             agree = agree && id == slot;
           }
-          for (auto& engine : parallel_engines) {
+          for (auto& engine : pipelined) {
             agree = agree && engine->AddQueryDynamic(queries[q]) == slot;
-          }
-          if (pipelined) {
-            agree = agree && pipelined->AddQueryDynamic(queries[q]) == slot;
           }
           if (!agree) {
             return "churn: engines disagree on the slot for query " +
@@ -419,10 +409,7 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
           for (NamedEngine& named : engines) {
             named.engine->RemoveQueryDynamic(slot);
           }
-          for (auto& engine : parallel_engines) {
-            engine->RemoveQueryDynamic(slot);
-          }
-          if (pipelined) pipelined->RemoveQueryDynamic(slot);
+          for (auto& engine : pipelined) engine->RemoveQueryDynamic(slot);
           engine_to_query[static_cast<size_t>(slot)] = -1;
           query_to_engine[q] = -1;
           registered[q] = 0;
@@ -539,53 +526,40 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
       }
     }
 
-    if (options.check_parallel) {
+    if (!pipelined.empty() && (t > 0 || !churned_at_epoch0)) {
+      // Oracle 8: close the epoch at t and compare the snapshot reads —
+      // pairs byte-for-byte, and transitions stream by stream — against
+      // the sequential reference.
       const std::vector<std::pair<int, int>> sequential_pairs =
           reference.AllCandidatePairs();
-      for (size_t p = 0; p < parallel_engines.size(); ++p) {
-        const std::vector<std::pair<int, int>> parallel_pairs =
-            parallel_engines[p]->AllCandidatePairs();
-        if (parallel_pairs != sequential_pairs) {
-          return "parallel-divergence: threads=" +
-                 std::to_string(kParallelThreadCounts[p]) + " reported " +
-                 std::to_string(parallel_pairs.size()) +
+      for (size_t p = 0; p < pipelined.size(); ++p) {
+        if (t > 0) pipelined[p]->AdvanceEpoch(t);
+        const std::vector<std::pair<int, int>> pipelined_pairs =
+            pipelined[p]->AllCandidatePairs();
+        if (pipelined_pairs != sequential_pairs) {
+          return "pipelined-divergence: " + workers_of(p) + "reported " +
+                 std::to_string(pipelined_pairs.size()) +
                  " pairs vs sequential " +
                  std::to_string(sequential_pairs.size()) +
                  " at t=" + std::to_string(t);
         }
       }
-    }
-
-    if (pipelined && (t > 0 || !churned_at_epoch0)) {
-      // Oracle 8: close the epoch at t and compare the snapshot reads —
-      // pairs byte-for-byte, and transitions stream by stream — against
-      // the sequential reference.
-      if (t > 0) pipelined->AdvanceEpoch(t);
-      const std::vector<std::pair<int, int>> sequential_pairs =
-          reference.AllCandidatePairs();
-      const std::vector<std::pair<int, int>> pipelined_pairs =
-          pipelined->AllCandidatePairs();
-      if (pipelined_pairs != sequential_pairs) {
-        return "pipelined-divergence: reported " +
-               std::to_string(pipelined_pairs.size()) +
-               " pairs vs sequential " +
-               std::to_string(sequential_pairs.size()) +
-               " at t=" + std::to_string(t);
-      }
       for (int i = 0; i < num_streams; ++i) {
         std::vector<int> seq_current = reference.CandidatesForStream(i);
-        std::vector<int> pipe_current = pipelined->CandidatesForStream(i);
         CandidateTransitions seq_tr;
-        CandidateTransitions pipe_tr;
         reference.ObserveTransitions(i, &seq_current, &seq_tr);
-        pipelined->ObserveTransitions(i, &pipe_current, &pipe_tr);
-        if (pipe_tr.appeared != seq_tr.appeared ||
-            pipe_tr.disappeared != seq_tr.disappeared) {
-          return "pipelined-transition-divergence: " + At(t, i) +
-                 " appeared=" + DescribeSet(pipe_tr.appeared) +
-                 " vs " + DescribeSet(seq_tr.appeared) +
-                 " disappeared=" + DescribeSet(pipe_tr.disappeared) +
-                 " vs " + DescribeSet(seq_tr.disappeared);
+        for (size_t p = 0; p < pipelined.size(); ++p) {
+          std::vector<int> pipe_current = pipelined[p]->CandidatesForStream(i);
+          CandidateTransitions pipe_tr;
+          pipelined[p]->ObserveTransitions(i, &pipe_current, &pipe_tr);
+          if (pipe_tr.appeared != seq_tr.appeared ||
+              pipe_tr.disappeared != seq_tr.disappeared) {
+            return "pipelined-transition-divergence: " + workers_of(p) +
+                   At(t, i) + " appeared=" + DescribeSet(pipe_tr.appeared) +
+                   " vs " + DescribeSet(seq_tr.appeared) +
+                   " disappeared=" + DescribeSet(pipe_tr.disappeared) +
+                   " vs " + DescribeSet(seq_tr.disappeared);
+          }
         }
       }
     }
@@ -637,19 +611,22 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
     }
   }
 
-  if (pipelined) {
-    // Oracle 8 wrap-up: every routed event must have been delivered and
-    // applied in per-stream timestamp order on its lane.
-    pipelined->Shutdown();
-    for (int s = 0; s < pipelined->num_shards(); ++s) {
-      const PipelinedQueryEngine::LaneReport report = pipelined->ReportLane(s);
+  // Oracle 8 wrap-up: every routed event must have been delivered and
+  // applied in per-stream timestamp order on its lane.
+  for (size_t p = 0; p < pipelined.size(); ++p) {
+    PipelinedQueryEngine& engine = *pipelined[p];
+    engine.Shutdown();
+    for (int s = 0; s < engine.num_shards(); ++s) {
+      const PipelinedQueryEngine::LaneReport report = engine.ReportLane(s);
       if (report.lane.accepted != report.lane.delivered) {
-        return "pipelined-lost-events: shard=" + std::to_string(s) +
+        return "pipelined-lost-events: " + workers_of(p) +
+               "shard=" + std::to_string(s) +
                " accepted=" + std::to_string(report.lane.accepted) +
                " delivered=" + std::to_string(report.lane.delivered);
       }
       if (report.order_violations != 0) {
-        return "pipelined-reordered: shard=" + std::to_string(s) +
+        return "pipelined-reordered: " + workers_of(p) +
+               "shard=" + std::to_string(s) +
                " violations=" + std::to_string(report.order_violations);
       }
     }

@@ -11,8 +11,9 @@
 //      NntSet must pass its internal Validate() against the live graph and
 //      its trees must be branch-for-branch identical to a from-scratch
 //      rebuild of the materialized graph.
-//   3. Parallel engine: ParallelQueryEngine at 2 and 4 threads must report
-//      exactly the sequential engine's candidate pairs.
+//   3. (Merged into 8: the threaded engine runs at one and at several
+//      workers there. The number stays reserved so diagnostics and docs
+//      keep their oracle numbering.)
 //   4. Serialization: streams, queries, and the whole replay file must
 //      round-trip exactly through their text formats.
 //   5. Incremental join: after every batch, each strategy's delta-maintained
@@ -25,7 +26,7 @@
 //      timestamp — exactly the candidates of a freshly built engine holding
 //      only the currently registered queries, replayed from scratch. All
 //      engines must also agree on the reused slot every re-add lands in,
-//      and oracles 1/3/5 keep holding on the churned engines with the VF2
+//      and oracles 1/5/8 keep holding on the churned engines with the VF2
 //      truth restricted to registered queries.
 //   7. Binary codec: every stream and query must survive
 //      text -> binary -> text through delta_codec — DecodeStream(
@@ -33,13 +34,15 @@
 //      decoded value must reproduce the original text byte for byte, and
 //      re-encoding it must be a binary fixed point (same for graphs via
 //      EncodeGraph/DecodeGraph).
-//   8. Pipelined engine: PipelinedQueryEngine (3 worker threads, capacity-8
-//      SPSC lanes so the router actually hits backpressure, every timestamp
-//      batch split into two fragments the worker must coalesce) must report
-//      exactly the sequential engine's candidate pairs AND candidate
-//      transitions at every epoch boundary, apply the churn schedule in
-//      lock-step through its in-band control channel (agreeing on reused
-//      slots), and finish with lossless, in-order per-lane delivery audits.
+//   8. Threaded engine: PipelinedQueryEngine at 1 worker (one shard holding
+//      every stream) and at 3 workers (multi-shard placement), each with
+//      capacity-8 SPSC lanes so the router actually hits backpressure and
+//      every timestamp batch split into two fragments the worker must
+//      coalesce, must report exactly the sequential engine's candidate
+//      pairs AND candidate transitions at every epoch boundary, apply the
+//      churn schedule in lock-step through its in-band control channel
+//      (agreeing on reused slots), and finish with lossless, in-order
+//      per-lane delivery audits.
 //
 // RunOracles is deterministic and returns a diagnostic naming the oracle,
 // timestamp, stream, and query on the first violation — the string the
@@ -60,12 +63,11 @@ struct OracleOptions {
   bool check_strategies = true;   // Oracle 1, engine side.
   bool check_baselines = true;    // Oracle 1, GraphGrep + gIndex2.
   bool check_nnt_rebuild = true;  // Oracle 2.
-  bool check_parallel = true;     // Oracle 3.
   bool check_roundtrip = true;    // Oracle 4.
   bool check_incremental = true;  // Oracle 5.
   bool check_churn = true;        // Oracle 6 (no-op without a schedule).
   bool check_codec = true;        // Oracle 7.
-  bool check_pipelined = true;    // Oracle 8.
+  bool check_pipelined = true;    // Oracle 8 (oracle 3 merged into it).
 };
 
 // Runs every enabled oracle over the whole case, timestamp by timestamp.

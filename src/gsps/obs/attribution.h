@@ -9,12 +9,12 @@
 //     integers on the hot path (AddProbes / AddRefresh — an add, no lock,
 //     no atomics) and tell it about slot lifecycle (OnAddQuery /
 //     OnRemoveQuery, with a per-query weight such as its vector count).
-//     Flush() — called at barrier cadence — distributes the pending totals
-//     over the live slots proportionally to weight and merges the rows
-//     into the global registry under one lock. Probes cannot be attributed
-//     exactly per query inside the batched SIMD kernel, so the weighted
-//     split is an approximation; DESIGN.md "Observability v2" discusses
-//     the error model.
+//     Flush() — called at epoch-close cadence — distributes the pending
+//     totals over the live slots proportionally to weight and merges the
+//     rows into the global registry under one lock. Probes cannot be
+//     attributed exactly per query inside the batched SIMD kernel, so the
+//     weighted split is an approximation; DESIGN.md "Observability v2"
+//     discusses the error model.
 //
 //   * AttributionRegistry is the process-wide table, keyed by slot with a
 //     generation stamp. PR 7 reuses retired slots, so a slot id alone is

@@ -43,12 +43,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "gsps_tracker_observations",
     "gsps_tracker_appeared",
     "gsps_tracker_disappeared",
-    "gsps_pool_barriers",
-    "gsps_pool_tasks",
-    "gsps_engine_update_barriers",
-    "gsps_engine_join_barriers",
-    "gsps_shard_busy_micros",
-    "gsps_shard_barrier_wait_micros",
     "gsps_ingest_accepted",
     "gsps_ingest_delivered",
     "gsps_ingest_producer_waits",
@@ -58,7 +52,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
 };
 
 constexpr const char* kGaugeNames[kNumGauges] = {
-    "gsps_pool_queue_depth",
     "gsps_engine_shards",
     "gsps_engine_streams",
     "gsps_engine_queries",
@@ -69,14 +62,10 @@ constexpr const char* kGaugeNames[kNumGauges] = {
 };
 
 constexpr const char* kHistNames[kNumHists] = {
-    "gsps_update_batch_micros",
-    "gsps_join_batch_micros",
-    "gsps_barrier_wait_micros",
     "gsps_stage_nnt_maintain_micros",
     "gsps_stage_dirty_drain_micros",
     "gsps_stage_join_refresh_micros",
     "gsps_stage_tracker_observe_micros",
-    "gsps_stage_metrics_merge_micros",
     "gsps_ingest_e2e_micros",
     "gsps_pipeline_watermark_lag_micros",
 };
@@ -105,12 +94,6 @@ constexpr const char* kCounterHelp[kNumCounters] = {
     "CandidateTracker observations",
     "Candidate pairs that appeared",
     "Candidate pairs that disappeared",
-    "Thread-pool ParallelFor barriers",
-    "Thread-pool task indices dispatched",
-    "Engine update (ApplyChanges) barriers",
-    "Engine join (AllCandidatePairs) barriers",
-    "Summed per-shard busy micros inside barriers",
-    "Summed per-shard idle micros at barriers",
     "Events accepted into the ingest queue",
     "Ingest events delivered to the consumer",
     "Ingest pushes that blocked on a full queue",
@@ -120,8 +103,7 @@ constexpr const char* kCounterHelp[kNumCounters] = {
 };
 
 constexpr const char* kGaugeHelp[kNumGauges] = {
-    "Tasks enqueued by the most recent pool barrier",
-    "Shards in the parallel engine",
+    "Shards in the pipelined engine",
     "Streams registered with the engine",
     "Query slots registered with the engine",
     "Registered queries currently live",
@@ -131,21 +113,16 @@ constexpr const char* kGaugeHelp[kNumGauges] = {
 };
 
 constexpr const char* kHistHelp[kNumHists] = {
-    "Per-shard NNT/index update micros per barrier",
-    "Per-shard join micros per barrier",
-    "Per-shard idle micros at each barrier",
     "Stage micros: NNT edge maintenance",
     "Stage micros: dirty-root drain into the join strategy",
     "Stage micros: join verdict recompute",
     "Stage micros: candidate tracker observe",
-    "Stage micros: post-barrier metrics merge",
     "End-to-end ingest micros: enqueue stamp to engine apply",
     "Epoch micros: marker publish stamp to shard watermark advance",
 };
 
 constexpr const char* kStageNames[kNumStages] = {
     "nnt_maintain", "dirty_drain", "join_refresh", "tracker_observe",
-    "metrics_merge",
 };
 
 std::atomic<const char*> g_build_info_isa{"unknown"};

@@ -4,12 +4,13 @@
 // a lock or touches shared memory:
 //
 //   * MetricSink is a plain value type (arrays of int64) that exactly one
-//     thread writes at a time. The engine keeps one sink per shard; the CLI
-//     tools keep one for the driver thread. Recording is an array add.
+//     thread writes at a time. The pipelined engine keeps one sink per
+//     worker; the CLI tools keep one for the driver thread. Recording is
+//     an array add.
 //   * MetricsRegistry is the process-wide aggregate. Owners push their
-//     sinks into it with MergeAndReset at parallel-engine barriers (or at
-//     flush time for single-threaded drivers) — a mutex acquisition per
-//     barrier, never per operation.
+//     sinks into it with MergeAndReset at pipelined-engine epoch closes
+//     (or at flush time for single-threaded drivers) — a mutex acquisition
+//     per epoch, never per operation.
 //   * Snapshot() copies the aggregate for serialization: Prometheus text
 //     exposition format (ToPrometheusText) or JSON (ToMetricsJson).
 //
@@ -79,13 +80,6 @@ enum class Counter : int {
   kTrackerObservations,
   kTrackerAppeared,
   kTrackerDisappeared,
-  // Worker pool and sharded engine (common/thread_pool.cc, engine/).
-  kPoolBarriers,            // ParallelFor invocations.
-  kPoolTasks,               // Indices dispatched across all barriers.
-  kEngineUpdateBarriers,    // ApplyChanges barriers.
-  kEngineJoinBarriers,      // AllCandidatePairs barriers.
-  kShardBusyMicros,         // Summed per-shard busy time inside barriers.
-  kShardBarrierWaitMicros,  // Summed per-shard idle time at barriers.
   // Ingest pipeline (engine/ingest_queue.h, reported by the driver owning
   // the queue — see tools/gsps_loadgen.cc).
   kIngestAccepted,          // Events accepted into the ingest queue.
@@ -103,8 +97,7 @@ enum class Counter : int {
 // Last-written values; merged by maximum, so an aggregated gauge reads as a
 // high-water mark.
 enum class Gauge : int {
-  kPoolQueueDepth = 0,  // Tasks enqueued by the most recent barrier.
-  kEngineShards,
+  kEngineShards = 0,
   kEngineStreams,
   kEngineQueries,
   kQueriesActive,  // Registered queries currently live (adds minus removes).
@@ -124,7 +117,6 @@ enum class Stage : int {
   kDirtyDrain,        // Dirty-root drain into the join strategy.
   kJoinRefresh,       // Strategy verdict recompute in CandidatesForStream.
   kTrackerObserve,    // CandidateTracker::Observe diffing.
-  kMetricsMerge,      // Post-barrier sink merge + barrier bookkeeping.
   kNumStages,
 };
 
@@ -134,14 +126,10 @@ inline constexpr int kNumStages = static_cast<int>(Stage::kNumStages);
 // are contiguous and ordered exactly like enum Stage (StageHist relies on
 // it).
 enum class Hist : int {
-  kUpdateBatchMicros = 0,  // Per-shard NNT/index update time per barrier.
-  kJoinBatchMicros,        // Per-shard join time per barrier.
-  kBarrierWaitMicros,      // Per-shard idle time at each barrier.
-  kStageNntMaintainMicros,    // Stage::kNntMaintain samples.
-  kStageDirtyDrainMicros,     // Stage::kDirtyDrain samples.
-  kStageJoinRefreshMicros,    // Stage::kJoinRefresh samples.
-  kStageTrackerObserveMicros, // Stage::kTrackerObserve samples.
-  kStageMetricsMergeMicros,   // Stage::kMetricsMerge samples.
+  kStageNntMaintainMicros = 0,  // Stage::kNntMaintain samples.
+  kStageDirtyDrainMicros,       // Stage::kDirtyDrain samples.
+  kStageJoinRefreshMicros,      // Stage::kJoinRefresh samples.
+  kStageTrackerObserveMicros,   // Stage::kTrackerObserve samples.
   // End-to-end ingest latency: event enqueue stamp -> applied to the
   // engine. Lives after the contiguous kStage* block (StageHist relies on
   // that ordering).
@@ -183,7 +171,7 @@ const char* BuildInfoIsa();
 
 // Shared upper bounds (inclusive, microseconds) of the histogram buckets;
 // a final implicit +Inf bucket catches the overflow. Quarter-decade spacing
-// covers sub-microsecond NNT ops up to multi-second barriers.
+// covers sub-microsecond NNT ops up to multi-second epoch closes.
 inline constexpr std::array<int64_t, 12> kHistBucketBounds = {
     1,     4,     16,     64,     256,     1024,
     4096, 16384, 65536, 262144, 1048576, 4194304};
@@ -244,7 +232,7 @@ class MetricSink {
 
 // Process-wide aggregate. All methods are thread-safe (one mutex), but by
 // construction they are only reached off the hot path: owners merge whole
-// sinks at barriers, and serialization happens at flush cadence.
+// sinks at epoch closes, and serialization happens at flush cadence.
 class MetricsRegistry {
  public:
   static MetricsRegistry& Global();

@@ -10,8 +10,8 @@ namespace {
 
 // Trace-span labels per stage (string literals; buffers keep pointers).
 constexpr const char* kStageSpanNames[kNumStages] = {
-    "stage_nnt_maintain",     "stage_dirty_drain", "stage_join_refresh",
-    "stage_tracker_observe",  "stage_metrics_merge",
+    "stage_nnt_maintain",    "stage_dirty_drain", "stage_join_refresh",
+    "stage_tracker_observe",
 };
 
 }  // namespace

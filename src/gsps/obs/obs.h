@@ -1,14 +1,15 @@
 // Instrumentation entry points: thread-local recording context + macros.
 //
 // A thread records into whatever ObsContext is installed on it. Installing
-// is explicit and scoped (ScopedObsContext): the parallel engine installs a
-// shard's sink/trace-buffer around each barrier task, CLI drivers install a
-// root sink for the main thread. With no context installed every macro is a
-// single null check, so library code is always safe to instrument.
+// is explicit and scoped (ScopedObsContext): each pipelined-engine worker
+// installs its shard's sink/trace-buffer for its thread's lifetime, CLI
+// drivers install a root sink for the main thread. With no context
+// installed every macro is a single null check, so library code is always
+// safe to instrument.
 //
 //   GSPS_OBS_COUNT(Counter::kNntInsertEdges, 1);
-//   GSPS_OBS_GAUGE_SET(Gauge::kPoolQueueDepth, n);
-//   GSPS_OBS_OBSERVE(Hist::kUpdateBatchMicros, micros);
+//   GSPS_OBS_GAUGE_SET(Gauge::kPipelineLaneDepth, n);
+//   GSPS_OBS_OBSERVE(Hist::kIngestE2eMicros, micros);
 //   GSPS_OBS_SPAN("shard_update", "monitor");  // RAII, ends at scope exit
 //   GSPS_OBS_STAGE(Stage::kNntMaintain, stream);  // Stage timer for scope
 //

@@ -4,14 +4,13 @@
 // locks) handed out by the global Tracer; the merged JSON —
 // {"traceEvents":[{"ph":"X",...}]} — loads directly in about://tracing and
 // Perfetto (ui.perfetto.dev), with one timeline row per buffer tid. The
-// engine labels shard buffers with the shard index, so a parallel replay
+// engine labels shard buffers with the shard index, so a threaded replay
 // shows every shard's update/join spans and the idle gaps between them.
 //
 // Single-writer discipline mirrors the metric sinks: exactly one thread
-// appends to a buffer at a time (the engine guarantees one worker per shard
-// per barrier; barrier synchronization orders writers across barriers).
-// ToJson() must only run while recorders are quiescent (after the replay,
-// or between barriers on the driver thread).
+// appends to a buffer (the pipelined engine gives each shard buffer to its
+// one worker thread). ToJson() must only run while recorders are quiescent
+// (after the replay, once the engine's workers have been shut down).
 //
 // Spans are recorded through GSPS_OBS_SPAN in gsps/obs/obs.h and cost
 // nothing when no buffer is installed on the current thread.

@@ -12,8 +12,8 @@
 //
 // Invariant (tested): the sum of all closed windows' deltas plus the open
 // window equals the cumulative registry aggregate — a sample merged at a
-// parallel-engine barrier lands in exactly one window, never zero or two,
-// regardless of where the window boundary falls between barriers.
+// pipelined-engine epoch close lands in exactly one window, never zero or
+// two, regardless of where the window boundary falls between merges.
 //
 // The registry never advances windows on its own: with no caller driving
 // Advance(), everything accumulates in one open window and the cumulative

@@ -1,7 +1,7 @@
 // Differential query-churn battery: the slotted AddQueryDynamic /
 // RemoveQueryDynamic lifecycle must be observationally equivalent to a
 // freshly built engine over the surviving query set — per strategy, per
-// engine (sequential and sharded), at every timestamp, including
+// engine (sequential and threaded), at every timestamp, including
 // bit-identical re-adds into reused slots and a query that introduces new
 // dense dimensions mid-run. The churn-oracle in the fuzzer (oracle 6)
 // extends this with randomized schedules; this file pins the deterministic
@@ -14,7 +14,7 @@
 
 #include "gsps/common/random.h"
 #include "gsps/engine/continuous_query_engine.h"
-#include "gsps/engine/parallel_query_engine.h"
+#include "gsps/engine/pipelined_query_engine.h"
 #include "gsps/gen/query_extractor.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph.h"
@@ -109,10 +109,10 @@ TEST_P(ChurnDifferentialTest, ChurnedEnginesMatchFreshBuildsAtEveryTimestamp) {
   EngineOptions options;
   options.join_kind = GetParam();
   ContinuousQueryEngine seq(options);
-  ParallelEngineOptions popt;
+  PipelinedEngineOptions popt;
   popt.engine = options;
   popt.num_threads = 2;
-  ParallelQueryEngine par(popt);
+  PipelinedQueryEngine par(popt);
 
   // active[engine_id] — the graph occupying that slot, nullopt if retired.
   std::vector<std::optional<Graph>> active;
@@ -145,16 +145,21 @@ TEST_P(ChurnDifferentialTest, ChurnedEnginesMatchFreshBuildsAtEveryTimestamp) {
     active[static_cast<size_t>(id)].reset();
   };
 
-  std::vector<GraphChange> batches(data.dataset.streams.size());
   for (int t = 1; t < data.horizon; ++t) {
     for (size_t i = 0; i < data.dataset.streams.size(); ++i) {
-      batches[i] = data.dataset.streams[i].ChangeAt(t);
-      seq.ApplyChange(static_cast<int>(i), batches[i]);
+      const GraphChange& change = data.dataset.streams[i].ChangeAt(t);
+      seq.ApplyChange(static_cast<int>(i), change);
+      IngestEvent event;
+      event.stream = static_cast<int32_t>(i);
+      event.timestamp = t;
+      event.change = change;
+      ASSERT_TRUE(par.Ingest(std::move(event)));
     }
-    par.ApplyChanges(batches);
 
-    // The churn schedule: grow, retire, bit-identical re-add into the
-    // reused slot, a new-dimension query mid-run, then churn on slot 0.
+    // The churn schedule (the threaded engine applies each op after this
+    // timestamp's data, like the sequential one): grow, retire,
+    // bit-identical re-add into the reused slot, a new-dimension query
+    // mid-run, then churn on slot 0.
     switch (t) {
       case 3:
         add(data.queries[2]);
@@ -177,6 +182,7 @@ TEST_P(ChurnDifferentialTest, ChurnedEnginesMatchFreshBuildsAtEveryTimestamp) {
       default:
         break;
     }
+    par.AdvanceEpoch(t);  // Snapshot reads below are as of t.
 
     seq.CheckChurnInvariants();
     par.CheckChurnInvariants();
@@ -186,7 +192,7 @@ TEST_P(ChurnDifferentialTest, ChurnedEnginesMatchFreshBuildsAtEveryTimestamp) {
       EXPECT_EQ(seq.CandidatesForStream(i), expected[static_cast<size_t>(i)])
           << "sequential, t=" << t << " stream=" << i;
       EXPECT_EQ(par.CandidatesForStream(i), expected[static_cast<size_t>(i)])
-          << "parallel, t=" << t << " stream=" << i;
+          << "threaded, t=" << t << " stream=" << i;
       EXPECT_EQ(seq.RecomputeCandidatesFromScratch(i),
                 expected[static_cast<size_t>(i)])
           << "scratch referee, t=" << t << " stream=" << i;
@@ -252,12 +258,13 @@ TEST(ChurnGuardTest, SequentialRemoveRejectsBadIds) {
 }
 
 TEST(ChurnGuardTest, ParallelRemoveRejectsBadIds) {
-  // The shard pool is live, so fork-based death tests must re-exec.
+  // The engine's worker threads are live, so fork-based death tests must
+  // re-exec.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const ChurnData data = MakeChurnData(13);
-  ParallelEngineOptions popt;
+  PipelinedEngineOptions popt;
   popt.num_threads = 2;
-  ParallelQueryEngine engine(popt);
+  PipelinedQueryEngine engine(popt);
   engine.AddQuery(data.queries[0]);
   for (const GraphStream& s : data.dataset.streams) {
     engine.AddStream(s.StartGraph());

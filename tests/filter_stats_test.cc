@@ -98,9 +98,9 @@ TEST(FilterStatsTest, MissingTruthOnAnyShardPoisonsTheMerge) {
 }
 
 TEST(FilterStatsTest, MergeSumsBusyAcrossShards) {
-  // Costs take the barrier's critical path (max), but busy time is
+  // Costs take the epoch's critical path (max), but busy time is
   // aggregate work and must sum — that difference is what exposes the
-  // busy vs. barrier-wait split.
+  // busy vs. idle split.
   const std::vector<TimestampStats> shards = {
       MakeSample(1, 0, 4, -1, 3.0, 1.0),
       MakeSample(1, 0, 4, -1, 1.0, 2.0),

@@ -18,7 +18,6 @@
 
 #include "gsps/engine/candidate_tracker.h"
 #include "gsps/engine/ingest_queue.h"
-#include "gsps/engine/parallel_query_engine.h"
 #include "gsps/engine/pipelined_query_engine.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph_change.h"
@@ -89,9 +88,9 @@ MetricSink SampleSinkA() {
   MetricSink s;
   s.Add(Counter::kNntInsertEdges, 3);
   s.Add(Counter::kJoinPairsIn, 10);
-  s.Set(Gauge::kPoolQueueDepth, 4);
+  s.Set(Gauge::kIngestQueueDepth, 4);
   s.Set(Gauge::kEngineShards, 2);
-  s.Observe(Hist::kUpdateBatchMicros, 17);
+  s.Observe(Hist::kStageNntMaintainMicros, 17);
   return s;
 }
 
@@ -99,10 +98,10 @@ MetricSink SampleSinkB() {
   MetricSink s;
   s.Add(Counter::kNntInsertEdges, 5);
   s.Add(Counter::kTrackerAppeared, 1);
-  s.Set(Gauge::kPoolQueueDepth, 2);
+  s.Set(Gauge::kIngestQueueDepth, 2);
   s.Set(Gauge::kEngineQueries, 9);
-  s.Observe(Hist::kUpdateBatchMicros, 40000);
-  s.Observe(Hist::kJoinBatchMicros, 8);
+  s.Observe(Hist::kStageNntMaintainMicros, 40000);
+  s.Observe(Hist::kStageJoinRefreshMicros, 8);
   return s;
 }
 
@@ -112,16 +111,16 @@ TEST(ObsSinkTest, MergeSumsCountersMaxesGauges) {
   EXPECT_EQ(merged.Value(Counter::kNntInsertEdges), 8);
   EXPECT_EQ(merged.Value(Counter::kJoinPairsIn), 10);
   EXPECT_EQ(merged.Value(Counter::kTrackerAppeared), 1);
-  EXPECT_EQ(merged.GaugeValue(Gauge::kPoolQueueDepth), 4);  // max(4, 2)
+  EXPECT_EQ(merged.GaugeValue(Gauge::kIngestQueueDepth), 4);  // max(4, 2)
   EXPECT_EQ(merged.GaugeValue(Gauge::kEngineShards), 2);
   EXPECT_EQ(merged.GaugeValue(Gauge::kEngineQueries), 9);
-  EXPECT_EQ(merged.histogram(Hist::kUpdateBatchMicros).count, 2);
-  EXPECT_EQ(merged.histogram(Hist::kJoinBatchMicros).count, 1);
+  EXPECT_EQ(merged.histogram(Hist::kStageNntMaintainMicros).count, 2);
+  EXPECT_EQ(merged.histogram(Hist::kStageJoinRefreshMicros).count, 1);
 }
 
 TEST(ObsSinkTest, MergeIsCommutative) {
-  // Shards are merged in whatever order barriers complete; the aggregate
-  // must not depend on it.
+  // Shards are merged in whatever order their epoch closes complete; the
+  // aggregate must not depend on it.
   MetricSink ab = SampleSinkA();
   ab.MergeFrom(SampleSinkB());
   MetricSink ba = SampleSinkB();
@@ -160,9 +159,9 @@ TEST(ObsSerializerTest, PrometheusTextShape) {
   MetricSink sink;
   sink.Add(Counter::kNntInsertEdges, 7);
   sink.Set(Gauge::kEngineStreams, 5);
-  sink.Observe(Hist::kJoinBatchMicros, 1);   // le="1".
-  sink.Observe(Hist::kJoinBatchMicros, 3);   // le="4".
-  sink.Observe(Hist::kJoinBatchMicros, 99);  // le="256".
+  sink.Observe(Hist::kIngestE2eMicros, 1);   // le="1".
+  sink.Observe(Hist::kIngestE2eMicros, 3);   // le="4".
+  sink.Observe(Hist::kIngestE2eMicros, 99);  // le="256".
   const std::string text = obs::ToPrometheusText(sink);
 
   EXPECT_NE(text.find("# TYPE gsps_nnt_insert_edges_total counter\n"),
@@ -174,18 +173,18 @@ TEST(ObsSerializerTest, PrometheusTextShape) {
 
   // Buckets are cumulative: le="1" holds 1, le="4" holds 2, le="64" still 2,
   // le="256" jumps to 3, and +Inf equals _count.
-  EXPECT_NE(text.find("gsps_join_batch_micros_bucket{le=\"1\"} 1\n"),
+  EXPECT_NE(text.find("gsps_ingest_e2e_micros_bucket{le=\"1\"} 1\n"),
             std::string::npos);
-  EXPECT_NE(text.find("gsps_join_batch_micros_bucket{le=\"4\"} 2\n"),
+  EXPECT_NE(text.find("gsps_ingest_e2e_micros_bucket{le=\"4\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("gsps_join_batch_micros_bucket{le=\"64\"} 2\n"),
+  EXPECT_NE(text.find("gsps_ingest_e2e_micros_bucket{le=\"64\"} 2\n"),
             std::string::npos);
-  EXPECT_NE(text.find("gsps_join_batch_micros_bucket{le=\"256\"} 3\n"),
+  EXPECT_NE(text.find("gsps_ingest_e2e_micros_bucket{le=\"256\"} 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("gsps_join_batch_micros_bucket{le=\"+Inf\"} 3\n"),
+  EXPECT_NE(text.find("gsps_ingest_e2e_micros_bucket{le=\"+Inf\"} 3\n"),
             std::string::npos);
-  EXPECT_NE(text.find("gsps_join_batch_micros_sum 103\n"), std::string::npos);
-  EXPECT_NE(text.find("gsps_join_batch_micros_count 3\n"), std::string::npos);
+  EXPECT_NE(text.find("gsps_ingest_e2e_micros_sum 103\n"), std::string::npos);
+  EXPECT_NE(text.find("gsps_ingest_e2e_micros_count 3\n"), std::string::npos);
 
   // Every counter appears with the _total suffix even when zero, plus the
   // three always-emitted per-query attribution families.
@@ -282,12 +281,12 @@ TEST(ObsWindowTest, AdvanceRollsTheRingKeepingMostRecent) {
 }
 
 TEST(ObsWindowTest, WindowsPlusOpenWindowPartitionTheCumulative) {
-  // Barrier merges land on either side of a window boundary; every sample
-  // must land in exactly one window, never zero or two.
+  // Epoch-close merges land on either side of a window boundary; every
+  // sample must land in exactly one window, never zero or two.
   obs::MetricsRegistry::Global().Reset();
   MetricSink a = SampleSinkA();
   obs::MetricsRegistry::Global().MergeAndReset(a);
-  obs::WindowedTelemetry::Global().Advance();  // Boundary between barriers.
+  obs::WindowedTelemetry::Global().Advance();  // Boundary between merges.
   MetricSink b = SampleSinkB();
   obs::MetricsRegistry::Global().MergeAndReset(b);
   MetricSink c;
@@ -344,7 +343,7 @@ TEST(ObsExemplarTest, RingEvictsOldestOnceFull) {
   obs::ExemplarStore::Global().Reset();
   for (int i = 0; i < obs::kExemplarRingSize + 5; ++i) {
     obs::Exemplar exemplar;
-    exemplar.hist = Hist::kUpdateBatchMicros;
+    exemplar.hist = Hist::kStageNntMaintainMicros;
     exemplar.value_micros = i;
     obs::ExemplarStore::Global().Record(exemplar);
   }
@@ -502,17 +501,18 @@ TEST(ObsTraceTest, TraceJsonParsesBackWithAllSpans) {
 
 // --- End to end: the instrumented engine -----------------------------------
 
-// Runs the sharded engine (updates + joins) over an evolving workload for
-// one join strategy, recording driver-thread metrics into `root_sink` and
-// shard metrics into the registry (the engine's own barrier bookkeeping).
+// Runs the threaded engine (2 workers, one epoch per tick: updates, then
+// the join at the epoch close) over an evolving workload for one join
+// strategy, recording driver-thread metrics into `root_sink` and worker
+// metrics into the registry (merged at every epoch close).
 void DriveEngine(const StreamDataset& dataset, JoinKind kind,
                  MetricSink& root_sink) {
   obs::ScopedObsContext scope(&root_sink, nullptr);
-  ParallelEngineOptions options;
+  PipelinedEngineOptions options;
   options.engine.join_kind = kind;
   options.engine.nnt_depth = 3;
   options.num_threads = 2;
-  ParallelQueryEngine engine(options);
+  PipelinedQueryEngine engine(options);
   for (const Graph& q : dataset.queries) engine.AddQuery(q);
   int horizon = 0;
   for (const GraphStream& s : dataset.streams) {
@@ -520,18 +520,22 @@ void DriveEngine(const StreamDataset& dataset, JoinKind kind,
     horizon = std::max(horizon, s.NumTimestamps());
   }
   engine.Start();
-  std::vector<GraphChange> batches(dataset.streams.size());
+  int32_t epoch = 0;
   for (int t = 1; t < horizon; ++t) {
     for (size_t i = 0; i < dataset.streams.size(); ++i) {
       const GraphStream& s = dataset.streams[i];
-      batches[i] = t < s.NumTimestamps() ? s.ChangeAt(t) : GraphChange{};
+      IngestEvent event;
+      event.stream = static_cast<int32_t>(i);
+      event.timestamp = t;
+      if (t < s.NumTimestamps()) event.change = s.ChangeAt(t);
+      engine.Ingest(std::move(event));
     }
-    engine.ApplyChanges(batches);
-    engine.AllCandidatePairs();
-    // A second read with no intervening deltas is answered from the
-    // per-stream verdict caches (gsps_join_verdicts_reused).
-    engine.AllCandidatePairs();
+    engine.AdvanceEpoch(t);
+    epoch = t;
   }
+  // An epoch with no intervening deltas is answered from the per-stream
+  // verdict caches (gsps_join_verdicts_reused).
+  engine.AdvanceEpoch(++epoch);
   // Dynamic churn: a query over labels no synthetic query uses introduces
   // fresh dimensions, forcing a dim-remap regrowth in every strategy
   // (gsps_remap_regrowths); the remove exercises slot retirement and the
@@ -541,9 +545,9 @@ void DriveEngine(const StreamDataset& dataset, JoinKind kind,
   churn_query.EnsureVertex(1, 92);
   churn_query.AddEdge(0, 1, 93);
   const int churn_id = engine.AddQueryDynamic(churn_query);
-  engine.AllCandidatePairs();
+  engine.AdvanceEpoch(++epoch);
   engine.RemoveQueryDynamic(churn_id);
-  engine.AllCandidatePairs();
+  engine.AdvanceEpoch(++epoch);
 }
 
 TEST(ObsEndToEndTest, EveryMetricNonzeroAfterInstrumentedRun) {

@@ -1,79 +1,36 @@
-// Tests for the sharded parallel engine and its thread pool.
+// Tests for the threaded engine driven in lockstep.
 //
-// The load-bearing property is output equivalence: ParallelQueryEngine must
-// produce byte-identical candidate pairs to ContinuousQueryEngine on the
-// same inputs at every timestamp, for every join strategy and thread count
-// (1-8, spanning fewer and more workers than streams). On top of that, the
-// paper's no-false-negative guarantee is re-checked under concurrency
-// against VF2 ground truth. These tests are the payload of the TSan CI job.
-
-#include "gsps/engine/parallel_query_engine.h"
+// gsps_monitor, the figure harnesses' --threads mode and the churn and obs
+// tests drive PipelinedQueryEngine one timestamp at a time: every stream's
+// whole batch is ingested, then AdvanceEpoch(t) closes the epoch before
+// the next tick. The load-bearing property is output equivalence under
+// that schedule: candidate pairs byte-identical to ContinuousQueryEngine at
+// every timestamp, for every join strategy and worker count (1-12,
+// spanning fewer and more workers than streams), with the merged epoch
+// sample that the figure harnesses read (TakeBarrierStats) counting
+// exactly those pairs. On top of that, the paper's no-false-negative
+// guarantee is re-checked under concurrency against VF2 ground truth,
+// query churn between epochs is checked against the sequential engine, and
+// the shards are checked to run the LPT placement. Fragmented batches,
+// backpressure, watermarks and churn with data in flight are covered in
+// pipelined_engine_test.cc.
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "gsps/common/thread_pool.h"
 #include "gsps/engine/continuous_query_engine.h"
+#include "gsps/engine/pipelined_query_engine.h"
+#include "gsps/engine/shard_assignment.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph_change.h"
 #include "gsps/iso/subgraph_isomorphism.h"
 
 namespace gsps {
 namespace {
-
-// --- ThreadPool ------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  for (const int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.num_threads(), threads);
-    constexpr int kN = 1000;
-    std::vector<std::atomic<int>> hits(kN);
-    pool.ParallelFor(kN, [&](int i) {
-      hits[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (int i = 0; i < kN; ++i) {
-      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossManyBarriers) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> sum{0};
-  int64_t expected = 0;
-  for (int round = 0; round < 200; ++round) {
-    const int n = 1 + round % 7;
-    pool.ParallelFor(n, [&](int i) {
-      sum.fetch_add(i + 1, std::memory_order_relaxed);
-    });
-    expected += n * (n + 1) / 2;
-  }
-  EXPECT_EQ(sum.load(), expected);
-}
-
-TEST(ThreadPoolTest, ZeroAndNegativeCountsAreNoops) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.ParallelFor(0, [&](int) { ran = true; });
-  pool.ParallelFor(-3, [&](int) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1);
-  int calls = 0;
-  pool.ParallelFor(5, [&](int) { ++calls; });
-  EXPECT_EQ(calls, 5);
-  EXPECT_GE(ThreadPool::HardwareThreads(), 1);
-}
-
-// --- Equivalence with the sequential engine --------------------------------
 
 struct Workload {
   std::vector<Graph> queries;
@@ -92,18 +49,45 @@ Workload RandomWorkload(int num_streams, int num_timestamps, uint64_t seed) {
   return Workload{std::move(dataset.queries), std::move(dataset.streams)};
 }
 
-// Runs both engines over the workload and asserts identical candidate
-// pairs at every timestamp.
+int Horizon(const Workload& workload) {
+  int horizon = 0;
+  for (const GraphStream& s : workload.streams) {
+    horizon = std::max(horizon, s.NumTimestamps());
+  }
+  return horizon;
+}
+
+GraphChange ChangeAt(const GraphStream& stream, int t) {
+  return t < stream.NumTimestamps() ? stream.ChangeAt(t) : GraphChange{};
+}
+
+// One lockstep tick: every stream's whole batch for `t` (empty past the
+// end of a shorter stream), then the epoch close.
+void ApplyTimestamp(PipelinedQueryEngine& engine, const Workload& workload,
+                    int t) {
+  for (size_t i = 0; i < workload.streams.size(); ++i) {
+    IngestEvent event;
+    event.stream = static_cast<int32_t>(i);
+    event.timestamp = t;
+    event.change = ChangeAt(workload.streams[i], t);
+    ASSERT_TRUE(engine.Ingest(std::move(event)));
+  }
+  engine.AdvanceEpoch(t);
+}
+
+// Runs both engines over the workload in lockstep and asserts identical
+// candidate pairs at every timestamp, plus a merged epoch sample that
+// covers exactly that timestamp's pairs.
 void ExpectEquivalent(const Workload& workload, JoinKind kind,
                       int num_threads) {
-  EngineOptions sequential_options;
-  sequential_options.join_kind = kind;
-  ContinuousQueryEngine sequential(sequential_options);
+  EngineOptions engine_options;
+  engine_options.join_kind = kind;
+  ContinuousQueryEngine sequential(engine_options);
 
-  ParallelEngineOptions parallel_options;
-  parallel_options.engine = sequential_options;
-  parallel_options.num_threads = num_threads;
-  ParallelQueryEngine parallel(parallel_options);
+  PipelinedEngineOptions options;
+  options.engine = engine_options;
+  options.num_threads = num_threads;
+  PipelinedQueryEngine parallel(options);
 
   for (const Graph& q : workload.queries) {
     sequential.AddQuery(q);
@@ -115,29 +99,32 @@ void ExpectEquivalent(const Workload& workload, JoinKind kind,
     parallel.AddStream(s.StartGraph());
   }
   sequential.Start();
-  parallel.Start();
+  parallel.Start();  // Completes epoch 0.
   EXPECT_EQ(parallel.num_shards(),
             std::min(std::max(1, num_threads), num_streams));
+  const int64_t total_pairs =
+      static_cast<int64_t>(num_streams) * parallel.num_queries();
 
-  int horizon = 0;
-  for (const GraphStream& s : workload.streams) {
-    horizon = std::max(horizon, s.NumTimestamps());
-  }
-  std::vector<GraphChange> batches(static_cast<size_t>(num_streams));
-  for (int t = 0; t < horizon; ++t) {
+  for (int t = 0; t < Horizon(workload); ++t) {
     if (t > 0) {
       for (int i = 0; i < num_streams; ++i) {
-        const GraphStream& s = workload.streams[static_cast<size_t>(i)];
-        batches[static_cast<size_t>(i)] =
-            t < s.NumTimestamps() ? s.ChangeAt(t) : GraphChange{};
-        sequential.ApplyChange(i, batches[static_cast<size_t>(i)]);
+        sequential.ApplyChange(
+            i, ChangeAt(workload.streams[static_cast<size_t>(i)], t));
       }
-      parallel.ApplyChanges(batches);
+      ApplyTimestamp(parallel, workload, t);
     }
-    ASSERT_EQ(parallel.AllCandidatePairs(), sequential.AllCandidatePairs())
+    const std::vector<std::pair<int, int>> pairs =
+        sequential.AllCandidatePairs();
+    ASSERT_EQ(parallel.AllCandidatePairs(), pairs)
         << "join=" << JoinKindName(kind) << " threads=" << num_threads
         << " t=" << t;
+    const TimestampStats stats = parallel.TakeBarrierStats();
+    EXPECT_EQ(stats.timestamp, t);
+    EXPECT_EQ(stats.candidate_pairs, static_cast<int64_t>(pairs.size()))
+        << "t=" << t;
+    EXPECT_EQ(stats.total_pairs, total_pairs) << "t=" << t;
   }
+  parallel.Shutdown();
 }
 
 TEST(ParallelEngineTest, MatchesSequentialAcrossThreadCountsAndStrategies) {
@@ -164,19 +151,25 @@ TEST(ParallelEngineTest, MatchesSequentialOnManyRandomSeeds) {
 
 TEST(ParallelEngineTest, CandidatesForStreamMatchesMergedPairs) {
   const Workload workload = RandomWorkload(5, 6, 21);
-  ParallelEngineOptions options;
+  PipelinedEngineOptions options;
   options.num_threads = 3;
-  ParallelQueryEngine engine(options);
+  PipelinedQueryEngine engine(options);
   for (const Graph& q : workload.queries) engine.AddQuery(q);
   for (const GraphStream& s : workload.streams) {
     engine.AddStream(s.StartGraph());
   }
   engine.Start();
-  std::vector<std::pair<int, int>> rebuilt;
-  for (int i = 0; i < engine.num_streams(); ++i) {
-    for (const int q : engine.CandidatesForStream(i)) rebuilt.emplace_back(i, q);
+  for (int t = 0; t < Horizon(workload); ++t) {
+    if (t > 0) ApplyTimestamp(engine, workload, t);
+    std::vector<std::pair<int, int>> rebuilt;
+    for (int i = 0; i < engine.num_streams(); ++i) {
+      for (const int q : engine.CandidatesForStream(i)) {
+        rebuilt.emplace_back(i, q);
+      }
+    }
+    EXPECT_EQ(rebuilt, engine.AllCandidatePairs()) << "t=" << t;
   }
-  EXPECT_EQ(rebuilt, engine.AllCandidatePairs());
+  engine.Shutdown();
 }
 
 // --- No-false-negative property under concurrency --------------------------
@@ -197,9 +190,9 @@ TEST(ParallelEngineTest, NoFalseNegativesAgainstExactIsomorphism) {
   StreamDataset dataset = MakeSyntheticStreams(params);
   const Workload workload{std::move(dataset.queries),
                           std::move(dataset.streams)};
-  ParallelEngineOptions options;
+  PipelinedEngineOptions options;
   options.num_threads = 4;
-  ParallelQueryEngine engine(options);
+  PipelinedQueryEngine engine(options);
   for (const Graph& q : workload.queries) engine.AddQuery(q);
   const int num_streams = static_cast<int>(workload.streams.size());
   for (const GraphStream& s : workload.streams) {
@@ -207,21 +200,10 @@ TEST(ParallelEngineTest, NoFalseNegativesAgainstExactIsomorphism) {
   }
   engine.Start();
 
-  int horizon = 0;
-  for (const GraphStream& s : workload.streams) {
-    horizon = std::max(horizon, s.NumTimestamps());
-  }
   int true_pairs_seen = 0;
-  std::vector<GraphChange> batches(static_cast<size_t>(num_streams));
-  for (int t = 0; t < horizon; ++t) {
-    if (t > 0) {
-      for (int i = 0; i < num_streams; ++i) {
-        const GraphStream& s = workload.streams[static_cast<size_t>(i)];
-        batches[static_cast<size_t>(i)] =
-            t < s.NumTimestamps() ? s.ChangeAt(t) : GraphChange{};
-      }
-      engine.ApplyChanges(batches);
-    }
+  for (int t = 0; t < Horizon(workload); ++t) {
+    if (t > 0) ApplyTimestamp(engine, workload, t);
+    // Quiescent past the epoch: the live graphs match the snapshots.
     const std::vector<std::pair<int, int>> candidates =
         engine.AllCandidatePairs();
     for (int i = 0; i < num_streams; ++i) {
@@ -243,17 +225,19 @@ TEST(ParallelEngineTest, NoFalseNegativesAgainstExactIsomorphism) {
   // The workload derives queries from the streams, so ground-truth matches
   // must actually occur for the property to have teeth.
   EXPECT_GT(true_pairs_seen, 0);
+  engine.Shutdown();
 }
 
 // --- Dynamic queries and stats ---------------------------------------------
 
 TEST(ParallelEngineTest, DynamicQueriesStayEquivalent) {
+  // Churn lands between epochs, with no data in flight; the next epoch's
+  // snapshot is the first read that reflects it.
   const Workload workload = RandomWorkload(5, 4, 13);
-  EngineOptions sequential_options;
-  ContinuousQueryEngine sequential(sequential_options);
-  ParallelEngineOptions parallel_options;
-  parallel_options.num_threads = 4;
-  ParallelQueryEngine parallel(parallel_options);
+  ContinuousQueryEngine sequential(EngineOptions{});
+  PipelinedEngineOptions options;
+  options.num_threads = 4;
+  PipelinedQueryEngine parallel(options);
 
   for (size_t j = 0; j + 1 < workload.queries.size(); ++j) {
     sequential.AddQuery(workload.queries[j]);
@@ -267,73 +251,110 @@ TEST(ParallelEngineTest, DynamicQueriesStayEquivalent) {
   sequential.Start();
   parallel.Start();
 
+  auto tick = [&](int t) {
+    for (int i = 0; i < num_streams; ++i) {
+      sequential.ApplyChange(
+          i, ChangeAt(workload.streams[static_cast<size_t>(i)], t));
+    }
+    ApplyTimestamp(parallel, workload, t);
+    EXPECT_EQ(parallel.AllCandidatePairs(), sequential.AllCandidatePairs())
+        << "t=" << t;
+    EXPECT_EQ(parallel.num_active_queries(), sequential.num_active_queries());
+  };
+
   const Graph& late_query = workload.queries.back();
   EXPECT_EQ(parallel.AddQueryDynamic(late_query),
             sequential.AddQueryDynamic(late_query));
-  EXPECT_EQ(parallel.AllCandidatePairs(), sequential.AllCandidatePairs());
+  tick(1);
 
   sequential.RemoveQueryDynamic(0);
   parallel.RemoveQueryDynamic(0);
-  std::vector<GraphChange> batches(static_cast<size_t>(num_streams));
-  for (int i = 0; i < num_streams; ++i) {
-    const GraphStream& s = workload.streams[static_cast<size_t>(i)];
-    batches[static_cast<size_t>(i)] = s.NumTimestamps() > 1
-                                          ? s.ChangeAt(1)
-                                          : GraphChange{};
-    sequential.ApplyChange(i, batches[static_cast<size_t>(i)]);
-  }
-  parallel.ApplyChanges(batches);
-  EXPECT_EQ(parallel.AllCandidatePairs(), sequential.AllCandidatePairs());
+  tick(2);
+
+  // Slot reuse: the retired slot comes back on both engines.
+  EXPECT_EQ(parallel.AddQueryDynamic(workload.queries[0]),
+            sequential.AddQueryDynamic(workload.queries[0]));
+  tick(3);
+  parallel.CheckChurnInvariants();
+  parallel.Shutdown();
 }
 
 TEST(ParallelEngineTest, BarrierStatsMergePerWorkerSamples) {
   const Workload workload = RandomWorkload(6, 3, 31);
-  ParallelEngineOptions options;
+  PipelinedEngineOptions options;
   options.num_threads = 3;
-  ParallelQueryEngine engine(options);
+  PipelinedQueryEngine engine(options);
+  for (const Graph& q : workload.queries) engine.AddQuery(q);
+  for (const GraphStream& s : workload.streams) {
+    engine.AddStream(s.StartGraph());
+  }
+  engine.Start();  // Epoch 0's snapshot is the first sample.
+  const int64_t total_pairs =
+      static_cast<int64_t>(engine.num_streams()) * engine.num_queries();
+
+  const std::vector<std::pair<int, int>> pairs0 = engine.AllCandidatePairs();
+  const TimestampStats stats0 = engine.TakeBarrierStats();
+  EXPECT_EQ(stats0.timestamp, 0);
+  EXPECT_EQ(stats0.candidate_pairs, static_cast<int64_t>(pairs0.size()));
+  EXPECT_EQ(stats0.total_pairs, total_pairs);
+  EXPECT_GE(stats0.join_millis, 0.0);
+  // The merge drained the per-shard accumulators.
+  const TimestampStats drained = engine.TakeBarrierStats();
+  EXPECT_EQ(drained.candidate_pairs, 0);
+  EXPECT_EQ(drained.update_millis, 0.0);
+  EXPECT_EQ(drained.join_millis, 0.0);
+
+  // Two epochs between reads: candidate pairs sum over shards and epochs,
+  // the costs are the slowest shard's, and busy time sums the shards' work.
+  int64_t candidates = 0;
+  for (int t = 1; t < Horizon(workload); ++t) {
+    ApplyTimestamp(engine, workload, t);
+    candidates += static_cast<int64_t>(engine.AllCandidatePairs().size());
+  }
+  const TimestampStats stats = engine.TakeBarrierStats();
+  EXPECT_EQ(stats.timestamp, Horizon(workload) - 1);
+  EXPECT_EQ(stats.candidate_pairs, candidates);
+  EXPECT_EQ(stats.total_pairs, total_pairs);
+  EXPECT_GT(stats.update_millis, 0.0);
+  EXPECT_GE(stats.busy_millis, stats.update_millis);
+  EXPECT_GE(stats.busy_millis, stats.join_millis);
+  EXPECT_EQ(engine.TakeBarrierStats().candidate_pairs, 0);
+  engine.Shutdown();
+}
+
+// --- LPT placement ---------------------------------------------------------
+
+TEST(ParallelEngineLptTest, LptPlacementIsOutputIdenticalToSequential) {
+  const Workload workload = RandomWorkload(7, 8, 17);
+  ExpectEquivalent(workload, JoinKind::kDominatedSetCover, 3);
+
+  // The shards run the LPT plan over the start graphs' edge counts: each
+  // lane consumed one event per tick for each stream the plan gave it.
+  std::vector<int64_t> weights;
+  for (const GraphStream& s : workload.streams) {
+    weights.push_back(s.StartGraph().NumEdges());
+  }
+  const ShardPlan plan = PlanShardAssignment(weights, 3);
+  PipelinedEngineOptions options;
+  options.num_threads = 3;
+  PipelinedQueryEngine engine(options);
   for (const Graph& q : workload.queries) engine.AddQuery(q);
   for (const GraphStream& s : workload.streams) {
     engine.AddStream(s.StartGraph());
   }
   engine.Start();
-
-  const std::vector<std::pair<int, int>> pairs = engine.AllCandidatePairs();
-  const TimestampStats stats = engine.TakeBarrierStats();
-  EXPECT_EQ(stats.candidate_pairs, static_cast<int64_t>(pairs.size()));
-  EXPECT_EQ(stats.total_pairs,
-            static_cast<int64_t>(engine.num_streams()) * engine.num_queries());
-  EXPECT_GE(stats.join_millis, 0.0);
-  // The merge drained the per-shard accumulators.
-  const TimestampStats drained = engine.TakeBarrierStats();
-  EXPECT_EQ(drained.candidate_pairs, 0);
-  EXPECT_EQ(drained.update_millis, 0.0);
-}
-
-TEST(MergeParallelSamplesTest, SumsCountsAndTakesCriticalPath) {
-  TimestampStats a;
-  a.timestamp = 7;
-  a.candidate_pairs = 3;
-  a.total_pairs = 10;
-  a.true_pairs = 2;
-  a.update_millis = 1.5;
-  a.join_millis = 0.25;
-  TimestampStats b;
-  b.timestamp = 7;
-  b.candidate_pairs = 5;
-  b.total_pairs = 10;
-  b.true_pairs = 4;
-  b.update_millis = 0.5;
-  b.join_millis = 2.0;
-  const TimestampStats merged = MergeParallelSamples({a, b});
-  EXPECT_EQ(merged.timestamp, 7);
-  EXPECT_EQ(merged.candidate_pairs, 8);
-  EXPECT_EQ(merged.total_pairs, 20);
-  EXPECT_EQ(merged.true_pairs, 6);
-  EXPECT_DOUBLE_EQ(merged.update_millis, 1.5);
-  EXPECT_DOUBLE_EQ(merged.join_millis, 2.0);
-
-  b.true_pairs = -1;  // One shard without ground truth poisons the sum.
-  EXPECT_EQ(MergeParallelSamples({a, b}).true_pairs, -1);
+  for (int t = 1; t < Horizon(workload); ++t) {
+    ApplyTimestamp(engine, workload, t);
+  }
+  engine.Shutdown();
+  ASSERT_EQ(engine.num_shards(), 3);
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    EXPECT_EQ(engine.ReportLane(s).applied_events,
+              static_cast<int64_t>(
+                  plan.shard_streams[static_cast<size_t>(s)].size()) *
+                  (Horizon(workload) - 1))
+        << "shard " << s;
+  }
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Tests for the barrier-free pipelined engine and its building blocks.
+// Tests for the threaded (pipelined) engine and its building blocks.
 //
-// The load-bearing property mirrors the parallel engine's: at every epoch
+// The load-bearing property is output equivalence: at every epoch
 // boundary, PipelinedQueryEngine must produce byte-identical candidate
-// pairs (and transitions) to ContinuousQueryEngine on the same inputs —
-// including when timestamp batches arrive split into fragments that the
-// worker-side coalescer must merge, when lanes are sized down to capacity
-// 1 (full backpressure), and across dynamic query churn. SpscLane and
-// PlanShardAssignment get their own unit coverage, and the threaded lane
-// and watermark tests are part of the TSan CI job's payload.
+// pairs (and transitions) to ContinuousQueryEngine on the same inputs, for
+// every join strategy and worker count (1-12, spanning fewer and more
+// workers than streams) — including when timestamp batches arrive split
+// into fragments that the worker-side coalescer must merge, when lanes are
+// sized down to capacity 1 (full backpressure), and across dynamic query
+// churn with data in flight. SpscLane, PlanShardAssignment and the
+// per-shard stats merge get their own unit coverage, and the threaded
+// tests are part of the TSan CI job's payload. The lockstep schedule
+// (whole batches, an epoch per timestamp) and the no-false-negative check
+// live in parallel_engine_test.cc.
 
 #include "gsps/engine/pipelined_query_engine.h"
 
@@ -23,7 +27,6 @@
 #include "gsps/engine/continuous_query_engine.h"
 #include "gsps/engine/ingest_audit.h"
 #include "gsps/engine/ingest_queue.h"
-#include "gsps/engine/parallel_query_engine.h"
 #include "gsps/engine/shard_assignment.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph_change.h"
@@ -163,24 +166,13 @@ TEST(IngestOrderAuditTest, CountsGapsAndResyncs) {
 
 // --- PlanShardAssignment ---------------------------------------------------
 
-TEST(ShardAssignmentTest, RoundRobinMatchesModulo) {
-  const std::vector<int64_t> weights = {5, 1, 9, 2, 7};
-  const ShardPlan plan =
-      PlanShardAssignment(weights, 2, ShardAssignment::kRoundRobin);
-  EXPECT_EQ(plan.stream_to_shard, (std::vector<int>{0, 1, 0, 1, 0}));
-  EXPECT_EQ(plan.shard_streams[0], (std::vector<int>{0, 2, 4}));
-  EXPECT_EQ(plan.shard_streams[1], (std::vector<int>{1, 3}));
-  EXPECT_EQ(plan.stream_to_local, (std::vector<int>{0, 0, 1, 1, 2}));
-}
-
 TEST(ShardAssignmentTest, LptBalancesSkewedWeights) {
-  // One giant stream plus small ones: round-robin puts the giant and half
-  // the rest on shard 0; LPT gives the giant its own shard.
+  // One giant stream plus small ones: an interleave would put the giant
+  // and half the rest on shard 0 (120 vs 30); LPT gives the giant its own
+  // shard (100 vs 50).
   const std::vector<int64_t> weights = {100, 10, 10, 10, 10, 10};
-  const ShardPlan rr =
-      PlanShardAssignment(weights, 2, ShardAssignment::kRoundRobin);
-  const ShardPlan lpt = PlanShardAssignment(weights, 2, ShardAssignment::kLpt);
-  EXPECT_LT(lpt.imbalance_ratio, rr.imbalance_ratio);
+  const ShardPlan lpt = PlanShardAssignment(weights, 2);
+  EXPECT_DOUBLE_EQ(lpt.imbalance_ratio, 100.0 * 2 / 150.0);
   // Giant alone on its shard; every lighter stream lands on the other.
   const int giant_shard = lpt.stream_to_shard[0];
   for (int i = 1; i < 6; ++i) {
@@ -194,8 +186,8 @@ TEST(ShardAssignmentTest, LptBalancesSkewedWeights) {
 
 TEST(ShardAssignmentTest, LptIsDeterministicUnderTies) {
   const std::vector<int64_t> weights = {3, 3, 3, 3};
-  const ShardPlan a = PlanShardAssignment(weights, 2, ShardAssignment::kLpt);
-  const ShardPlan b = PlanShardAssignment(weights, 2, ShardAssignment::kLpt);
+  const ShardPlan a = PlanShardAssignment(weights, 2);
+  const ShardPlan b = PlanShardAssignment(weights, 2);
   EXPECT_EQ(a.stream_to_shard, b.stream_to_shard);
   EXPECT_EQ(a.stream_to_local, b.stream_to_local);
   EXPECT_DOUBLE_EQ(a.imbalance_ratio, 1.0);
@@ -249,15 +241,16 @@ void IngestSplit(PipelinedQueryEngine& engine, int stream, int timestamp,
 
 // Runs both engines over the workload and asserts identical candidate
 // pairs AND transitions at every epoch.
-void ExpectEquivalent(const Workload& workload, int num_threads,
-                      size_t lane_capacity, int fragments,
-                      ShardAssignment assignment = ShardAssignment::kLpt) {
-  ContinuousQueryEngine sequential(EngineOptions{});
+void ExpectEquivalent(const Workload& workload, JoinKind kind,
+                      int num_threads, size_t lane_capacity, int fragments) {
+  EngineOptions engine_options;
+  engine_options.join_kind = kind;
+  ContinuousQueryEngine sequential(engine_options);
 
   PipelinedEngineOptions options;
+  options.engine = engine_options;
   options.num_threads = num_threads;
   options.lane_capacity = lane_capacity;
-  options.assignment = assignment;
   PipelinedQueryEngine pipelined(options);
 
   for (const Graph& q : workload.queries) {
@@ -272,6 +265,8 @@ void ExpectEquivalent(const Workload& workload, int num_threads,
   pipelined.Start();  // Completes epoch 0.
 
   const int num_streams = static_cast<int>(workload.streams.size());
+  EXPECT_EQ(pipelined.num_shards(),
+            std::min(std::max(1, num_threads), num_streams));
   ASSERT_EQ(pipelined.AllCandidatePairs(), sequential.AllCandidatePairs());
   for (int t = 1; t < Horizon(workload); ++t) {
     for (int i = 0; i < num_streams; ++i) {
@@ -283,8 +278,8 @@ void ExpectEquivalent(const Workload& workload, int num_threads,
     }
     pipelined.AdvanceEpoch(t);
     ASSERT_EQ(pipelined.AllCandidatePairs(), sequential.AllCandidatePairs())
-        << "threads=" << num_threads << " lane=" << lane_capacity
-        << " frags=" << fragments << " t=" << t;
+        << "join=" << JoinKindName(kind) << " threads=" << num_threads
+        << " lane=" << lane_capacity << " frags=" << fragments << " t=" << t;
     for (int i = 0; i < num_streams; ++i) {
       std::vector<int> seq_current = sequential.CandidatesForStream(i);
       std::vector<int> pipe_current = pipelined.CandidatesForStream(i);
@@ -314,33 +309,35 @@ TEST(PipelinedEngineTest, MatchesSequentialAcrossThreadCounts) {
   const Workload workload = RandomWorkload(/*num_streams=*/9,
                                            /*num_timestamps=*/12,
                                            /*seed=*/77);
-  // 1 = degenerate single worker; 4 < streams; 12 > streams.
-  for (const int threads : {1, 4, 12}) {
-    ExpectEquivalent(workload, threads, /*lane_capacity=*/64, /*fragments=*/1);
+  for (const JoinKind kind :
+       {JoinKind::kNestedLoop, JoinKind::kDominatedSetCover,
+        JoinKind::kSkylineEarlyStop}) {
+    // 1 = degenerate single worker; 4 < streams; 12 > streams.
+    for (const int threads : {1, 4, 12}) {
+      ExpectEquivalent(workload, kind, threads, /*lane_capacity=*/64,
+                       /*fragments=*/1);
+    }
   }
 }
 
 TEST(PipelinedEngineTest, MatchesSequentialWithFragmentedBatches) {
   const Workload workload = RandomWorkload(6, 10, 31);
-  ExpectEquivalent(workload, 3, /*lane_capacity=*/64, /*fragments=*/3);
+  ExpectEquivalent(workload, JoinKind::kDominatedSetCover, 3,
+                   /*lane_capacity=*/64, /*fragments=*/3);
 }
 
 TEST(PipelinedEngineTest, MatchesSequentialUnderFullBackpressure) {
   // Capacity-1 lanes: the router blocks on every forward, so the protocol
   // is exercised with maximal handoff contention.
   const Workload workload = RandomWorkload(5, 8, 13);
-  ExpectEquivalent(workload, 2, /*lane_capacity=*/1, /*fragments=*/2);
-}
-
-TEST(PipelinedEngineTest, RoundRobinAssignmentIsOutputIdentical) {
-  const Workload workload = RandomWorkload(6, 8, 5);
-  ExpectEquivalent(workload, 3, 64, 1, ShardAssignment::kRoundRobin);
+  ExpectEquivalent(workload, JoinKind::kDominatedSetCover, 2,
+                   /*lane_capacity=*/1, /*fragments=*/2);
 }
 
 TEST(PipelinedEngineTest, MatchesSequentialOnManyRandomSeeds) {
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const Workload workload = RandomWorkload(6, 8, seed);
-    ExpectEquivalent(workload, 3, 32, 2);
+    ExpectEquivalent(workload, JoinKind::kDominatedSetCover, 3, 32, 2);
   }
 }
 
@@ -461,38 +458,31 @@ TEST(PipelinedEngineTest, CandidatesForStreamMatchesMergedPairs) {
   engine.Shutdown();
 }
 
-// --- The barrier engine under LPT placement --------------------------------
+TEST(MergeParallelSamplesTest, SumsCountsAndTakesCriticalPath) {
+  TimestampStats a;
+  a.timestamp = 7;
+  a.candidate_pairs = 3;
+  a.total_pairs = 10;
+  a.true_pairs = 2;
+  a.update_millis = 1.5;
+  a.join_millis = 0.25;
+  TimestampStats b;
+  b.timestamp = 7;
+  b.candidate_pairs = 5;
+  b.total_pairs = 10;
+  b.true_pairs = 4;
+  b.update_millis = 0.5;
+  b.join_millis = 2.0;
+  const TimestampStats merged = MergeParallelSamples({a, b});
+  EXPECT_EQ(merged.timestamp, 7);
+  EXPECT_EQ(merged.candidate_pairs, 8);
+  EXPECT_EQ(merged.total_pairs, 20);
+  EXPECT_EQ(merged.true_pairs, 6);
+  EXPECT_DOUBLE_EQ(merged.update_millis, 1.5);
+  EXPECT_DOUBLE_EQ(merged.join_millis, 2.0);
 
-TEST(ParallelEngineLptTest, LptPlacementIsOutputIdenticalToSequential) {
-  const Workload workload = RandomWorkload(7, 8, 17);
-  ContinuousQueryEngine sequential(EngineOptions{});
-  ParallelEngineOptions options;
-  options.num_threads = 3;
-  options.assignment = ShardAssignment::kLpt;
-  ParallelQueryEngine parallel(options);
-  for (const Graph& q : workload.queries) {
-    sequential.AddQuery(q);
-    parallel.AddQuery(q);
-  }
-  for (const GraphStream& s : workload.streams) {
-    sequential.AddStream(s.StartGraph());
-    parallel.AddStream(s.StartGraph());
-  }
-  sequential.Start();
-  parallel.Start();
-  const int num_streams = static_cast<int>(workload.streams.size());
-  std::vector<GraphChange> batches(static_cast<size_t>(num_streams));
-  for (int t = 1; t < Horizon(workload); ++t) {
-    for (int i = 0; i < num_streams; ++i) {
-      const GraphStream& s = workload.streams[static_cast<size_t>(i)];
-      batches[static_cast<size_t>(i)] =
-          t < s.NumTimestamps() ? s.ChangeAt(t) : GraphChange{};
-      sequential.ApplyChange(i, batches[static_cast<size_t>(i)]);
-    }
-    parallel.ApplyChanges(batches);
-    ASSERT_EQ(parallel.AllCandidatePairs(), sequential.AllCandidatePairs())
-        << "t=" << t;
-  }
+  b.true_pairs = -1;  // One shard without ground truth poisons the sum.
+  EXPECT_EQ(MergeParallelSamples({a, b}).true_pairs, -1);
 }
 
 }  // namespace

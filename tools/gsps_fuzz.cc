@@ -1,7 +1,7 @@
 // gsps_fuzz — differential fuzzing of the continuous pattern-search stack
 // against its invariant oracles (no false negatives vs exact VF2 across all
 // join strategies and baselines, incremental-NNT == from-scratch rebuild,
-// parallel == sequential engine output, serialization round-trips).
+// threaded == sequential engine output, serialization round-trips).
 //
 // Fuzz mode (default): run `--iterations` randomized cases derived from
 // `--seed`. On the first oracle violation the case is auto-minimized and
@@ -11,9 +11,9 @@
 //
 //   gsps_fuzz --seed=1 --iterations=100 [--depth=0] [--max_streams=3]
 //       [--max_queries=4] [--max_timestamps=8] [--max_churn_ops=5]
-//       [--out=FILE] [--minimize_attempts=4000] [--no-parallel]
-//       [--no-baselines] [--no-incremental] [--no-churn] [--no-codec]
-//       [--no-pipelined] [--quiet]
+//       [--out=FILE] [--minimize_attempts=4000] [--no-baselines]
+//       [--no-incremental] [--no-churn] [--no-codec] [--no-pipelined]
+//       [--quiet]
 //
 // Replay mode: re-run the oracle set over one committed replay file.
 //
@@ -45,8 +45,8 @@ int Usage() {
       "usage: gsps_fuzz --seed=1 --iterations=100 [--depth=0] [--out=FILE]\n"
       "           [--max_streams=3] [--max_queries=4] [--max_timestamps=8]\n"
       "           [--max_churn_ops=5] [--minimize_attempts=4000]\n"
-      "           [--no-parallel] [--no-baselines] [--no-incremental]\n"
-      "           [--no-churn] [--no-codec] [--no-pipelined] [--quiet]\n"
+      "           [--no-baselines] [--no-incremental] [--no-churn]\n"
+      "           [--no-codec] [--no-pipelined] [--quiet]\n"
       "       gsps_fuzz --replay=FILE [--quiet]\n"
       "       gsps_fuzz --emit=FILE --seed=S [--iteration=K]\n");
   return 2;
@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   options.gen.max_timestamps = flags.GetInt("max_timestamps", 8);
   options.gen.max_churn_ops = flags.GetInt("max_churn_ops", 5);
   options.minimize_attempts = flags.GetInt("minimize_attempts", 4000);
-  options.oracles.check_parallel = !flags.GetBool("no-parallel");
   options.oracles.check_baselines = !flags.GetBool("no-baselines");
   options.oracles.check_incremental = !flags.GetBool("no-incremental");
   options.oracles.check_codec = !flags.GetBool("no-codec");

@@ -8,7 +8,7 @@
 //
 //   producer threads (open loop, --rate events/sec aggregate)
 //     -> IngestQueue(--queue) with blocking backpressure
-//       -> one consumer thread: PopBatch -> ParallelQueryEngine::ApplyChange
+//       -> one consumer thread: PopBatch -> ContinuousQueryEngine::ApplyChange
 //
 // Producers stamp each event with its *scheduled* send time (keep_stamp),
 // so when the queue pushes back the measured latency includes the time the
@@ -35,14 +35,16 @@
 //
 // --pipelined swaps the consumer side for PipelinedQueryEngine: producers
 // push into the engine's MPSC queue, the router fans events out to one
-// SPSC lane per shard (--lane capacity each), and each shard worker
-// applies its own streams' batches — multi-consumer ingest. While
-// producers run, the main thread publishes a watermark-lag probe marker
-// every --probe_ms milliseconds; these measure marker transit through the
-// loaded queue and lanes (snapshot reads only happen at the final,
-// quiescent epoch, so the probes need no data-completeness discipline).
-// The order audit runs per lane via the shared IngestOrderAudit and the
-// summary reports per-shard e2e latency plus p99 watermark lag.
+// SPSC lane per shard (--threads shards, --lane capacity each), and each
+// shard worker applies its own streams' batches — multi-consumer ingest.
+// (--threads only applies in this mode; the single consumer drives the
+// sequential engine.) While producers run, the main thread publishes a
+// watermark-lag probe marker every --probe_ms milliseconds; these measure
+// marker transit through the loaded queue and lanes (snapshot reads only
+// happen at the final, quiescent epoch, so the probes need no
+// data-completeness discipline). The order audit runs per lane via the
+// shared IngestOrderAudit and the summary reports per-shard e2e latency
+// plus p99 watermark lag.
 //
 // Exit status: 0 on success (and a clean order audit), 1 on a
 // dropped/reordered delta, 2 on usage errors.
@@ -58,9 +60,9 @@
 
 #include "gsps/common/flags.h"
 #include "gsps/common/stopwatch.h"
+#include "gsps/engine/continuous_query_engine.h"
 #include "gsps/engine/ingest_audit.h"
 #include "gsps/engine/ingest_queue.h"
-#include "gsps/engine/parallel_query_engine.h"
 #include "gsps/engine/pipelined_query_engine.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/delta_codec.h"
@@ -163,7 +165,8 @@ int main(int argc, char** argv) {
   }
   if (num_streams < 1 || num_queries < 1 || timestamps < 2 || rate < 0 ||
       num_producers < 1 || queue_capacity < 1 || batch_size < 1 ||
-      depth < 0 || join_every < 0 || lane_capacity < 1 || probe_ms < 1) {
+      depth < 0 || threads < 0 || join_every < 0 || lane_capacity < 1 ||
+      probe_ms < 1) {
     return Usage();
   }
   if (metrics_format != "prom" && metrics_format != "json") return Usage();
@@ -367,10 +370,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  ParallelEngineOptions parallel_options;
-  parallel_options.engine = engine_options;
-  parallel_options.num_threads = threads;
-  ParallelQueryEngine engine(parallel_options);
+  ContinuousQueryEngine engine(engine_options);
   for (int q = 0; q < registered_queries; ++q) {
     engine.AddQuery(dataset.queries[static_cast<size_t>(q)]);
   }

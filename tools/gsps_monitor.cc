@@ -7,9 +7,14 @@
 // possibly-matching queries at every timestamp. With --verify each
 // candidate is confirmed by the exact checker before being printed; with
 // --events only the transitions (patterns that start or stop matching) are
-// printed instead of the full candidate set. --threads=N shards the
-// streams over N workers (0 = one per hardware thread, 1 = the sequential
-// engine; the reported candidates are identical either way).
+// printed instead of the full candidate set.
+//
+// The replay runs on the threaded PipelinedQueryEngine: --threads=N shards
+// the streams over N worker threads (0 = one per hardware thread, 1 = a
+// single worker); each timestamp's batches are pushed as ingest events and
+// the epoch is closed at t before the candidate snapshots are read back, so
+// the reported candidates are identical for every thread count. --lane=N
+// sizes the per-shard SPSC lanes.
 //
 // Observability: --metrics=FILE (or "-" for stdout) dumps the engine's
 // counter/gauge/histogram snapshot, by default once at the end;
@@ -17,11 +22,6 @@
 // selects Prometheus text exposition (default) or JSON. --trace=FILE
 // writes a Chrome trace_event JSON of the replay (one timeline row per
 // shard plus the driver) loadable in about://tracing or Perfetto.
-// --pipelined replays through the barrier-free PipelinedQueryEngine
-// instead: each timestamp's batches are pushed as ingest events, the epoch
-// watermark is advanced to t, and the (byte-identical) candidate snapshots
-// are read back — the closed-loop driver for the pipelined execution mode.
-// --lane=N sizes the per-shard SPSC lanes.
 // --stats_every=N prints a one-line heartbeat to stderr every N
 // timestamps (rates and tail latency over the window since the previous
 // flush). --flight_recorder=FILE arms the in-process flight recorder:
@@ -30,9 +30,8 @@
 // section matches the final --metrics snapshot.
 //
 //   gsps_monitor --queries=patterns.txt --stream=traffic.txt[,more.txt...]
-//       [--depth=3] [--join=dsc|nl|skyline] [--threads=1] [--verify]
-//       [--pipelined] [--lane=1024]
-//       [--events] [--quiet] [--metrics=FILE|-] [--metrics_every=N]
+//       [--depth=3] [--join=dsc|nl|skyline] [--threads=1] [--lane=1024]
+//       [--verify] [--events] [--quiet] [--metrics=FILE|-] [--metrics_every=N]
 //       [--metrics_format=prom|json] [--trace=FILE] [--stats_every=N]
 //       [--flight_recorder=FILE]
 //
@@ -42,7 +41,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -51,7 +49,6 @@
 #include "gsps/common/flags.h"
 #include "gsps/common/stopwatch.h"
 #include "gsps/engine/candidate_tracker.h"
-#include "gsps/engine/parallel_query_engine.h"
 #include "gsps/engine/pipelined_query_engine.h"
 #include "gsps/graph/graph_io.h"
 #include "gsps/graph/stream_io.h"
@@ -76,8 +73,7 @@ int Usage() {
                "usage: gsps_monitor --queries=FILE --stream=FILE[,FILE...]\n"
                "        [--depth=3] [--join=dsc|nl|skyline] [--threads=1] "
                "[--verify] [--events] [--quiet]\n"
-               "        [--pipelined] [--lane=1024]\n"
-               "        [--metrics=FILE|-] [--metrics_every=N] "
+               "        [--lane=1024] [--metrics=FILE|-] [--metrics_every=N] "
                "[--metrics_format=prom|json] [--trace=FILE]\n"
                "        [--stats_every=N] [--flight_recorder=FILE]\n");
   return 2;
@@ -161,7 +157,6 @@ int main(int argc, char** argv) {
   const std::string join = flags.GetString("join", "dsc");
   const int threads = flags.GetInt("threads", 1);
   const bool verify = flags.GetBool("verify");
-  const bool pipelined = flags.GetBool("pipelined");
   const int lane_capacity = flags.GetInt("lane", 1024);
   const bool events = flags.GetBool("events");
   const bool quiet = flags.GetBool("quiet");
@@ -177,7 +172,7 @@ int main(int argc, char** argv) {
   }
   if (queries_path.empty() || stream_path.empty()) return Usage();
   if (metrics_format != "prom" && metrics_format != "json") return Usage();
-  if (lane_capacity < 1) return Usage();
+  if (threads < 0 || lane_capacity < 1) return Usage();
   if (metrics_every < 0 || stats_every < 0) {
     std::fprintf(stderr,
                  "gsps_monitor: --metrics_every and --stats_every must be "
@@ -251,102 +246,56 @@ int main(int argc, char** argv) {
     obs::FlightRecorder::Global().Arm(flight_path.c_str());
   }
 
-  // Either scheduler drives the same shard core and reports byte-identical
-  // candidates; the pipelined engine reads come from its epoch snapshots.
-  std::unique_ptr<ParallelQueryEngine> barrier;
-  std::unique_ptr<PipelinedQueryEngine> pipeline;
-  if (pipelined) {
-    PipelinedEngineOptions pipeline_options;
-    pipeline_options.engine = options;
-    pipeline_options.num_threads = threads;
-    pipeline_options.lane_capacity = static_cast<size_t>(lane_capacity);
-    pipeline = std::make_unique<PipelinedQueryEngine>(pipeline_options);
-  } else {
-    ParallelEngineOptions parallel_options;
-    parallel_options.engine = options;
-    parallel_options.num_threads = threads;
-    barrier = std::make_unique<ParallelQueryEngine>(parallel_options);
-  }
-  const auto add_query = [&](const Graph& q) {
-    return pipeline ? pipeline->AddQuery(q) : barrier->AddQuery(q);
-  };
-  const auto add_stream = [&](Graph start) {
-    return pipeline ? pipeline->AddStream(std::move(start))
-                    : barrier->AddStream(std::move(start));
-  };
-  for (const Graph& q : *queries) add_query(q);
+  PipelinedEngineOptions engine_options;
+  engine_options.engine = options;
+  engine_options.num_threads = threads;
+  engine_options.lane_capacity = static_cast<size_t>(lane_capacity);
+  PipelinedQueryEngine engine(engine_options);
+  for (const Graph& q : *queries) engine.AddQuery(q);
   int horizon = 0;
   for (GraphStream& stream : streams) {
-    add_stream(stream.StartGraph());
+    engine.AddStream(stream.StartGraph());
     horizon = std::max(horizon, stream.NumTimestamps());
   }
-  if (pipeline) {
-    pipeline->Start();
-  } else {
-    barrier->Start();
-  }
-  const int num_streams =
-      pipeline ? pipeline->num_streams() : barrier->num_streams();
-  const int num_shards =
-      pipeline ? pipeline->num_shards() : barrier->num_shards();
+  engine.Start();
+  const int num_streams = engine.num_streams();
   const bool multi = num_streams > 1;
 
   Stopwatch watch;
   int64_t total_candidates = 0;
-  std::vector<GraphChange> batches(static_cast<size_t>(num_streams));
   // Steady-state buffers: candidates land in `candidates`, the verified
   // subset in `reported`, and the engine's swap-based ObserveTransitions
-  // (the shard-owned tracker) recycles `reported`'s storage — the per-tick
-  // loop stays allocation-free.
+  // recycles `reported`'s storage.
   std::vector<int> candidates;
   std::vector<int> reported;
   CandidateTransitions transitions;
   for (int t = 0; t < horizon; ++t) {
     GSPS_OBS_SPAN("tick", "monitor");
     if (t > 0) {
+      // One event per (stream, timestamp), then close the epoch: the
+      // snapshot reads below are the sequential engine's state at t.
       for (int i = 0; i < num_streams; ++i) {
         const GraphStream& stream = streams[static_cast<size_t>(i)];
-        batches[static_cast<size_t>(i)] =
-            t < stream.NumTimestamps() ? stream.ChangeAt(t) : GraphChange{};
+        IngestEvent event;
+        event.stream = i;
+        event.timestamp = t;
+        if (t < stream.NumTimestamps()) event.change = stream.ChangeAt(t);
+        engine.Ingest(std::move(event));
       }
-      if (pipeline) {
-        // One event per (stream, timestamp), then close the epoch: the
-        // snapshot reads below are then exactly the barrier engine's.
-        for (int i = 0; i < num_streams; ++i) {
-          IngestEvent event;
-          event.stream = i;
-          event.timestamp = t;
-          event.change = std::move(batches[static_cast<size_t>(i)]);
-          pipeline->Ingest(std::move(event));
-        }
-        pipeline->AdvanceEpoch(t);
-      } else {
-        barrier->ApplyChanges(batches);
-      }
+      engine.AdvanceEpoch(t);
     }
     for (int i = 0; i < num_streams; ++i) {
-      if (pipeline) {
-        pipeline->CandidatesForStream(i, &candidates);
-      } else {
-        barrier->CandidatesForStream(i, &candidates);
-      }
+      engine.CandidatesForStream(i, &candidates);
       reported.clear();
       for (const int q : candidates) {
-        if (verify && (pipeline ? !pipeline->VerifyCandidate(i, q)
-                                : !barrier->VerifyCandidate(i, q))) {
-          continue;
-        }
+        if (verify && !engine.VerifyCandidate(i, q)) continue;
         ++total_candidates;
         reported.push_back(q);
       }
       const std::string where =
           multi ? " s" + std::to_string(i) : std::string();
       if (events) {
-        if (pipeline) {
-          pipeline->ObserveTransitions(i, &reported, &transitions);
-        } else {
-          barrier->ObserveTransitions(i, &reported, &transitions);
-        }
+        engine.ObserveTransitions(i, &reported, &transitions);
         if (!quiet && !transitions.empty()) {
           std::string line;
           for (const int q : transitions.appeared) {
@@ -378,9 +327,14 @@ int main(int argc, char** argv) {
   }
   std::printf("processed %d timestamps x %zu queries x %d stream(s) on %d "
               "shard(s) in %.1f ms; %lld %s reported\n",
-              horizon, queries->size(), num_streams, num_shards,
+              horizon, queries->size(), num_streams, engine.num_shards(),
               watch.ElapsedMillis(), static_cast<long long>(total_candidates),
               verify ? "verified matches" : "candidates");
+  // Join the workers before the final flushes: Shutdown folds the router
+  // and ingest-queue counters into the registry, and afterwards no worker
+  // merges or records anything, so the final metrics snapshot, flight
+  // recorder dump and trace all see the finished replay.
+  engine.Shutdown();
   if (!metrics_path.empty() || stats_every > 0 || !flight_path.empty()) {
     // Close the tail window even when no heartbeat prints: the fold also
     // publishes the cumulative aggregate for the flight-recorder dump.
