@@ -1,16 +1,18 @@
 // Micro-benchmark for the NNT maintenance hot path: insert+delete churn
-// throughput, NPV projection cost, storage density (bytes per alive tree
+// throughput, NPV projection cost, storage density (bytes per counted tree
 // node), and steady-state allocation counts. This is the ablation behind the
-// paper's central design choice — incremental index maintenance (Lemma 3.2's
+// paper's central design choice — incremental maintenance (Lemma 3.2's
 // O(r^(l-1)) per-edge cost) instead of rebuilding per timestamp — and the
-// regression harness for the flat arena storage layout (DESIGN.md "Storage
-// layout").
+// regression harness for NntSet's per-edge path counting (DESIGN.md "NPV
+// maintenance").
 //
 // The measured loop mirrors the engine's ApplyChange protocol exactly:
 // DeleteEdge + graph update + InsertEdge, then drain the dirty roots and
 // materialize their NPVs. Allocation counts come from the gsps_alloc_hook
-// counting allocator this binary links; in a Release build of the arena
-// layout the steady-state loop performs zero heap allocations.
+// counting allocator this binary links; in a Release build the steady-state
+// loop performs zero heap allocations. npvs_flushed and tree_nodes depend
+// only on what is counted, not on how, so they pin the semantics across
+// storage changes.
 //
 // Flags:
 //   --edges=N     churn graph size in edges (default 240)
@@ -55,28 +57,6 @@ std::vector<EdgeRec> EdgeList(const Graph& graph) {
   return edges;
 }
 
-// Total index storage, when the NntSet build exposes it (the arena layout
-// does; the template probe keeps this harness buildable against the
-// pre-arena layout so before/after numbers come from one source file).
-template <typename Set>
-int64_t StorageBytesOf(const Set& nnts) {
-  if constexpr (requires { nnts.StorageBytes(); }) {
-    return nnts.StorageBytes();
-  } else {
-    return 0;
-  }
-}
-
-// Drains the dirty set, reusing `out` when the API supports it.
-template <typename Set>
-void DrainDirty(Set& nnts, std::vector<VertexId>* out) {
-  if constexpr (requires { nnts.TakeDirtyRoots(out); }) {
-    nnts.TakeDirtyRoots(out);
-  } else {
-    *out = nnts.TakeDirtyRoots();
-  }
-}
-
 // One churn step over edge `e`: the engine's deletion-then-insertion
 // protocol plus the dirty-root NPV flush the join strategies consume.
 template <typename DirtyFn>
@@ -106,15 +86,14 @@ void RunChurn(const Flags& flags) {
   nnts.Build(graph);
   const double build_ms = watch.ElapsedMillis();
   const int64_t tree_nodes = nnts.TotalTreeNodes();
-  const int64_t storage_bytes = StorageBytesOf(nnts);
+  const int64_t storage_bytes = nnts.StorageBytes();
 
-  // The flush body, reusing one buffer when the API supports it.
+  // The flush body, reusing one buffer.
   std::vector<VertexId> dirty;
   int64_t npvs_flushed = 0;
   auto flush = [&] {
-    DrainDirty(nnts, &dirty);
+    nnts.TakeDirtyRoots(&dirty);
     for (const VertexId root : dirty) {
-      if (nnts.TreeOf(root) == nullptr) continue;
       KeepAlive(nnts.NpvOf(root).nnz());
       ++npvs_flushed;
     }

@@ -289,12 +289,7 @@ void StreamShard::FlushDirty(int stream_index) {
   StreamState& stream = streams_[static_cast<size_t>(stream_index)];
   stream.nnts->TakeDirtyRoots(&dirty_scratch_);
   for (const VertexId root : dirty_scratch_) {
-    if (stream.nnts->TreeOf(root) != nullptr) {
-      strategy_->UpdateStreamVertex(stream_index, root,
-                                    stream.nnts->NpvOf(root));
-    } else {
-      strategy_->RemoveStreamVertex(stream_index, root);
-    }
+    strategy_->UpdateStreamVertex(stream_index, root, stream.nnts->NpvOf(root));
   }
 }
 

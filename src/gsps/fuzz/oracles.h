@@ -8,9 +8,9 @@
 //      also report *identical* candidate sets (they implement one
 //      definition three ways).
 //   2. Incremental NNT maintenance (paper Figs. 4-5): the maintained
-//      NntSet must pass its internal Validate() against the live graph and
-//      its trees must be branch-for-branch identical to a from-scratch
-//      rebuild of the materialized graph.
+//      NntSet must pass Validate() against the live graph (every root's
+//      counts equal a fresh enumeration of its paths) and hold exactly the
+//      roots of a from-scratch rebuild of the materialized graph.
 //   3. (Merged into 8: the threaded engine runs at one and at several
 //      workers there. The number stays reserved so diagnostics and docs
 //      keep their oracle numbering.)

@@ -36,7 +36,7 @@ struct HalfEdge {
 // An undirected labeled graph.
 //
 // Vertex ids index a dense table; removed vertices leave tombstones so that
-// ids stay stable across stream updates (required by the NNT indexes).
+// ids stay stable across stream updates (NntSet keys its rows by vertex id).
 // All mutators keep the adjacency lists sorted by neighbor id.
 class Graph {
  public:

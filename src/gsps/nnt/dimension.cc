@@ -6,9 +6,12 @@ namespace gsps {
 
 DimId DimensionTable::Intern(int32_t level, VertexLabel parent_label,
                              VertexLabel child_label) {
-  const uint64_t key = Key(level, parent_label, child_label);
-  auto [it, inserted] =
-      index_.try_emplace(key, static_cast<DimId>(dimensions_.size()));
+  GSPS_DCHECK(level >= 1);
+  const size_t index = static_cast<size_t>(level) - 1;
+  if (index >= index_by_level_.size()) index_by_level_.resize(index + 1);
+  auto [it, inserted] = index_by_level_[index].try_emplace(
+      LabelKey(parent_label, child_label),
+      static_cast<DimId>(dimensions_.size()));
   if (inserted) {
     dimensions_.push_back(Dimension{level, parent_label, child_label});
   }
@@ -18,8 +21,12 @@ DimId DimensionTable::Intern(int32_t level, VertexLabel parent_label,
 std::optional<DimId> DimensionTable::Find(int32_t level,
                                           VertexLabel parent_label,
                                           VertexLabel child_label) const {
-  auto it = index_.find(Key(level, parent_label, child_label));
-  if (it == index_.end()) return std::nullopt;
+  if (level < 1 || static_cast<size_t>(level) > index_by_level_.size()) {
+    return std::nullopt;
+  }
+  const auto& index = index_by_level_[static_cast<size_t>(level) - 1];
+  auto it = index.find(LabelKey(parent_label, child_label));
+  if (it == index.end()) return std::nullopt;
   return it->second;
 }
 
@@ -28,14 +35,10 @@ const Dimension& DimensionTable::Get(DimId id) const {
   return dimensions_[static_cast<size_t>(id)];
 }
 
-uint64_t DimensionTable::Key(int32_t level, VertexLabel parent_label,
-                             VertexLabel child_label) {
-  GSPS_DCHECK(level >= 1 && level < (1 << 20));
-  GSPS_DCHECK(parent_label >= 0 && parent_label < (1 << 21));
-  GSPS_DCHECK(child_label >= 0 && child_label < (1 << 21));
-  return (static_cast<uint64_t>(level) << 42) |
-         (static_cast<uint64_t>(parent_label) << 21) |
-         static_cast<uint64_t>(child_label);
+uint64_t DimensionTable::LabelKey(VertexLabel parent_label,
+                                  VertexLabel child_label) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(parent_label)) << 32) |
+         static_cast<uint32_t>(child_label);
 }
 
 }  // namespace gsps

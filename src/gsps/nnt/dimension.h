@@ -63,11 +63,13 @@ class DimensionTable {
   int32_t size() const { return static_cast<int32_t>(dimensions_.size()); }
 
  private:
-  static uint64_t Key(int32_t level, VertexLabel parent_label,
-                      VertexLabel child_label);
+  // The two labels packed exactly, for any int32 values.
+  static uint64_t LabelKey(VertexLabel parent_label, VertexLabel child_label);
 
   std::vector<Dimension> dimensions_;
-  std::unordered_map<uint64_t, DimId> index_;
+  // One map per level (index level - 1), keyed by LabelKey: one hash
+  // lookup per Intern.
+  std::vector<std::unordered_map<uint64_t, DimId>> index_by_level_;
 };
 
 }  // namespace gsps

@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 
 #include "gsps/common/check.h"
+#include "gsps/iso/branch_compatibility.h"
 #include "gsps/obs/obs.h"
 
 namespace gsps {
 namespace {
 
-// Caps the Build-time per-tree reservation so pathological degree skew
-// cannot balloon the arenas; trees grow past this lazily like before.
-constexpr int64_t kMaxReserveSlots = int64_t{1} << 16;
+uint64_t EdgeKey(VertexId a, VertexId b) {
+  const uint32_t lo = static_cast<uint32_t>(std::min(a, b));
+  const uint32_t hi = static_cast<uint32_t>(std::max(a, b));
+  return (static_cast<uint64_t>(hi) << 32) | lo;
+}
 
 }  // namespace
 
@@ -23,138 +27,99 @@ NntSet::NntSet(int depth, DimensionTable* dimensions)
 
 void NntSet::Build(const Graph& graph) {
   GSPS_OBS_STAGE(Stage::kNntMaintain);
-  trees_.clear();
-  node_index_.clear();
-  edge_index_.Clear();
-  dim_counts_.clear();
+  graph_ = &graph;
+  is_root_.clear();
+  rows_.clear();
   npv_cache_.clear();
   npv_cache_valid_.clear();
   dirty_flag_.clear();
   dirty_list_.clear();
-
-  const VertexId bound = graph.VertexIdBound();
-  if (bound > 0) EnsureRootCapacity(bound - 1);
-  edge_index_.Reserve(graph.NumEdges());
-
-  // Pre-size the slot arenas and index lists from degree statistics: with
-  // average branching r, a depth-l tree holds about 1 + deg(v) * f nodes
-  // where f = sum_{k=0}^{l-1} (r-1)^k (Lemma 3.2's r^(l-1) growth), and a
-  // vertex appears in other trees about as often as an average tree is big.
-  const int64_t n = graph.NumVertices();
-  const double avg_degree =
-      n > 0 ? 2.0 * static_cast<double>(graph.NumEdges()) /
-                  static_cast<double>(n)
-            : 0.0;
-  const double branch = avg_degree > 2.0 ? avg_degree - 1.0 : 1.0;
-  double level_width = 1.0;
-  double fanout = 1.0;
-  for (int level = 1; level < depth_; ++level) {
-    level_width *= branch;
-    fanout += level_width;
-  }
-  const int64_t avg_tree_nodes = std::min<int64_t>(
-      kMaxReserveSlots, 1 + static_cast<int64_t>(avg_degree * fanout));
-
+  paths_counted_ = 0;
   for (const VertexId v : graph.VertexIds()) {
-    NodeNeighborTree& tree = EnsureTree(v, graph.GetVertexLabel(v));
-    const int64_t est_nodes = std::min<int64_t>(
-        kMaxReserveSlots,
-        1 + static_cast<int64_t>(graph.Degree(v) * fanout));
-    tree.Reserve(static_cast<int32_t>(est_nodes));
-    node_index_[static_cast<size_t>(v)].reserve(
-        static_cast<size_t>(avg_tree_nodes));
-    dim_counts_[static_cast<size_t>(v)].reserve(16);
+    EnsureRoot(v);
+    walk_.clear();
+    WalkForward(v, v, graph.GetVertexLabel(v), /*level=*/1, /*sign=*/+1);
   }
-  for (const VertexId v : graph.VertexIds()) {
-    ExpandSubtree(graph, v, kTreeRoot);
-  }
+  GSPS_OBS_COUNT(Counter::kNntTreeNodesCreated, paths_counted_);
 }
 
 void NntSet::InsertEdge(const Graph& graph, VertexId u, VertexId v) {
+  GSPS_CHECK_MSG(&graph == graph_, "InsertEdge needs the graph bound by Build");
   GSPS_CHECK(graph.HasEdge(u, v));
-  const EdgeLabel edge_label = graph.GetEdgeLabel(u, v);
-  EnsureTree(u, graph.GetVertexLabel(u));
-  EnsureTree(v, graph.GetVertexLabel(v));
-
-  // Snapshot both appearance lists before any mutation: every new simple
-  // path crosses the new edge exactly once, so its pre-edge prefix ends at a
-  // pre-existing appearance of u (crossing u->v) or of v (crossing v->u).
-  // Member scratch so the steady state allocates nothing.
-  const std::vector<Appearance>& list_u = node_index_[static_cast<size_t>(u)];
-  const std::vector<Appearance>& list_v = node_index_[static_cast<size_t>(v)];
-  scratch_appearances_u_.assign(list_u.begin(), list_u.end());
-  scratch_appearances_v_.assign(list_v.begin(), list_v.end());
+  EnsureRoot(u);
+  EnsureRoot(v);
   GSPS_OBS_COUNT(Counter::kNntInsertEdges, 1);
-  GSPS_OBS_COUNT(Counter::kNntPathsTouched,
-                 static_cast<int64_t>(scratch_appearances_u_.size()) +
-                     static_cast<int64_t>(scratch_appearances_v_.size()));
-
-  auto extend = [&](const std::vector<Appearance>& appearances, VertexId from,
-                    VertexId to) {
-    for (const Appearance& appearance : appearances) {
-      NodeNeighborTree* tree = MutableTreeOf(appearance.tree_root);
-      GSPS_DCHECK(tree != nullptr);
-      if (!tree->IsAlive(appearance.node, appearance.generation)) continue;
-      const TreeNode& at = tree->node(appearance.node);
-      GSPS_DCHECK(at.vertex == from);
-      if (at.depth >= depth_) continue;
-      if (tree->EdgeOnRootPath(appearance.node, from, to)) continue;
-      const TreeNodeId child =
-          AddTreeChild(appearance.tree_root, appearance.node, to,
-                       graph.GetVertexLabel(to), edge_label);
-      ExpandSubtree(graph, appearance.tree_root, child);
-    }
-  };
-  extend(scratch_appearances_u_, u, v);
-  extend(scratch_appearances_v_, v, u);
+  CountPathsThrough(u, v, +1);
 }
 
 void NntSet::DeleteEdge(VertexId u, VertexId v) {
-  const uint64_t key = EdgeKey(u, v);
-  const std::vector<Appearance>* list = edge_index_.Find(key);
-  if (list == nullptr) return;
-  // Snapshot: deleting one appearance's subtree may remove other
-  // appearances of the same edge that sit deeper in that subtree; the
-  // generation check skips those stale snapshot entries.
-  scratch_edge_appearances_.assign(list->begin(), list->end());
+  if (graph_ == nullptr || !graph_->HasEdge(u, v)) return;
   GSPS_OBS_COUNT(Counter::kNntDeleteEdges, 1);
-  GSPS_OBS_COUNT(Counter::kNntPathsTouched,
-                 static_cast<int64_t>(scratch_edge_appearances_.size()));
-  for (const Appearance& appearance : scratch_edge_appearances_) {
-    NodeNeighborTree* tree = MutableTreeOf(appearance.tree_root);
-    if (tree == nullptr ||
-        !tree->IsAlive(appearance.node, appearance.generation)) {
-      continue;
-    }
-    DeleteSubtree(appearance.tree_root, appearance.node);
+  CountPathsThrough(u, v, -1);
+}
+
+void NntSet::CountPathsThrough(VertexId u, VertexId v, int32_t sign) {
+  walks_back_ = 0;
+  paths_counted_ = 0;
+  walk_.assign(1, EdgeKey(u, v));
+  const VertexLabel u_label = graph_->GetVertexLabel(u);
+  const VertexLabel v_label = graph_->GetVertexLabel(v);
+  WalkBack(Crossing{u, v, u_label, v_label, sign}, u, 0);
+  WalkBack(Crossing{v, u, v_label, u_label, sign}, v, 0);
+  GSPS_OBS_COUNT(Counter::kNntPathsTouched, walks_back_);
+  if (sign > 0) {
+    GSPS_OBS_COUNT(Counter::kNntTreeNodesCreated, paths_counted_);
+  } else {
+    GSPS_OBS_COUNT(Counter::kNntTreeNodesFreed, paths_counted_);
   }
-  // FreeTreeNode erases the key once its last appearance deregisters.
-  GSPS_CHECK(edge_index_.Find(key) == nullptr);
 }
 
-void NntSet::RemoveTree(VertexId v) {
-  NodeNeighborTree* tree = MutableTreeOf(v);
-  GSPS_CHECK(tree != nullptr);
-  GSPS_CHECK_MSG(tree->NumAliveNodes() == 1,
-                 "delete incident edges before removing a vertex tree");
-  EraseAppearanceAt(node_index_[static_cast<size_t>(v)],
-                    tree->slot(kTreeRoot).node_index_pos,
-                    /*node_list=*/true);
-  trees_[static_cast<size_t>(v)].reset();
-  dim_counts_[static_cast<size_t>(v)].clear();
-  npv_cache_valid_[static_cast<size_t>(v)] = 0;
-  MarkDirty(v);
+void NntSet::WalkBack(const Crossing& crossing, VertexId root,
+                      int32_t length) {
+  ++walks_back_;
+  Bump(root, length + 1, crossing.a_label, crossing.b_label, crossing.sign);
+  if (length + 1 >= depth_) return;
+  WalkForward(root, crossing.b, crossing.b_label, length + 2, crossing.sign);
+  for (const HalfEdge& half : graph_->Neighbors(root)) {
+    const uint64_t key = EdgeKey(root, half.to);
+    if (OnWalk(key)) continue;
+    walk_.push_back(key);
+    WalkBack(crossing, half.to, length + 1);
+    walk_.pop_back();
+  }
 }
 
-const NodeNeighborTree* NntSet::TreeOf(VertexId root) const {
-  if (root < 0 || root >= static_cast<VertexId>(trees_.size())) return nullptr;
-  return trees_[static_cast<size_t>(root)].get();
+void NntSet::WalkForward(VertexId root, VertexId at, VertexLabel at_label,
+                         int32_t level, int32_t sign) {
+  for (const HalfEdge& half : graph_->Neighbors(at)) {
+    const uint64_t key = EdgeKey(at, half.to);
+    if (OnWalk(key)) continue;
+    const VertexLabel to_label = graph_->GetVertexLabel(half.to);
+    Bump(root, level, at_label, to_label, sign);
+    if (level < depth_) {
+      walk_.push_back(key);
+      WalkForward(root, half.to, to_label, level + 1, sign);
+      walk_.pop_back();
+    }
+  }
+}
+
+bool NntSet::OnWalk(uint64_t edge_key) const {
+  return std::find(walk_.begin(), walk_.end(), edge_key) != walk_.end();
+}
+
+const std::vector<NpvEntry>* NntSet::TreeOf(VertexId root) const {
+  if (root < 0 || root >= static_cast<VertexId>(is_root_.size()) ||
+      !is_root_[static_cast<size_t>(root)]) {
+    return nullptr;
+  }
+  return &rows_[static_cast<size_t>(root)];
 }
 
 std::vector<VertexId> NntSet::Roots() const {
   std::vector<VertexId> roots;
-  for (size_t i = 0; i < trees_.size(); ++i) {
-    if (trees_[i] != nullptr) roots.push_back(static_cast<VertexId>(i));
+  for (size_t i = 0; i < is_root_.size(); ++i) {
+    if (is_root_[i]) roots.push_back(static_cast<VertexId>(i));
   }
   return roots;
 }
@@ -163,14 +128,14 @@ const Npv& NntSet::NpvOf(VertexId root) const {
   GSPS_CHECK(TreeOf(root) != nullptr);
   const size_t r = static_cast<size_t>(root);
   if (!npv_cache_valid_[r]) {
-    npv_cache_[r].AssignSortedEntries(dim_counts_[r]);
+    npv_cache_[r].AssignSortedEntries(rows_[r]);
     npv_cache_valid_[r] = 1;
     GSPS_OBS_COUNT(Counter::kNntNpvCacheRebuilds, 1);
   }
 #if defined(GSPS_SANITIZE_ENABLED)
   // The invalidation protocol must keep the cache an exact mirror of the
   // live counts; recompute and compare under sanitizer builds.
-  GSPS_CHECK(npv_cache_[r].entries() == dim_counts_[r]);
+  GSPS_CHECK(npv_cache_[r].entries() == rows_[r]);
 #endif
   return npv_cache_[r];
 }
@@ -190,248 +155,64 @@ std::vector<VertexId> NntSet::TakeDirtyRoots() {
   return result;
 }
 
-std::map<std::vector<int32_t>, int64_t> NntSet::BranchesOf(
-    VertexId root) const {
-  const NodeNeighborTree* tree = TreeOf(root);
-  GSPS_CHECK(tree != nullptr);
-  std::map<std::vector<int32_t>, int64_t> out;
-  // DFS carrying the signature; each non-root node is one branch.
-  std::vector<int32_t> signature = {tree->slot(kTreeRoot).vertex_label};
-  struct Frame {
-    TreeNodeId node;
-    TreeNodeId next_child;
-  };
-  std::vector<Frame> stack = {
-      {kTreeRoot, tree->node(kTreeRoot).first_child}};
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_child != kInvalidTreeNode) {
-      const TreeNodeId child_id = frame.next_child;
-      const TreeNode& child = tree->node(child_id);
-      frame.next_child = child.next_sibling;
-      signature.push_back(child.edge_label);
-      signature.push_back(child.vertex_label);
-      ++out[signature];
-      stack.push_back({child_id, child.first_child});
-    } else {
-      stack.pop_back();
-      if (!stack.empty()) {
-        signature.pop_back();
-        signature.pop_back();
-      }
-    }
-  }
-  return out;
-}
-
 int64_t NntSet::TotalTreeNodes() const {
   int64_t total = 0;
-  for (const auto& tree : trees_) {
-    if (tree != nullptr) total += tree->NumAliveNodes();
+  for (size_t v = 0; v < is_root_.size(); ++v) {
+    if (!is_root_[v]) continue;
+    ++total;
+    for (const NpvEntry& entry : rows_[v]) total += entry.count;
   }
   return total;
 }
 
 int64_t NntSet::StorageBytes() const {
-  int64_t bytes = 0;
-  for (const auto& tree : trees_) {
-    if (tree != nullptr) {
-      bytes += static_cast<int64_t>(sizeof(NodeNeighborTree)) +
-               tree->MemoryBytes();
-    }
-  }
-  bytes += static_cast<int64_t>(trees_.capacity() *
-                                sizeof(std::unique_ptr<NodeNeighborTree>));
-  for (const std::vector<Appearance>& list : node_index_) {
-    bytes += static_cast<int64_t>(list.capacity() * sizeof(Appearance));
-  }
-  bytes += static_cast<int64_t>(node_index_.capacity() *
-                                sizeof(std::vector<Appearance>));
-  bytes += edge_index_.StorageBytes();
-  for (const std::vector<NpvEntry>& counts : dim_counts_) {
-    bytes += static_cast<int64_t>(counts.capacity() * sizeof(NpvEntry));
-  }
-  bytes += static_cast<int64_t>(dim_counts_.capacity() *
+  int64_t bytes = static_cast<int64_t>(
+      is_root_.capacity() + npv_cache_valid_.capacity() +
+      dirty_flag_.capacity() + dirty_list_.capacity() * sizeof(VertexId) +
+      walk_.capacity() * sizeof(uint64_t));
+  bytes += static_cast<int64_t>(rows_.capacity() *
                                 sizeof(std::vector<NpvEntry>));
+  for (const std::vector<NpvEntry>& row : rows_) {
+    bytes += static_cast<int64_t>(row.capacity() * sizeof(NpvEntry));
+  }
+  bytes += static_cast<int64_t>(npv_cache_.capacity() * sizeof(Npv));
   for (const Npv& npv : npv_cache_) {
     bytes += static_cast<int64_t>(npv.entries().capacity() * sizeof(NpvEntry));
   }
-  bytes += static_cast<int64_t>(npv_cache_.capacity() * sizeof(Npv));
-  bytes += static_cast<int64_t>(npv_cache_valid_.capacity() +
-                                dirty_flag_.capacity());
-  bytes += static_cast<int64_t>(dirty_list_.capacity() * sizeof(VertexId));
   return bytes;
 }
 
-uint64_t NntSet::EdgeKey(VertexId a, VertexId b) {
-  const uint32_t lo = static_cast<uint32_t>(std::min(a, b));
-  const uint32_t hi = static_cast<uint32_t>(std::max(a, b));
-  return (static_cast<uint64_t>(hi) << 32) | lo;
-}
-
-NodeNeighborTree* NntSet::MutableTreeOf(VertexId root) {
-  if (root < 0 || root >= static_cast<VertexId>(trees_.size())) return nullptr;
-  return trees_[static_cast<size_t>(root)].get();
-}
-
-void NntSet::EnsureRootCapacity(VertexId v) {
-  const size_t needed = static_cast<size_t>(v) + 1;
-  if (trees_.size() >= needed) return;
-  trees_.resize(needed);
-  node_index_.resize(needed);
-  dim_counts_.resize(needed);
-  npv_cache_.resize(needed);
-  npv_cache_valid_.resize(needed, 0);
-  dirty_flag_.resize(needed, 0);
-}
-
-NodeNeighborTree& NntSet::EnsureTree(VertexId v, VertexLabel label) {
+void NntSet::EnsureRoot(VertexId v) {
   GSPS_CHECK(v >= 0);
-  EnsureRootCapacity(v);
-  std::unique_ptr<NodeNeighborTree>& slot = trees_[static_cast<size_t>(v)];
-  if (slot == nullptr) {
-    slot = std::make_unique<NodeNeighborTree>(v, label);
-    std::vector<Appearance>& list = node_index_[static_cast<size_t>(v)];
-    list.push_back(Appearance{v, kTreeRoot, slot->slot(kTreeRoot).generation});
-    slot->mutable_node(kTreeRoot).node_index_pos =
-        static_cast<int32_t>(list.size()) - 1;
-    npv_cache_valid_[static_cast<size_t>(v)] = 0;
-    MarkDirty(v);
+  const size_t r = static_cast<size_t>(v);
+  if (is_root_.size() <= r) {
+    is_root_.resize(r + 1, 0);
+    rows_.resize(r + 1);
+    npv_cache_.resize(r + 1);
+    npv_cache_valid_.resize(r + 1, 0);
+    dirty_flag_.resize(r + 1, 0);
   }
-  return *slot;
+  if (is_root_[r]) return;
+  is_root_[r] = 1;
+  npv_cache_valid_[r] = 0;
+  MarkDirty(v);
 }
 
-TreeNodeId NntSet::AddTreeChild(VertexId root, TreeNodeId parent,
-                                VertexId vertex, VertexLabel vertex_label,
-                                EdgeLabel edge_label) {
-  NodeNeighborTree* tree = MutableTreeOf(root);
-  GSPS_DCHECK(tree != nullptr);
-  const VertexId parent_vertex = tree->node(parent).vertex;
-  const VertexLabel parent_label = tree->node(parent).vertex_label;
-  const TreeNodeId child =
-      tree->AddChild(parent, vertex, vertex_label, edge_label);
-  TreeNode& child_node = tree->mutable_node(child);
-  const Appearance appearance{root, child, child_node.generation};
-  EnsureRootCapacity(vertex);
-  std::vector<Appearance>& node_list = node_index_[static_cast<size_t>(vertex)];
-  node_list.push_back(appearance);
-  child_node.node_index_pos = static_cast<int32_t>(node_list.size()) - 1;
-  std::vector<Appearance>& edge_list =
-      edge_index_.GetOrCreate(EdgeKey(parent_vertex, vertex));
-  edge_list.push_back(appearance);
-  child_node.edge_index_pos = static_cast<int32_t>(edge_list.size()) - 1;
-  BumpDimension(root, child_node.depth, parent_label, vertex_label, +1);
-  GSPS_OBS_COUNT(Counter::kNntTreeNodesCreated, 1);
-  return child;
-}
-
-void NntSet::FreeTreeNode(VertexId root, TreeNodeId node_id) {
-  NodeNeighborTree* tree = MutableTreeOf(root);
-  GSPS_DCHECK(tree != nullptr);
-  const TreeNode& victim = tree->node(node_id);
-  GSPS_CHECK(node_id != kTreeRoot);
-  const VertexId vertex = victim.vertex;
-  const VertexId parent_vertex = tree->node(victim.parent).vertex;
-  const VertexLabel parent_label = tree->node(victim.parent).vertex_label;
-  const int32_t level = victim.depth;
-  const VertexLabel vertex_label = victim.vertex_label;
-
-  EraseAppearanceAt(node_index_[static_cast<size_t>(vertex)],
-                    victim.node_index_pos,
-                    /*node_list=*/true);
-
-  const uint64_t key = EdgeKey(parent_vertex, vertex);
-  std::vector<Appearance>* edge_list = edge_index_.Find(key);
-  GSPS_CHECK(edge_list != nullptr);
-  EraseAppearanceAt(*edge_list, victim.edge_index_pos,
-                    /*node_list=*/false);
-  if (edge_list->empty()) edge_index_.Erase(key);
-
-  BumpDimension(root, level, parent_label, vertex_label, -1);
-  tree->FreeNode(node_id);
-  GSPS_OBS_COUNT(Counter::kNntTreeNodesFreed, 1);
-}
-
-void NntSet::EraseAppearanceAt(std::vector<Appearance>& list, int32_t pos,
-                               bool node_list) {
-  GSPS_CHECK(pos >= 0 && pos < static_cast<int32_t>(list.size()));
-  const int32_t last = static_cast<int32_t>(list.size()) - 1;
-  if (pos != last) {
-    list[static_cast<size_t>(pos)] = list[static_cast<size_t>(last)];
-    // Fix up the moved appearance's stored position.
-    const Appearance& moved = list[static_cast<size_t>(pos)];
-    NodeNeighborTree* moved_tree = MutableTreeOf(moved.tree_root);
-    GSPS_DCHECK(moved_tree != nullptr);
-    TreeNode& moved_node = moved_tree->mutable_node(moved.node);
-    if (node_list) {
-      moved_node.node_index_pos = pos;
-    } else {
-      moved_node.edge_index_pos = pos;
-    }
-  }
-  list.pop_back();
-}
-
-void NntSet::ExpandSubtree(const Graph& graph, VertexId root,
-                           TreeNodeId start) {
-  NodeNeighborTree* tree = MutableTreeOf(root);
-  GSPS_DCHECK(tree != nullptr);
-  // BFS over a reused vector with a moving head (never nested).
-  scratch_bfs_.clear();
-  scratch_bfs_.push_back(start);
-  for (size_t head = 0; head < scratch_bfs_.size(); ++head) {
-    const TreeNodeId at_id = scratch_bfs_[head];
-    // Copy out of the slot — AddTreeChild below may reallocate the arena.
-    const int16_t at_depth = tree->node(at_id).depth;
-    const VertexId from = tree->node(at_id).vertex;
-    if (at_depth >= depth_) continue;
-    for (const HalfEdge& half : graph.Neighbors(from)) {
-      if (tree->EdgeOnRootPath(at_id, from, half.to)) continue;
-      const TreeNodeId child =
-          AddTreeChild(root, at_id, half.to, graph.GetVertexLabel(half.to),
-                       half.label);
-      scratch_bfs_.push_back(child);
-    }
-  }
-}
-
-void NntSet::DeleteSubtree(VertexId root, TreeNodeId node_id) {
-  NodeNeighborTree* tree = MutableTreeOf(root);
-  GSPS_DCHECK(tree != nullptr);
-  // Collect the subtree in preorder, then free in reverse (leaves first).
-  // Reused member scratch; FreeTreeNode never re-enters here.
-  scratch_preorder_.clear();
-  scratch_stack_.clear();
-  scratch_stack_.push_back(node_id);
-  while (!scratch_stack_.empty()) {
-    const TreeNodeId at = scratch_stack_.back();
-    scratch_stack_.pop_back();
-    scratch_preorder_.push_back(at);
-    for (const TreeNodeId child : tree->Children(at)) {
-      scratch_stack_.push_back(child);
-    }
-  }
-  for (auto it = scratch_preorder_.rbegin(); it != scratch_preorder_.rend();
-       ++it) {
-    FreeTreeNode(root, *it);
-  }
-}
-
-void NntSet::BumpDimension(VertexId root, int32_t level,
-                           VertexLabel parent_label, VertexLabel child_label,
-                           int32_t delta) {
+void NntSet::Bump(VertexId root, int32_t level, VertexLabel parent_label,
+                  VertexLabel child_label, int32_t delta) {
+  ++paths_counted_;
   const DimId dim = dimensions_->Intern(level, parent_label, child_label);
-  std::vector<NpvEntry>& counts = dim_counts_[static_cast<size_t>(root)];
+  std::vector<NpvEntry>& row = rows_[static_cast<size_t>(root)];
   auto it = std::lower_bound(
-      counts.begin(), counts.end(), dim,
+      row.begin(), row.end(), dim,
       [](const NpvEntry& entry, DimId d) { return entry.dim < d; });
-  if (it != counts.end() && it->dim == dim) {
+  if (it != row.end() && it->dim == dim) {
     it->count += delta;
     GSPS_CHECK(it->count >= 0);
-    if (it->count == 0) counts.erase(it);
+    if (it->count == 0) row.erase(it);
   } else {
     GSPS_CHECK(delta > 0);
-    counts.insert(it, NpvEntry{dim, delta});
+    row.insert(it, NpvEntry{dim, delta});
   }
   npv_cache_valid_[static_cast<size_t>(root)] = 0;
   MarkDirty(root);
@@ -451,89 +232,6 @@ bool NntSet::Validate(const Graph& graph) const {
     return false;
   };
 
-  // Independent enumeration of edge-simple paths for the oracle comparison.
-  struct Oracle {
-    const Graph& graph;
-    int depth;
-    std::map<std::vector<int32_t>, int64_t> branches;
-    std::vector<int32_t> signature;
-    std::vector<std::pair<VertexId, VertexId>> path;
-
-    void Expand(VertexId at, int remaining) {
-      if (remaining == 0) return;
-      for (const HalfEdge& half : graph.Neighbors(at)) {
-        const std::pair<VertexId, VertexId> edge = {
-            std::min(at, half.to), std::max(at, half.to)};
-        if (std::find(path.begin(), path.end(), edge) != path.end()) continue;
-        signature.push_back(half.label);
-        signature.push_back(graph.GetVertexLabel(half.to));
-        path.push_back(edge);
-        ++branches[signature];
-        Expand(half.to, remaining - 1);
-        path.pop_back();
-        signature.pop_back();
-        signature.pop_back();
-      }
-    }
-  };
-
-  int64_t indexed_nodes = 0;
-  for (size_t vertex = 0; vertex < node_index_.size(); ++vertex) {
-    const std::vector<Appearance>& appearances = node_index_[vertex];
-    for (size_t pos = 0; pos < appearances.size(); ++pos) {
-      const Appearance& appearance = appearances[pos];
-      const NodeNeighborTree* tree = TreeOf(appearance.tree_root);
-      if (tree == nullptr) return fail("node index references missing tree");
-      if (!tree->IsAlive(appearance.node, appearance.generation)) {
-        return fail("node index references dead node");
-      }
-      if (tree->node(appearance.node).vertex !=
-          static_cast<VertexId>(vertex)) {
-        return fail("node index vertex mismatch");
-      }
-      if (tree->node(appearance.node).node_index_pos !=
-          static_cast<int32_t>(pos)) {
-        return fail("node index position stale");
-      }
-      ++indexed_nodes;
-    }
-  }
-
-  int64_t indexed_edges = 0;
-  const char* edge_error = nullptr;
-  edge_index_.ForEach([&](uint64_t key,
-                          const std::vector<Appearance>& appearances) {
-    if (edge_error != nullptr) return;
-    if (appearances.empty()) {
-      edge_error = "edge index holds an empty list";
-      return;
-    }
-    for (size_t pos = 0; pos < appearances.size(); ++pos) {
-      const Appearance& appearance = appearances[pos];
-      const NodeNeighborTree* tree = TreeOf(appearance.tree_root);
-      if (tree == nullptr) {
-        edge_error = "edge index references missing tree";
-        return;
-      }
-      if (!tree->IsAlive(appearance.node, appearance.generation)) {
-        edge_error = "edge index references dead node";
-        return;
-      }
-      const TreeNode& child = tree->node(appearance.node);
-      const TreeNode& parent = tree->node(child.parent);
-      if (EdgeKey(parent.vertex, child.vertex) != key) {
-        edge_error = "edge index key mismatch";
-        return;
-      }
-      if (child.edge_index_pos != static_cast<int32_t>(pos)) {
-        edge_error = "edge index position stale";
-        return;
-      }
-      ++indexed_edges;
-    }
-  });
-  if (edge_error != nullptr) return fail(edge_error);
-
   // Dirty bookkeeping: the list holds exactly the flagged roots, once each.
   int64_t flagged = 0;
   for (const uint8_t flag : dirty_flag_) flagged += flag;
@@ -546,99 +244,34 @@ bool NntSet::Validate(const Graph& graph) const {
     }
   }
 
-  int64_t alive_total = 0;
-  int64_t alive_non_root = 0;
   for (const VertexId root : Roots()) {
-    const NodeNeighborTree* tree = TreeOf(root);
-    alive_total += tree->NumAliveNodes();
-    alive_non_root += tree->NumAliveNodes() - 1;
-
-    if (!graph.HasVertex(root)) return fail("tree for vertex not in graph");
-    // Recount dimensions while walking the tree and check the intrusive
-    // sibling links.
-    std::map<DimId, int32_t> recount;
-    std::vector<TreeNodeId> stack = {kTreeRoot};
-    while (!stack.empty()) {
-      const TreeNodeId at_id = stack.back();
-      stack.pop_back();
-      const TreeNode& at = tree->node(at_id);
-      if (!graph.HasVertex(at.vertex)) {
-        return fail("tree node references vertex not in graph");
-      }
-      if (graph.GetVertexLabel(at.vertex) != at.vertex_label) {
-        return fail("tree node label stale");
-      }
-      if (at_id != kTreeRoot) {
-        const TreeNode& parent = tree->node(at.parent);
-        if (at.depth != parent.depth + 1) return fail("depth inconsistent");
-        if (at.depth > depth_) return fail("node beyond max depth");
-        if (!graph.HasEdge(parent.vertex, at.vertex)) {
-          return fail("tree edge not in graph");
-        }
-        if (graph.GetEdgeLabel(parent.vertex, at.vertex) != at.edge_label) {
-          return fail("tree edge label stale");
-        }
-        auto dim = dimensions_->Find(at.depth, parent.vertex_label,
-                                     at.vertex_label);
-        if (!dim.has_value()) return fail("dimension not interned");
-        ++recount[*dim];
-      }
-      if (at.first_child != kInvalidTreeNode &&
-          tree->slot(at.first_child).prev_sibling != kInvalidTreeNode) {
-        return fail("first child has a previous sibling");
-      }
-      int32_t child_count = 0;
-      TreeNodeId previous = kInvalidTreeNode;
-      for (const TreeNodeId child_id : tree->Children(at_id)) {
-        const TreeNode& child = tree->node(child_id);
-        if (child.parent != at_id) return fail("child parent link broken");
-        if (child.prev_sibling != previous) {
-          return fail("sibling back-link broken");
-        }
-        previous = child_id;
-        ++child_count;
-        stack.push_back(child_id);
-      }
-      if (child_count != at.num_children) {
-        return fail("num_children does not match sibling chain");
-      }
+    if (!graph.HasVertex(root)) return fail("root is not a graph vertex");
+    // A branch of k edges is one level-k tree node: it counts at (k, label
+    // of vertex k-1, label of vertex k), which sit at signature positions
+    // 2k-2 and 2k.
+    std::map<DimId, int64_t> expected;
+    for (const auto& [branch, count] : EnumerateBranches(graph, root, depth_)) {
+      const size_t k = (branch.size() - 1) / 2;
+      const std::optional<DimId> dim = dimensions_->Find(
+          static_cast<int32_t>(k), branch[2 * k - 2], branch[2 * k]);
+      if (!dim.has_value()) return fail("dimension not interned");
+      expected[*dim] += count;
     }
-
-    // dim_counts_ must be the sorted, strictly-positive form of the recount.
-    const std::vector<NpvEntry>& counted =
-        dim_counts_[static_cast<size_t>(root)];
-    if (static_cast<size_t>(recount.size()) != counted.size()) {
-      return fail("dimension count cardinality mismatch");
+    const std::vector<NpvEntry>& row = rows_[static_cast<size_t>(root)];
+    if (expected.size() != row.size()) {
+      return fail("row cardinality differs from a fresh enumeration");
     }
     size_t at = 0;
-    for (const auto& [dim, count] : recount) {
-      if (counted[at].dim != dim || counted[at].count != count) {
-        return fail("dimension count mismatch");
-      }
-      if (counted[at].count <= 0) return fail("non-positive dimension count");
-      if (at > 0 && counted[at - 1].dim >= counted[at].dim) {
-        return fail("dimension counts not sorted");
+    for (const auto& [dim, count] : expected) {
+      if (row[at].dim != dim || row[at].count != count) {
+        return fail("row differs from a fresh enumeration");
       }
       ++at;
     }
     if (npv_cache_valid_[static_cast<size_t>(root)] &&
-        npv_cache_[static_cast<size_t>(root)].entries() != counted) {
-      return fail("NPV cache diverged from dimension counts");
+        npv_cache_[static_cast<size_t>(root)].entries() != row) {
+      return fail("NPV cache diverged from the row");
     }
-
-    // The tree must hold exactly the edge-simple paths up to depth_.
-    Oracle oracle{graph, depth_, {}, {graph.GetVertexLabel(root)}, {}};
-    oracle.Expand(root, depth_);
-    if (oracle.branches != BranchesOf(root)) {
-      return fail("tree branches differ from fresh enumeration");
-    }
-  }
-
-  if (indexed_nodes != alive_total) {
-    return fail("node index cardinality mismatch");
-  }
-  if (indexed_edges != alive_non_root) {
-    return fail("edge index cardinality mismatch");
   }
   return true;
 }

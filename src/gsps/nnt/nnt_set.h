@@ -1,46 +1,43 @@
-// The set of Node-Neighbor Trees for one (possibly changing) graph, with
-// the incremental maintenance of paper §III.B and the NPV projection of
-// §IV.A.
+// The Node-Neighbor Trees of one (possibly changing) graph, kept as the
+// only thing the join reads from them: each root's NPV (§IV.A), i.e. its
+// tree edges counted per projection dimension.
 //
-// Responsibilities:
-//   * Build NNT(u) for every vertex u of a graph, up to a fixed depth.
-//   * Maintain two auxiliary indexes:
-//       - node-tree index  I_nt: graph vertex -> all tree nodes representing
-//         it across all trees ("appearances"),
-//       - edge-tree index  I_et: graph edge  -> all tree edges realizing it.
-//   * Incrementally apply edge insertions (paper Fig. 5) and deletions
-//     (paper Fig. 4) in O(r^(l-1)) per appearance (Lemma 3.2).
-//   * Keep per-root sorted dimension counts and a cached NPV per root so
-//     NpvOf() is O(1) amortized, and report which roots' NPVs changed (the
-//     hook the incremental join strategies consume).
+// A tree node of NNT(r) at level k is an edge-simple path of k edges from r
+// (Definition 3.1), and it counts once at (k, label of its parent, label of
+// its own vertex). Nothing else of a tree is stored. An edge insertion
+// creates exactly the tree nodes whose path crosses the new edge (paper
+// Fig. 5), and a deletion frees exactly the nodes whose path crosses the
+// removed one (Fig. 4). So maintenance enumerates the paths of length
+// <= depth through the changed edge {u, v} and adds +1 or -1 per path to
+// its root's row. For each orientation (a, b) of the edge:
+//   * walk backward from a over edge-simple walks of i = 0..depth-1 edges
+//     that avoid {u, v}; the far end of each walk is a root r, and the
+//     path r..a-b is a level-(i+1) node of NNT(r);
+//   * walk forward from b, avoiding {u, v}, the backward walk's edges and
+//     its own; every step prev->cur is one more node of NNT(r).
+// A path crosses {u, v} exactly once, in one orientation, so each changed
+// node is counted once — Lemma 3.2's per-edge bound without any index.
 //
-// Storage layout (DESIGN.md "Storage layout"): vertex ids are dense, so
-// every per-root structure is a flat vector indexed by VertexId — the trees,
-// the node-tree index lists, the dimension counts, the NPV cache, and the
-// dirty flags. The edge-tree index is an open-addressing flat map
-// (EdgeAppearanceMap). Steady-state maintenance reuses freed tree slots,
-// recycled index lists, and member scratch buffers, so an ApplyChange cycle
-// performs zero heap allocations once capacities reach their high-water
-// marks.
-//
-// Usage with a changing graph (the engine's protocol):
+// Graph binding: DeleteEdge takes no graph, so Build(graph) binds the set
+// to `graph`, which must stay at a fixed address for the set's lifetime.
+// InsertEdge checks it is passed that graph. The engine protocol is
 //   * deletion of edge {u,v}:  nnts.DeleteEdge(u, v);  graph.RemoveEdge(u, v);
 //   * insertion of edge {u,v}: graph.AddEdge(u, v, l); nnts.InsertEdge(graph, u, v);
-// DeleteEdge consults only internal indexes; InsertEdge requires the graph
-// to already contain the new edge.
+// i.e. both run while the graph holds the edge.
+//
+// Storage is one sorted count row per root plus a cached Npv and a dirty
+// flag, all flat vectors indexed by VertexId. Maintenance reuses member
+// scratch, so an ApplyChange cycle performs zero heap allocations once
+// capacities reach their high-water marks.
 
 #ifndef GSPS_NNT_NNT_SET_H_
 #define GSPS_NNT_NNT_SET_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "gsps/graph/graph.h"
 #include "gsps/nnt/dimension.h"
-#include "gsps/nnt/edge_index.h"
-#include "gsps/nnt/node_neighbor_tree.h"
 #include "gsps/nnt/npv.h"
 
 namespace gsps {
@@ -55,10 +52,8 @@ class NntSet {
   NntSet(NntSet&&) = default;
   NntSet& operator=(NntSet&&) = default;
 
-  // Builds trees for every vertex of `graph` from scratch, replacing any
-  // existing state. Pre-reserves the slot arenas, index lists, and count
-  // storage from the graph's size and degree statistics so the build and
-  // the following steady state allocate as little as possible.
+  // Counts the trees of every vertex of `graph` from scratch, replacing any
+  // existing state, and binds the set to `graph` (see above).
   void Build(const Graph& graph);
 
   int depth() const { return depth_; }
@@ -66,24 +61,19 @@ class NntSet {
   // --- Incremental maintenance -------------------------------------------
 
   // Applies the insertion of edge {u, v}, which must already be present in
-  // `graph`. Creates root trees for endpoints that have none yet (new
-  // vertices). Paper Fig. 5.
+  // `graph`, the bound graph. Creates rows for endpoints that have none yet
+  // (new vertices). Paper Fig. 5.
   void InsertEdge(const Graph& graph, VertexId u, VertexId v);
 
-  // Applies the deletion of edge {u, v}: removes every subtree hanging off
-  // an appearance of the edge. Uses only internal indexes, so it may be
-  // called before or after the graph itself is updated. Paper Fig. 4.
+  // Applies the deletion of edge {u, v}, which the bound graph must still
+  // hold; does nothing when it does not. Paper Fig. 4.
   void DeleteEdge(VertexId u, VertexId v);
-
-  // Drops the tree rooted at `v` entirely (vertex removed from the graph).
-  // Appearances of v inside other trees must have been removed first by
-  // deleting its incident edges.
-  void RemoveTree(VertexId v);
 
   // --- Queries -------------------------------------------------------------
 
-  // The tree rooted at `root`, or nullptr if none.
-  const NodeNeighborTree* TreeOf(VertexId root) const;
+  // The dimension-count row of `root`'s tree (sorted by dim, positive
+  // counts), or nullptr if `root` has no tree.
+  const std::vector<NpvEntry>* TreeOf(VertexId root) const;
 
   // Vertices that currently have a tree, ascending.
   std::vector<VertexId> Roots() const;
@@ -103,85 +93,70 @@ class NntSet {
 
   // --- Test / debugging hooks ---------------------------------------------
 
-  // Multiset of root-to-node label paths of `root`'s tree, in the same
-  // signature format as iso/branch_compatibility.h — lets tests compare
-  // the maintained tree against an independently computed oracle.
-  std::map<std::vector<int32_t>, int64_t> BranchesOf(VertexId root) const;
-
-  // Exhaustively checks internal invariants against `graph`: every tree
-  // edge realizes a live graph edge, indexes and trees reference each other
-  // consistently, sibling links are well formed, per-root dimension counts
-  // match a recount (and the NPV cache where valid), and every tree is
-  // exactly the set of edge-simple paths up to `depth`. Returns false and
-  // prints a diagnostic on the first violation. O(large); tests only.
+  // Checks the state against `graph`: every root is a graph vertex, each
+  // root's row equals the projection of EnumerateBranches(graph, root,
+  // depth) (and so does its NPV cache where valid), and the dirty flags
+  // agree with the dirty list. Returns false and prints a diagnostic on the
+  // first violation. O(large); tests only.
   bool Validate(const Graph& graph) const;
 
-  // Total alive tree nodes across all trees (size metric for benches).
+  // Tree nodes across all trees, roots included: the sum over roots of
+  // 1 + the row's counts (size metric for benches).
   int64_t TotalTreeNodes() const;
 
-  // Heap bytes held by the trees, indexes, counts, caches, and scratch
-  // buffers (capacities, not sizes — what the process actually pays).
+  // Heap bytes held by the rows, caches, flags and scratch (capacities, not
+  // sizes — what the process actually pays).
   int64_t StorageBytes() const;
 
  private:
-  static uint64_t EdgeKey(VertexId a, VertexId b);
+  // Crossing edge of one orientation: paths cross it from `a` to `b`.
+  struct Crossing {
+    VertexId a;
+    VertexId b;
+    VertexLabel a_label;
+    VertexLabel b_label;
+    int32_t sign;
+  };
 
-  NodeNeighborTree* MutableTreeOf(VertexId root);
+  // Adds `sign` at each root for every path of length <= depth_ that
+  // crosses {u, v}, which the bound graph holds.
+  void CountPathsThrough(VertexId u, VertexId v, int32_t sign);
 
-  // Grows every per-root vector to cover vertex `v`.
-  void EnsureRootCapacity(VertexId v);
+  // `root` is the far end of a backward walk of `length` edges from
+  // crossing.a, whose edges (and {a, b}) are on walk_. Counts the paths of
+  // `root` that cross {a, b} after that walk, then walks one edge further.
+  void WalkBack(const Crossing& crossing, VertexId root, int32_t length);
 
-  // Creates a root-only tree for `v` if absent. Returns the tree.
-  NodeNeighborTree& EnsureTree(VertexId v, VertexLabel label);
+  // Counts at `root` every edge-simple extension of the walk ending at
+  // `at` (label `at_label`); its first edge is at `level`.
+  void WalkForward(VertexId root, VertexId at, VertexLabel at_label,
+                   int32_t level, int32_t sign);
 
-  // Allocates a child node under `parent` in `root`'s tree, registering it
-  // in both indexes and the dimension counts.
-  TreeNodeId AddTreeChild(VertexId root, TreeNodeId parent, VertexId vertex,
-                          VertexLabel vertex_label, EdgeLabel edge_label);
+  bool OnWalk(uint64_t edge_key) const;
 
-  // Frees `node` (which must be a leaf) and deregisters it everywhere.
-  void FreeTreeNode(VertexId root, TreeNodeId node);
+  // Creates an empty row for `v` if it has none, marking it dirty.
+  void EnsureRoot(VertexId v);
 
-  // O(1) swap-erase of `list[pos]`, fixing the moved appearance's stored
-  // index position (node_index_pos / edge_index_pos).
-  void EraseAppearanceAt(std::vector<Appearance>& list, int32_t pos,
-                         bool node_list);
-
-  // Breadth-first expansion of the subtree under `start` in `root`'s tree,
-  // adding every edge-simple continuation up to depth_. `start` itself must
-  // already exist.
-  void ExpandSubtree(const Graph& graph, VertexId root, TreeNodeId start);
-
-  // Deletes the whole subtree rooted at `node` (inclusive), bottom-up.
-  void DeleteSubtree(VertexId root, TreeNodeId node);
-
-  void BumpDimension(VertexId root, int32_t level, VertexLabel parent_label,
-                     VertexLabel child_label, int32_t delta);
+  void Bump(VertexId root, int32_t level, VertexLabel parent_label,
+            VertexLabel child_label, int32_t delta);
 
   // Flags `root`'s NPV as changed since the last TakeDirtyRoots drain.
   void MarkDirty(VertexId root);
 
   int depth_;
   DimensionTable* dimensions_;
+  const Graph* graph_ = nullptr;
 
-  // Trees indexed by root vertex id (nullptr when the vertex has no tree).
-  std::vector<std::unique_ptr<NodeNeighborTree>> trees_;
+  // Per-root state, dense by vertex id. is_root_[v] says whether v has a
+  // tree; rows_[v] holds its dimension counts sorted by dim with strictly
+  // positive counts — the invariant Npv requires, so the cache refill below
+  // never sorts.
+  std::vector<uint8_t> is_root_;
+  std::vector<std::vector<NpvEntry>> rows_;
 
-  // I_nt: graph vertex -> appearances across all trees (roots included).
-  // Dense by vertex id; lists keep their capacity when emptied.
-  std::vector<std::vector<Appearance>> node_index_;
-  // I_et: packed undirected edge -> tree edges realizing it; the Appearance
-  // stores the CHILD node of the tree edge.
-  EdgeAppearanceMap edge_index_;
-
-  // Per-root dimension counts backing NpvOf(), kept sorted by dim with
-  // strictly positive counts — the invariant Npv requires, so the cache
-  // refill below never sorts.
-  std::vector<std::vector<NpvEntry>> dim_counts_;
-
-  // Per-root NPV cache: npv_cache_[v] mirrors dim_counts_[v] whenever
-  // npv_cache_valid_[v] is set; BumpDimension clears the flag, NpvOf
-  // refills lazily. Mutable because NpvOf is logically const.
+  // Per-root NPV cache: npv_cache_[v] mirrors rows_[v] whenever
+  // npv_cache_valid_[v] is set; Bump clears the flag, NpvOf refills
+  // lazily. Mutable because NpvOf is logically const.
   mutable std::vector<Npv> npv_cache_;
   mutable std::vector<uint8_t> npv_cache_valid_;
 
@@ -190,14 +165,12 @@ class NntSet {
   std::vector<uint8_t> dirty_flag_;
   std::vector<VertexId> dirty_list_;
 
-  // Maintenance scratch, reused across calls so steady-state InsertEdge/
-  // DeleteEdge/ExpandSubtree/DeleteSubtree allocate nothing.
-  std::vector<Appearance> scratch_appearances_u_;
-  std::vector<Appearance> scratch_appearances_v_;
-  std::vector<Appearance> scratch_edge_appearances_;
-  std::vector<TreeNodeId> scratch_bfs_;
-  std::vector<TreeNodeId> scratch_preorder_;
-  std::vector<TreeNodeId> scratch_stack_;
+  // Packed edge keys of the walk being enumerated: at most depth_ + 1
+  // entries, so membership is a linear scan.
+  std::vector<uint64_t> walk_;
+  // Obs tallies of the current Build/CountPathsThrough call.
+  int64_t walks_back_ = 0;
+  int64_t paths_counted_ = 0;
 };
 
 }  // namespace gsps

@@ -173,8 +173,8 @@ using NpvSignatureVector =
 // each with its signature at hand: the join strategies' cache-resident
 // query-side layout, and the memory the dominance kernel sweeps.
 //
-// Slots are slotted for churn (same pattern as nnt/node_neighbor_tree's
-// arena): Remove frees a slot without moving live vectors — its entry
+// Slots are slotted for churn: Remove frees a slot without moving live
+// vectors — its entry
 // region is repadded with {0, 0} sentinels, its signature becomes the
 // all-ones sentinel (so the signature fast-reject discards it for every hay
 // that is not all-ones; kernel consumers additionally mask with

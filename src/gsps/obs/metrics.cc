@@ -26,7 +26,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "gsps_nnt_tree_nodes_created",
     "gsps_nnt_tree_nodes_freed",
     "gsps_nnt_roots_dirtied",
-    "gsps_nnt_tree_slots_reused",
     "gsps_nnt_npv_cache_rebuilds",
     "gsps_join_dominance_tests",
     "gsps_join_skyline_early_stops",
@@ -73,11 +72,10 @@ constexpr const char* kHistNames[kNumHists] = {
 constexpr const char* kCounterHelp[kNumCounters] = {
     "NNT InsertEdge calls applied",
     "NNT DeleteEdge calls applied",
-    "Appearance-list entries visited by NNT insert/delete",
-    "NNT tree nodes allocated",
-    "NNT tree nodes freed",
+    "Backward walks enumerated by NNT insert/delete",
+    "NNT tree nodes (paths) counted in",
+    "NNT tree nodes (paths) counted out",
     "Roots whose NPV went clean to dirty",
-    "Tree-node allocations served from the free-slot list",
     "NPV cache materializations of an invalidated root",
     "Pairwise NPV dominance evaluations",
     "Pairs pruned at the first uncovered skyline point",

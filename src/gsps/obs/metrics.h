@@ -48,11 +48,10 @@ enum class Counter : int {
   // NNT incremental maintenance (nnt/nnt_set.cc).
   kNntInsertEdges = 0,     // InsertEdge calls applied.
   kNntDeleteEdges,         // DeleteEdge calls applied.
-  kNntPathsTouched,        // Appearance-list entries visited by insert/delete.
-  kNntTreeNodesCreated,    // Tree nodes allocated (AddTreeChild).
-  kNntTreeNodesFreed,      // Tree nodes freed (FreeTreeNode).
+  kNntPathsTouched,        // Backward walks enumerated by insert/delete.
+  kNntTreeNodesCreated,    // Paths counted in (Build, InsertEdge).
+  kNntTreeNodesFreed,      // Paths counted out (DeleteEdge).
   kNntRootsDirtied,        // Roots whose NPV went clean -> dirty.
-  kNntTreeSlotsReused,     // AddChild served from the free-slot list.
   kNntNpvCacheRebuilds,    // NpvOf materializations of an invalidated root;
                            // every other NpvOf call is a cache hit.
   // Join strategies (join/).

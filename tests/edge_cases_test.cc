@@ -86,6 +86,40 @@ TEST(EngineEdgeCasesTest, RepeatedChangesOfSameEdgeWithinBatch) {
   EXPECT_EQ(engine.StreamGraph(0).NumEdges(), 1);
 }
 
+TEST(EngineEdgeCasesTest, LabelsOutsideTwentyOneBitsStayExact) {
+  // The parsers accept any int32 label; negative labels and labels of 2^21
+  // and beyond must neither trip a precondition nor share dimensions.
+  constexpr VertexLabel kNeg = -7;
+  constexpr VertexLabel kBig = 3000000;
+  ContinuousQueryEngine engine(EngineOptions{});
+  Graph q;
+  q.AddVertex(kNeg);
+  q.AddVertex(kBig);
+  ASSERT_TRUE(q.AddEdge(0, 1, 0));
+  engine.AddQuery(q);
+  Graph big_pair;
+  big_pair.AddVertex(kBig);
+  big_pair.AddVertex(kBig);
+  ASSERT_TRUE(big_pair.AddEdge(0, 1, 0));
+  engine.AddQuery(big_pair);
+  Graph start;
+  start.AddVertex(kNeg);
+  start.AddVertex(kBig);
+  start.AddVertex(kNeg);
+  ASSERT_TRUE(start.AddEdge(0, 1, 0));
+  ASSERT_TRUE(start.AddEdge(1, 2, 0));
+  engine.AddStream(start);
+  engine.Start();
+  EXPECT_EQ(engine.CandidatesForStream(0), std::vector<int>{0});
+  EXPECT_TRUE(engine.VerifyCandidate(0, 0));
+  // A kBig-kBig edge arrives: now the second query is present too.
+  GraphChange change;
+  change.ops.push_back(EdgeOp::Insert(1, 3, 0, kBig, kBig));
+  engine.ApplyChange(0, change);
+  EXPECT_EQ(engine.CandidatesForStream(0), (std::vector<int>{0, 1}));
+  EXPECT_TRUE(engine.VerifyCandidate(0, 1));
+}
+
 TEST(GraphEdgeCasesTest, VertexIdReuseAfterRemoval) {
   Graph g;
   const VertexId a = g.AddVertex(1);
@@ -109,8 +143,13 @@ TEST(NntEdgeCasesTest, DepthOneCountsOnlyDirectNeighbors) {
   DimensionTable dims;
   NntSet nnts(1, &dims);
   nnts.Build(g);
-  EXPECT_EQ(nnts.TreeOf(0)->NumAliveNodes(), 2);
-  EXPECT_EQ(nnts.TreeOf(1)->NumAliveNodes(), 3);
+  // Level-1 counts only: 1 neighbor for vertex 0, 2 for vertex 1.
+  EXPECT_EQ(nnts.NpvOf(0).entries(),
+            (std::vector<NpvEntry>{{*dims.Find(1, 0, 1), 1}}));
+  EXPECT_EQ(nnts.NpvOf(1).entries(),
+            (std::vector<NpvEntry>{{*dims.Find(1, 1, 0), 1},
+                                   {*dims.Find(1, 1, 2), 1}}));
+  EXPECT_EQ(nnts.TotalTreeNodes(), 3 + 4);
   EXPECT_TRUE(nnts.Validate(g));
 }
 
@@ -123,7 +162,11 @@ TEST(NntEdgeCasesTest, HighDepthOnSmallCycleTerminates) {
   NntSet nnts(50, &dims);
   nnts.Build(g);
   // Each root: 2 + 2 + 2 nodes (lengths 1..3), nothing deeper.
-  EXPECT_EQ(nnts.TreeOf(0)->NumAliveNodes(), 7);
+  EXPECT_EQ(nnts.NpvOf(0).entries(),
+            (std::vector<NpvEntry>{{*dims.Find(1, 0, 0), 2},
+                                   {*dims.Find(2, 0, 0), 2},
+                                   {*dims.Find(3, 0, 0), 2}}));
+  EXPECT_EQ(nnts.TotalTreeNodes(), 3 * 7);
   EXPECT_TRUE(nnts.Validate(g));
 }
 

@@ -66,9 +66,7 @@ TEST(NntAllocTest, SteadyStateNntChurnAllocatesNothing) {
     graph.AddEdge(e.u, e.v, e.label);
     nnts.InsertEdge(graph, e.u, e.v);
     nnts.TakeDirtyRoots(&dirty);
-    for (const VertexId root : dirty) {
-      if (nnts.TreeOf(root) != nullptr) nnts.NpvOf(root);
-    }
+    for (const VertexId root : dirty) nnts.NpvOf(root);
   };
 
   // Warm up to the capacity high-water mark, then measure one full cycle

@@ -1,10 +1,10 @@
 // Delete-then-insert inverse property of incremental NNT maintenance: for
 // any live edge e, applying DeleteEdge(e) followed by re-inserting e must
-// restore the NntSet exactly — the same roots, the same branch multisets
-// tree by tree (which pins down I_nt/I_et through Validate), the same NPVs,
-// and the same total node count as before the deletion. Paper Figs. 4-5
-// describe the two operations as exact inverses; this is the regression
-// net for the subtree pruning/regrowing logic.
+// restore the NntSet exactly — the same roots, the same count rows root by
+// root (and Validate against a fresh path enumeration in between), the
+// same NPVs, and the same total node count as before the deletion. Paper
+// Figs. 4-5 describe the two operations as exact inverses; this is the
+// regression net for counting paths out and back in.
 
 #include <gtest/gtest.h>
 
@@ -21,10 +21,10 @@
 namespace gsps {
 namespace {
 
-// Everything observable about an NntSet (per tree and in aggregate).
+// Everything observable about an NntSet (per root and in aggregate).
 struct NntSnapshot {
   std::vector<VertexId> roots;
-  std::map<VertexId, std::map<std::vector<int32_t>, int64_t>> branches;
+  std::map<VertexId, std::vector<NpvEntry>> rows;
   std::map<VertexId, Npv> npvs;
   int64_t total_tree_nodes = 0;
 };
@@ -33,7 +33,7 @@ NntSnapshot Snapshot(const NntSet& nnts) {
   NntSnapshot snap;
   snap.roots = nnts.Roots();
   for (const VertexId root : snap.roots) {
-    snap.branches[root] = nnts.BranchesOf(root);
+    snap.rows[root] = *nnts.TreeOf(root);
     snap.npvs[root] = nnts.NpvOf(root);
   }
   snap.total_tree_nodes = nnts.TotalTreeNodes();
@@ -42,7 +42,7 @@ NntSnapshot Snapshot(const NntSet& nnts) {
 
 void ExpectSnapshotsEqual(const NntSnapshot& a, const NntSnapshot& b) {
   EXPECT_EQ(a.roots, b.roots);
-  EXPECT_EQ(a.branches, b.branches);
+  EXPECT_EQ(a.rows, b.rows);
   EXPECT_EQ(a.npvs, b.npvs);
   EXPECT_EQ(a.total_tree_nodes, b.total_tree_nodes);
 }

@@ -1,8 +1,6 @@
-// Tests for the flat NNT storage layer (DESIGN.md "Storage layout"):
-// intrusive sibling links, slot reuse with generation-stale detection, the
-// open-addressing edge-appearance index, dense per-root state across
-// RemoveTree/re-add cycles, deep churn with full validation after every
-// operation, and the deterministic (sorted) dirty-root drain.
+// Tests for NntSet's storage (DESIGN.md "NPV maintenance"): deep churn with
+// full validation after every operation, the one-row-per-root storage bound
+// on cliques, and the deterministic (sorted) dirty-root drain.
 
 #include <gtest/gtest.h>
 
@@ -14,186 +12,12 @@
 #include "gsps/gen/synthetic_generator.h"
 #include "gsps/graph/graph.h"
 #include "gsps/nnt/dimension.h"
-#include "gsps/nnt/edge_index.h"
 #include "gsps/nnt/nnt_set.h"
-#include "gsps/nnt/node_neighbor_tree.h"
 
 namespace gsps {
 namespace {
 
-// --- NodeNeighborTree arena ------------------------------------------------
-
-TEST(NodeNeighborTreeTest, IntrusiveChildLinks) {
-  NodeNeighborTree tree(/*root_vertex=*/5, /*root_label=*/1);
-  const TreeNodeId a = tree.AddChild(kTreeRoot, 6, 2, 0);
-  const TreeNodeId b = tree.AddChild(kTreeRoot, 7, 3, 0);
-  const TreeNodeId c = tree.AddChild(kTreeRoot, 8, 4, 0);
-  EXPECT_EQ(tree.node(kTreeRoot).num_children, 3);
-
-  std::vector<TreeNodeId> children;
-  for (const TreeNodeId child : tree.Children(kTreeRoot)) {
-    children.push_back(child);
-  }
-  ASSERT_EQ(children.size(), 3u);
-  // AddChild prepends.
-  EXPECT_EQ(children, (std::vector<TreeNodeId>{c, b, a}));
-
-  // Freeing the middle node unlinks it in O(1) and keeps the chain intact.
-  tree.FreeNode(b);
-  EXPECT_EQ(tree.node(kTreeRoot).num_children, 2);
-  children.clear();
-  for (const TreeNodeId child : tree.Children(kTreeRoot)) {
-    children.push_back(child);
-  }
-  EXPECT_EQ(children, (std::vector<TreeNodeId>{c, a}));
-  EXPECT_EQ(tree.node(c).next_sibling, a);
-  EXPECT_EQ(tree.node(a).prev_sibling, c);
-}
-
-TEST(NodeNeighborTreeTest, SlotReuseBumpsGenerationAndStalenessIsDetected) {
-  NodeNeighborTree tree(/*root_vertex=*/0, /*root_label=*/0);
-  const TreeNodeId child = tree.AddChild(kTreeRoot, 1, 1, 0);
-  const uint32_t generation = tree.node(child).generation;
-  ASSERT_TRUE(tree.IsAlive(child, generation));
-
-  tree.FreeNode(child);
-  // A stale Appearance probe (old id + old generation) must read as dead.
-  EXPECT_FALSE(tree.IsAlive(child, generation));
-
-  // The freed slot is reused for the next allocation with a new generation.
-  const TreeNodeId reused = tree.AddChild(kTreeRoot, 2, 2, 0);
-  EXPECT_EQ(reused, child);
-  const uint32_t new_generation = tree.node(reused).generation;
-  EXPECT_NE(new_generation, generation);
-  EXPECT_FALSE(tree.IsAlive(child, generation));
-  EXPECT_TRUE(tree.IsAlive(reused, new_generation));
-  // Slot count did not grow: the arena recycled rather than extended.
-  EXPECT_EQ(tree.SlotBound(), 2);
-}
-
-// --- EdgeAppearanceMap -----------------------------------------------------
-
-TEST(EdgeAppearanceMapTest, InsertFindEraseAcrossGrowth) {
-  EdgeAppearanceMap map;
-  constexpr int kKeys = 1000;
-  for (int i = 1; i <= kKeys; ++i) {
-    map.GetOrCreate(static_cast<uint64_t>(i)).push_back(
-        Appearance{i, kTreeRoot, 0});
-  }
-  EXPECT_EQ(map.NumKeys(), kKeys);
-  for (int i = 1; i <= kKeys; ++i) {
-    const auto* list = map.Find(static_cast<uint64_t>(i));
-    ASSERT_NE(list, nullptr) << "key " << i;
-    ASSERT_EQ(list->size(), 1u);
-    EXPECT_EQ((*list)[0].tree_root, i);
-  }
-  // Erase every other key; backward-shift deletion must keep the remaining
-  // probe chains reachable.
-  for (int i = 2; i <= kKeys; i += 2) {
-    map.Find(static_cast<uint64_t>(i))->clear();
-    map.Erase(static_cast<uint64_t>(i));
-  }
-  EXPECT_EQ(map.NumKeys(), kKeys / 2);
-  int64_t seen = 0;
-  map.ForEach([&](uint64_t key, const std::vector<Appearance>& list) {
-    EXPECT_EQ(key % 2, 1u);
-    EXPECT_EQ(list.size(), 1u);
-    ++seen;
-  });
-  EXPECT_EQ(seen, map.NumKeys());
-  for (int i = 1; i <= kKeys; ++i) {
-    const auto* list = map.Find(static_cast<uint64_t>(i));
-    if (i % 2 == 1) {
-      ASSERT_NE(list, nullptr) << "key " << i;
-    } else {
-      EXPECT_EQ(list, nullptr) << "key " << i;
-    }
-  }
-}
-
-TEST(EdgeAppearanceMapTest, ErasedListsAreRecycled) {
-  EdgeAppearanceMap map;
-  std::vector<Appearance>& first = map.GetOrCreate(42);
-  first.reserve(64);
-  first.push_back(Appearance{});
-  first.clear();
-  map.Erase(42);
-  // The recycled vector keeps its capacity.
-  std::vector<Appearance>& second = map.GetOrCreate(99);
-  EXPECT_GE(second.capacity(), 64u);
-  EXPECT_TRUE(second.empty());
-}
-
-// --- NntSet over the new layout --------------------------------------------
-
-void ExpectMatchesRebuild(const NntSet& nnts, const Graph& graph, int depth) {
-  ASSERT_TRUE(nnts.Validate(graph));
-  DimensionTable fresh_dims;
-  NntSet fresh(depth, &fresh_dims);
-  fresh.Build(graph);
-  ASSERT_EQ(nnts.Roots(), fresh.Roots());
-  for (const VertexId root : fresh.Roots()) {
-    EXPECT_EQ(nnts.BranchesOf(root), fresh.BranchesOf(root))
-        << "root " << root;
-  }
-  EXPECT_EQ(nnts.TotalTreeNodes(), fresh.TotalTreeNodes());
-}
-
-TEST(NntStorageTest, StaleAppearanceAfterDeleteReinsertCycle) {
-  // Path 0-1-2; toggling {1,2} frees subtrees and reinserting must reuse
-  // slots without resurrecting stale appearances (Validate checks every
-  // index entry against the slot generation).
-  Graph g;
-  g.AddVertex(0);
-  g.AddVertex(1);
-  g.AddVertex(2);
-  ASSERT_TRUE(g.AddEdge(0, 1, 0));
-  ASSERT_TRUE(g.AddEdge(1, 2, 0));
-  DimensionTable dims;
-  NntSet nnts(3, &dims);
-  nnts.Build(g);
-  const int64_t nodes_before = nnts.TotalTreeNodes();
-
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    nnts.DeleteEdge(1, 2);
-    ASSERT_TRUE(g.RemoveEdge(1, 2));
-    ExpectMatchesRebuild(nnts, g, 3);
-    ASSERT_TRUE(g.AddEdge(1, 2, 0));
-    nnts.InsertEdge(g, 1, 2);
-    ExpectMatchesRebuild(nnts, g, 3);
-    EXPECT_EQ(nnts.TotalTreeNodes(), nodes_before);
-  }
-}
-
-TEST(NntStorageTest, RemoveTreeThenReAddVertex) {
-  Graph g;
-  g.AddVertex(0);
-  g.AddVertex(1);
-  g.AddVertex(2);
-  ASSERT_TRUE(g.AddEdge(0, 1, 0));
-  ASSERT_TRUE(g.AddEdge(1, 2, 1));
-  DimensionTable dims;
-  NntSet nnts(2, &dims);
-  nnts.Build(g);
-
-  // Remove vertex 2 entirely: its incident edge first, then its tree.
-  nnts.DeleteEdge(1, 2);
-  ASSERT_TRUE(g.RemoveEdge(1, 2));
-  nnts.RemoveTree(2);
-  ASSERT_TRUE(g.RemoveVertex(2));
-  EXPECT_EQ(nnts.TreeOf(2), nullptr);
-  ExpectMatchesRebuild(nnts, g, 2);
-  EXPECT_EQ(nnts.Roots(), (std::vector<VertexId>{0, 1}));
-
-  // Re-add the same vertex id with a different label and reconnect it; the
-  // per-root slots (tree, counts, NPV cache, dirty flag) must restart clean.
-  ASSERT_TRUE(g.EnsureVertex(2, /*label=*/3));
-  ASSERT_TRUE(g.AddEdge(1, 2, 1));
-  nnts.InsertEdge(g, 1, 2);
-  ASSERT_NE(nnts.TreeOf(2), nullptr);
-  ExpectMatchesRebuild(nnts, g, 2);
-  EXPECT_GT(nnts.NpvOf(2).nnz(), 0);
-}
+// --- Counting under churn ---------------------------------------------------
 
 TEST(NntStorageTest, DeepChurnValidatesAfterEveryOperation) {
   Rng rng(99);
@@ -307,10 +131,34 @@ TEST(NntStorageTest, StorageBytesTracksIndexFootprint) {
   DimensionTable dims;
   NntSet nnts(3, &dims);
   nnts.Build(g);
-  const int64_t bytes = nnts.StorageBytes();
-  // At minimum the arenas hold every alive node.
-  EXPECT_GE(bytes, nnts.TotalTreeNodes() *
-                       static_cast<int64_t>(sizeof(TreeNode)));
+  // At minimum the storage holds every root's row.
+  int64_t row_bytes = 0;
+  for (const VertexId root : nnts.Roots()) {
+    row_bytes += static_cast<int64_t>(nnts.TreeOf(root)->size() *
+                                      sizeof(NpvEntry));
+  }
+  EXPECT_GT(row_bytes, 0);
+  EXPECT_GE(nnts.StorageBytes(), row_bytes);
+}
+
+TEST(NntStorageTest, CliqueStorageIsPerRoot) {
+  // K_25 at depth 3 with one label: every vertex has 24 + 24*23 + 24*23*23
+  // = 13,272 edge-simple paths, so its tree has 13,273 nodes. Stored trees
+  // would need megabytes; the rows need three entries per root.
+  constexpr int kVertices = 25;
+  Graph g;
+  for (int i = 0; i < kVertices; ++i) g.AddVertex(0);
+  for (VertexId u = 0; u < kVertices; ++u) {
+    for (VertexId v = u + 1; v < kVertices; ++v) {
+      ASSERT_TRUE(g.AddEdge(u, v, 0));
+    }
+  }
+  DimensionTable dims;
+  NntSet nnts(3, &dims);
+  nnts.Build(g);
+  EXPECT_EQ(nnts.TotalTreeNodes(), 331825);  // 25 * 13,273.
+  EXPECT_LT(nnts.StorageBytes(), 64 * 1024);
+  EXPECT_EQ(nnts.NpvOf(0).nnz(), 3);
 }
 
 }  // namespace

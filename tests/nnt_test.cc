@@ -1,17 +1,22 @@
-// Tests for Node-Neighbor Trees: construction, incremental maintenance
-// (insert/delete), indexes, and projection (dimensions + NPVs).
+// Tests for Node-Neighbor Trees as NntSet counts them: construction,
+// incremental maintenance (insert/delete), and projection (dimensions +
+// NPVs).
 //
 // The central properties, checked on randomized workloads:
-//   * after any sequence of edge inserts/deletes, the incrementally
-//     maintained trees equal a from-scratch rebuild (same branch multisets)
-//     and Validate() holds (index consistency, dimension recounts, and an
-//     independent simple-path enumeration oracle);
-//   * NPVs derived incrementally equal NPVs of the rebuild.
+//   * after any sequence of edge inserts/deletes, Validate() holds: every
+//     root's counts equal a fresh enumeration of its edge-simple paths
+//     (iso/branch_compatibility's EnumerateBranches);
+//   * NPVs derived incrementally equal NPVs of a from-scratch rebuild;
+//   * the dirty set names exactly the roots whose counts changed.
 
 #include "gsps/nnt/nnt_set.h"
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "gsps/common/random.h"
@@ -43,17 +48,23 @@ Graph PaperExampleGraph() {
   return g;
 }
 
-// Asserts that `nnts` is internally consistent and that every tree matches
-// a from-scratch rebuild of `graph`.
-void ExpectMatchesRebuild(const NntSet& nnts, const Graph& graph, int depth) {
+// Nodes of NNT(root), the root included: one per counted path plus one.
+int64_t TreeNodesOf(const NntSet& nnts, VertexId root) {
+  int64_t nodes = 1;
+  for (const NpvEntry& entry : *nnts.TreeOf(root)) nodes += entry.count;
+  return nodes;
+}
+
+// Asserts that `nnts` (interning into `dims`) is internally consistent and
+// that every root matches a from-scratch rebuild of `graph`.
+void ExpectMatchesRebuild(const NntSet& nnts, const Graph& graph,
+                          DimensionTable* dims) {
   ASSERT_TRUE(nnts.Validate(graph));
-  DimensionTable fresh_dims;
-  NntSet fresh(depth, &fresh_dims);
+  NntSet fresh(nnts.depth(), dims);
   fresh.Build(graph);
   ASSERT_EQ(nnts.Roots(), fresh.Roots());
   for (const VertexId root : fresh.Roots()) {
-    EXPECT_EQ(nnts.BranchesOf(root), fresh.BranchesOf(root))
-        << "root " << root;
+    EXPECT_EQ(nnts.NpvOf(root), fresh.NpvOf(root)) << "root " << root;
   }
   EXPECT_EQ(nnts.TotalTreeNodes(), fresh.TotalTreeNodes());
 }
@@ -65,7 +76,8 @@ TEST(NntTest, BuildSingleVertex) {
   NntSet nnts(3, &dims);
   nnts.Build(g);
   ASSERT_NE(nnts.TreeOf(0), nullptr);
-  EXPECT_EQ(nnts.TreeOf(0)->NumAliveNodes(), 1);
+  EXPECT_EQ(TreeNodesOf(nnts, 0), 1);
+  EXPECT_EQ(nnts.TotalTreeNodes(), 1);
   EXPECT_EQ(nnts.NpvOf(0).nnz(), 0);
   EXPECT_TRUE(nnts.Validate(g));
 }
@@ -77,10 +89,7 @@ TEST(NntTest, BuildPaperExample) {
   nnts.Build(g);
   EXPECT_TRUE(nnts.Validate(g));
   // Vertex 0 (label A) at depth 2: paths 0-1, 0-1-2, 0-1-3.
-  const auto branches = nnts.BranchesOf(0);
-  int64_t total = 0;
-  for (const auto& [sig, count] : branches) total += count;
-  EXPECT_EQ(total, 3);
+  EXPECT_EQ(TreeNodesOf(nnts, 0), 4);
   // Its NPV: one level-1 (A,B) edge, level-2 (B,A) and (B,C).
   const Npv npv = nnts.NpvOf(0);
   EXPECT_EQ(npv.nnz(), 3);
@@ -101,9 +110,9 @@ TEST(NntTest, TreeCountsMatchDegreeStructure) {
   nnts.Build(g);
   // Center tree: root + 4 children (depth-2 continuations would revisit the
   // same edge, so none exist).
-  EXPECT_EQ(nnts.TreeOf(0)->NumAliveNodes(), 5);
+  EXPECT_EQ(TreeNodesOf(nnts, 0), 5);
   // Leaf tree: root + center + 3 siblings at depth 2.
-  EXPECT_EQ(nnts.TreeOf(1)->NumAliveNodes(), 5);
+  EXPECT_EQ(TreeNodesOf(nnts, 1), 5);
   EXPECT_TRUE(nnts.Validate(g));
 }
 
@@ -120,7 +129,7 @@ TEST(NntTest, EdgeSimplePathsAllowRevisitingVertices) {
   NntSet nnts(3, &dims);
   nnts.Build(g);
   // From the root: 2 length-1, 2 length-2, 2 length-3 = 6 non-root nodes.
-  EXPECT_EQ(nnts.TreeOf(0)->NumAliveNodes(), 7);
+  EXPECT_EQ(TreeNodesOf(nnts, 0), 7);
   EXPECT_TRUE(nnts.Validate(g));
 }
 
@@ -132,7 +141,7 @@ TEST(NntTest, InsertEdgeMatchesRebuild) {
   // The paper's running example: insert edge (0-based) {0, 3}.
   ASSERT_TRUE(g.AddEdge(0, 3, 0));
   nnts.InsertEdge(g, 0, 3);
-  ExpectMatchesRebuild(nnts, g, 2);
+  ExpectMatchesRebuild(nnts, g, &dims);
 }
 
 TEST(NntTest, DeleteEdgeMatchesRebuild) {
@@ -143,7 +152,7 @@ TEST(NntTest, DeleteEdgeMatchesRebuild) {
   // The paper's running example: delete edge {1, 3} (paper's (1,3)).
   nnts.DeleteEdge(1, 3);
   ASSERT_TRUE(g.RemoveEdge(1, 3));
-  ExpectMatchesRebuild(nnts, g, 2);
+  ExpectMatchesRebuild(nnts, g, &dims);
 }
 
 TEST(NntTest, InsertIntoEmptyVertexPairCreatesTrees) {
@@ -156,8 +165,8 @@ TEST(NntTest, InsertIntoEmptyVertexPairCreatesTrees) {
   ASSERT_TRUE(g.EnsureVertex(1, 2));
   ASSERT_TRUE(g.AddEdge(0, 1, 0));
   nnts.InsertEdge(g, 0, 1);
-  ExpectMatchesRebuild(nnts, g, 3);
-  EXPECT_EQ(nnts.TreeOf(1)->NumAliveNodes(), 2);
+  ExpectMatchesRebuild(nnts, g, &dims);
+  EXPECT_EQ(TreeNodesOf(nnts, 1), 2);
 }
 
 TEST(NntTest, DeleteThenReinsertRestoresState) {
@@ -165,14 +174,14 @@ TEST(NntTest, DeleteThenReinsertRestoresState) {
   DimensionTable dims;
   NntSet nnts(3, &dims);
   nnts.Build(g);
-  const auto before = nnts.BranchesOf(1);
+  const Npv before = nnts.NpvOf(1);
   nnts.DeleteEdge(1, 2);
   ASSERT_TRUE(g.RemoveEdge(1, 2));
-  ExpectMatchesRebuild(nnts, g, 3);
+  ExpectMatchesRebuild(nnts, g, &dims);
   ASSERT_TRUE(g.AddEdge(1, 2, 0));
   nnts.InsertEdge(g, 1, 2);
-  ExpectMatchesRebuild(nnts, g, 3);
-  EXPECT_EQ(nnts.BranchesOf(1), before);
+  ExpectMatchesRebuild(nnts, g, &dims);
+  EXPECT_EQ(nnts.NpvOf(1), before);
 }
 
 TEST(NntTest, DirtyRootsReportedOnChange) {
@@ -191,24 +200,7 @@ TEST(NntTest, DirtyRootsReportedOnChange) {
   for (const VertexId v : dirty) {
     EXPECT_TRUE(g.HasVertex(v));
   }
-  ExpectMatchesRebuild(nnts, g, 2);
-}
-
-TEST(NntTest, RemoveTreeAfterIsolation) {
-  Graph g;
-  g.AddVertex(0);
-  g.AddVertex(1);
-  ASSERT_TRUE(g.AddEdge(0, 1, 0));
-  DimensionTable dims;
-  NntSet nnts(2, &dims);
-  nnts.Build(g);
-  nnts.DeleteEdge(0, 1);
-  ASSERT_TRUE(g.RemoveEdge(0, 1));
-  nnts.RemoveTree(1);
-  ASSERT_TRUE(g.RemoveVertex(1));
-  EXPECT_EQ(nnts.TreeOf(1), nullptr);
-  EXPECT_EQ(nnts.Roots(), std::vector<VertexId>{0});
-  ExpectMatchesRebuild(nnts, g, 2);
+  ExpectMatchesRebuild(nnts, g, &dims);
 }
 
 // Property test: a randomized mixed insert/delete workload, incremental vs
@@ -244,7 +236,7 @@ TEST_P(NntRandomWorkloadTest, IncrementalEqualsRebuild) {
     // Full validation is expensive; do it on a sample of steps plus the
     // final state.
     if (step % 20 == 19 || step == kSteps - 1) {
-      ExpectMatchesRebuild(nnts, g, depth);
+      ExpectMatchesRebuild(nnts, g, &dims);
     }
   }
 }
@@ -279,8 +271,68 @@ TEST(NntTest, StreamWorkloadStaysConsistent) {
         }
       }
       if (t % 10 == 0 || t == stream.NumTimestamps() - 1) {
-        ExpectMatchesRebuild(nnts, g, 3);
+        ExpectMatchesRebuild(nnts, g, &dims);
       }
+    }
+  }
+}
+
+// Every root's row, for diffing states across one operation.
+std::map<VertexId, std::vector<NpvEntry>> RowsOf(const NntSet& nnts) {
+  std::map<VertexId, std::vector<NpvEntry>> rows;
+  for (const VertexId root : nnts.Roots()) rows[root] = *nnts.TreeOf(root);
+  return rows;
+}
+
+// The counter's referee: random churn with deletes, re-inserts and edges to
+// brand-new vertices, across depths and label alphabets. After every
+// operation Validate() holds — each row equals the projection of a fresh
+// EnumerateBranches — and the drained dirty set is exactly the roots whose
+// rows changed (a new root's row always does: it gains the new edge).
+TEST(NntCounterTest, RandomChurnMatchesPathEnumerationAfterEveryOp) {
+  for (int depth = 1; depth <= 4; ++depth) {
+    for (int labels = 1; labels <= 4; ++labels) {
+      SCOPED_TRACE("depth " + std::to_string(depth) + ", labels " +
+                   std::to_string(labels));
+      Rng rng(7000 + static_cast<uint64_t>(10 * depth + labels));
+      auto random_label = [&] {
+        return static_cast<VertexLabel>(rng.UniformInt(0, labels - 1));
+      };
+      Graph g;
+      for (int i = 0; i < 6; ++i) g.AddVertex(random_label());
+      DimensionTable dims;
+      NntSet nnts(depth, &dims);
+      nnts.Build(g);
+      ASSERT_TRUE(nnts.Validate(g));
+      nnts.TakeDirtyRoots();
+      std::map<VertexId, std::vector<NpvEntry>> before = RowsOf(nnts);
+      for (int step = 0; step < 80; ++step) {
+        const VertexId bound = g.VertexIdBound();
+        const VertexId a = static_cast<VertexId>(rng.UniformInt(0, bound - 1));
+        // b == bound grows the graph by one vertex through the insertion.
+        const VertexId b = static_cast<VertexId>(rng.UniformInt(0, bound));
+        if (a == b) continue;
+        if (b < bound && g.HasEdge(a, b)) {
+          nnts.DeleteEdge(a, b);
+          ASSERT_TRUE(g.RemoveEdge(a, b));
+        } else {
+          if (b == bound) {
+            ASSERT_TRUE(g.EnsureVertex(b, random_label()));
+          }
+          ASSERT_TRUE(g.AddEdge(a, b, static_cast<EdgeLabel>(step % 2)));
+          nnts.InsertEdge(g, a, b);
+        }
+        ASSERT_TRUE(nnts.Validate(g)) << "step " << step;
+        const std::map<VertexId, std::vector<NpvEntry>> after = RowsOf(nnts);
+        std::vector<VertexId> changed;
+        for (const auto& [root, row] : after) {
+          auto it = before.find(root);
+          if (it == before.end() || it->second != row) changed.push_back(root);
+        }
+        EXPECT_EQ(nnts.TakeDirtyRoots(), changed) << "step " << step;
+        before = after;
+      }
+      ExpectMatchesRebuild(nnts, g, &dims);
     }
   }
 }
@@ -329,6 +381,29 @@ TEST(DimensionTableTest, DistinguishesDirectionOfLabels) {
   const DimId ab = dims.Intern(1, 0, 1);
   const DimId ba = dims.Intern(1, 1, 0);
   EXPECT_NE(ab, ba);
+}
+
+TEST(DimensionTableTest, DistinguishesFullLabelRange) {
+  // The parsers accept any int32 label, so no two triples may share an id:
+  // negative labels and labels of 2^21 and beyond included.
+  DimensionTable dims;
+  EXPECT_NE(dims.Intern(1, -1, 0), dims.Intern(2, -1, 0));
+  EXPECT_NE(dims.Intern(1, 1 << 21, 0), dims.Intern(1, 0, 0));
+  const VertexLabel labels[] = {INT32_MIN, -7,      -1,      0,        1,
+                                (1 << 21) - 1, 1 << 21, 3000000, INT32_MAX};
+  std::set<DimId> ids;
+  for (int32_t level = 1; level <= 3; ++level) {
+    for (const VertexLabel parent : labels) {
+      for (const VertexLabel child : labels) {
+        const DimId id = dims.Intern(level, parent, child);
+        ids.insert(id);
+        EXPECT_EQ(dims.Get(id), (Dimension{level, parent, child}));
+        EXPECT_EQ(dims.Find(level, parent, child).value_or(kInvalidDim), id);
+      }
+    }
+  }
+  EXPECT_EQ(ids.size(), 3u * 9u * 9u);
+  EXPECT_EQ(dims.size(), 3 * 9 * 9);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gsps/iso/branch_compatibility.h"
 #include "gsps/join/dominance.h"
 #include "gsps/join/join_strategy.h"
 #include "gsps/nnt/dimension.h"
@@ -137,28 +138,43 @@ TEST(PaperFigure3Test, NntOfExampleVertexHasDocumentedShape) {
   ASSERT_TRUE(nnts.Validate(g));
 
   // T1 (root vertex 0, label A): branches A-B, A-B-A, A-B-C.
-  const auto t1 = nnts.BranchesOf(0);
+  const auto t1 = EnumerateBranches(g, 0, 2);
   EXPECT_EQ(t1.size(), 3u);
   EXPECT_EQ(t1.at({kA, 0, kB}), 1);
   EXPECT_EQ(t1.at({kA, 0, kB, 0, kA}), 1);
   EXPECT_EQ(t1.at({kA, 0, kB, 0, kC}), 1);
+  // Its NPV counts one tree edge per branch at (level, parent, child).
+  const Npv& npv1 = nnts.NpvOf(0);
+  EXPECT_EQ(npv1.nnz(), 3);
+  EXPECT_EQ(npv1.ValueAt(*dims.Find(1, kA, kB)), 1);
+  EXPECT_EQ(npv1.ValueAt(*dims.Find(2, kB, kA)), 1);
+  EXPECT_EQ(npv1.ValueAt(*dims.Find(2, kB, kC)), 1);
 
   // T2 (root vertex 1, label B): depth-1 children A, A, C and their
   // depth-2 continuations B (via vertex 2) and C (via vertex 3).
-  const auto t2 = nnts.BranchesOf(1);
+  const auto t2 = EnumerateBranches(g, 1, 2);
   EXPECT_EQ(t2.at({kB, 0, kA}), 2);
   EXPECT_EQ(t2.at({kB, 0, kC}), 1);
   EXPECT_EQ(t2.at({kB, 0, kA, 0, kB}), 1);
   EXPECT_EQ(t2.at({kB, 0, kC, 0, kC}), 1);
+  const Npv& npv2 = nnts.NpvOf(1);
+  EXPECT_EQ(npv2.nnz(), 4);
+  EXPECT_EQ(npv2.ValueAt(*dims.Find(1, kB, kA)), 2);
+  EXPECT_EQ(npv2.ValueAt(*dims.Find(1, kB, kC)), 1);
+  EXPECT_EQ(npv2.ValueAt(*dims.Find(2, kA, kB)), 1);
+  EXPECT_EQ(npv2.ValueAt(*dims.Find(2, kC, kC)), 1);
 
   // Deleting edge (2,4) (paper's (1,3)-flavored example) removes exactly
-  // the subtrees that used it.
+  // the subtrees that used it: T2's C child and its C grandchild.
   nnts.DeleteEdge(1, 3);
   ASSERT_TRUE(g.RemoveEdge(1, 3));
   ASSERT_TRUE(nnts.Validate(g));
-  const auto t2_after = nnts.BranchesOf(1);
-  EXPECT_EQ(t2_after.count({kB, 0, kC}), 0u);
-  EXPECT_EQ(t2_after.at({kB, 0, kA}), 2);
+  const Npv& npv2_after = nnts.NpvOf(1);
+  EXPECT_EQ(npv2_after.nnz(), 2);
+  EXPECT_EQ(npv2_after.ValueAt(*dims.Find(1, kB, kC)), 0);
+  EXPECT_EQ(npv2_after.ValueAt(*dims.Find(2, kC, kC)), 0);
+  EXPECT_EQ(npv2_after.ValueAt(*dims.Find(1, kB, kA)), 2);
+  EXPECT_EQ(npv2_after.ValueAt(*dims.Find(2, kA, kB)), 1);
 }
 
 }  // namespace

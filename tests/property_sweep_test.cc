@@ -135,31 +135,29 @@ TEST_P(PipelineSweepTest, FilterChainIsMonotone) {
       nnts.Build(q);
       query_vectors.push_back(BuildQueryVectors(nnts));
     }
-    std::vector<std::unique_ptr<NntSet>> query_nnts;
+    std::vector<std::vector<NodeNeighborTree>> query_trees;
     for (const Graph& q : queries) {
-      auto nnts = std::make_unique<NntSet>(depth, &dims);
-      nnts->Build(q);
-      query_nnts.push_back(std::move(nnts));
+      query_trees.push_back(BuildNodeNeighborTrees(q, depth));
     }
     auto strategy = MakeJoinStrategy(JoinKind::kNestedLoop);
     strategy->SetQueries(query_vectors);
     strategy->SetNumStreams(static_cast<int>(database.size()));
-    std::vector<std::unique_ptr<NntSet>> data_nnts;
+    std::vector<std::vector<NodeNeighborTree>> data_trees;
     for (size_t i = 0; i < database.size(); ++i) {
-      auto nnts = std::make_unique<NntSet>(depth, &dims);
-      nnts->Build(database[i]);
-      for (const VertexId root : nnts->Roots()) {
+      NntSet nnts(depth, &dims);
+      nnts.Build(database[i]);
+      for (const VertexId root : nnts.Roots()) {
         strategy->UpdateStreamVertex(static_cast<int>(i), root,
-                                     nnts->NpvOf(root));
+                                     nnts.NpvOf(root));
       }
-      data_nnts.push_back(std::move(nnts));
+      data_trees.push_back(BuildNodeNeighborTrees(database[i], depth));
     }
     for (size_t i = 0; i < database.size(); ++i) {
       const auto candidates =
           strategy->CandidatesForStream(static_cast<int>(i));
       for (size_t j = 0; j < queries.size(); ++j) {
         const bool exact = IsSubgraphIsomorphic(queries[j], database[i]);
-        const bool subtree = NntSubtreeFilter(*query_nnts[j], *data_nnts[i]);
+        const bool subtree = NntSubtreeFilter(query_trees[j], data_trees[i]);
         const bool branch =
             BranchCompatibleFilter(queries[j], database[i], depth);
         const bool npv = std::find(candidates.begin(), candidates.end(),

@@ -43,15 +43,6 @@ TEST(BipartiteMatchingTest, MoreLeftsThanRightsIsNeverPerfect) {
   EXPECT_FALSE(HasLeftPerfectMatching({{0}, {0}}, 1));
 }
 
-// Builds the NNTs of `graph` at `depth` with a throwaway dimension table.
-struct BuiltNnts {
-  DimensionTable dims;
-  NntSet nnts;
-  explicit BuiltNnts(const Graph& graph, int depth) : nnts(depth, &dims) {
-    nnts.Build(graph);
-  }
-};
-
 Graph Path(std::initializer_list<VertexLabel> labels) {
   Graph g;
   VertexId prev = kInvalidVertex;
@@ -65,26 +56,47 @@ Graph Path(std::initializer_list<VertexLabel> labels) {
   return g;
 }
 
+TEST(SubtreeFilterTest, TreeSizesMatchCountedNodes) {
+  // The build-once trees and NntSet's counts describe the same NNTs: each
+  // tree has one node per counted path plus its root.
+  Rng rng(17);
+  for (int depth = 1; depth <= 3; ++depth) {
+    const Graph g = RandomConnectedGraph(12, 2, 2, rng);
+    const std::vector<NodeNeighborTree> trees =
+        BuildNodeNeighborTrees(g, depth);
+    DimensionTable dims;
+    NntSet nnts(depth, &dims);
+    nnts.Build(g);
+    ASSERT_EQ(trees.size(), nnts.Roots().size());
+    for (const VertexId v : g.VertexIds()) {
+      int64_t counted = 1;
+      for (const NpvEntry& entry : *nnts.TreeOf(v)) counted += entry.count;
+      EXPECT_EQ(trees[static_cast<size_t>(v)].size(), counted)
+          << "vertex " << v;
+    }
+  }
+}
+
 TEST(SubtreeFilterTest, IdenticalTreesEmbed) {
   const Graph g = Path({1, 2, 3});
-  BuiltNnts a(g, 3);
-  BuiltNnts b(g, 3);
+  const auto a = BuildNodeNeighborTrees(g, 3);
+  const auto b = BuildNodeNeighborTrees(g, 3);
   for (const VertexId v : g.VertexIds()) {
-    EXPECT_TRUE(NntSubtreeEmbeddable(*a.nnts.TreeOf(v), *b.nnts.TreeOf(v)));
+    EXPECT_TRUE(NntSubtreeEmbeddable(a[v], b[v]));
   }
-  EXPECT_TRUE(NntSubtreeFilter(a.nnts, b.nnts));
+  EXPECT_TRUE(NntSubtreeFilter(a, b));
 }
 
 TEST(SubtreeFilterTest, RootLabelMismatchRejected) {
   const Graph a = Path({1, 2});
   const Graph b = Path({2, 1});
-  BuiltNnts qa(a, 2);
-  BuiltNnts qb(b, 2);
+  const auto qa = BuildNodeNeighborTrees(a, 2);
+  const auto qb = BuildNodeNeighborTrees(b, 2);
   // a's vertex 0 has label 1; b's vertex 0 has label 2.
-  EXPECT_FALSE(NntSubtreeEmbeddable(*qa.nnts.TreeOf(0), *qb.nnts.TreeOf(0)));
+  EXPECT_FALSE(NntSubtreeEmbeddable(qa[0], qb[0]));
   // The mirrored roots match (1 -> 1, 2 -> 2) including their children.
-  EXPECT_TRUE(NntSubtreeEmbeddable(*qa.nnts.TreeOf(0), *qb.nnts.TreeOf(1)));
-  EXPECT_TRUE(NntSubtreeEmbeddable(*qa.nnts.TreeOf(1), *qb.nnts.TreeOf(0)));
+  EXPECT_TRUE(NntSubtreeEmbeddable(qa[0], qb[1]));
+  EXPECT_TRUE(NntSubtreeEmbeddable(qa[1], qb[0]));
 }
 
 TEST(SubtreeFilterTest, ChildMultiplicityEnforced) {
@@ -101,9 +113,9 @@ TEST(SubtreeFilterTest, ChildMultiplicityEnforced) {
   data.AddVertex(3);
   ASSERT_TRUE(data.AddEdge(0, 1, 0));
   ASSERT_TRUE(data.AddEdge(0, 2, 0));
-  BuiltNnts q(query, 2);
-  BuiltNnts d(data, 2);
-  EXPECT_FALSE(NntSubtreeEmbeddable(*q.nnts.TreeOf(0), *d.nnts.TreeOf(0)));
+  const auto q = BuildNodeNeighborTrees(query, 2);
+  const auto d = BuildNodeNeighborTrees(data, 2);
+  EXPECT_FALSE(NntSubtreeEmbeddable(q[0], d[0]));
 }
 
 TEST(SubtreeFilterTest, EdgeLabelsMustMatch) {
@@ -115,9 +127,9 @@ TEST(SubtreeFilterTest, EdgeLabelsMustMatch) {
   data.AddVertex(1);
   data.AddVertex(2);
   ASSERT_TRUE(data.AddEdge(0, 1, 8));
-  BuiltNnts q(query, 2);
-  BuiltNnts d(data, 2);
-  EXPECT_FALSE(NntSubtreeEmbeddable(*q.nnts.TreeOf(0), *d.nnts.TreeOf(0)));
+  const auto q = BuildNodeNeighborTrees(query, 2);
+  const auto d = BuildNodeNeighborTrees(data, 2);
+  EXPECT_FALSE(NntSubtreeEmbeddable(q[0], d[0]));
 }
 
 TEST(SubtreeFilterTest, MatchingNeedsReshuffling) {
@@ -134,9 +146,9 @@ TEST(SubtreeFilterTest, MatchingNeedsReshuffling) {
   ASSERT_TRUE(query.AddEdge(0, 2, 0));
   ASSERT_TRUE(query.AddEdge(2, 3, 0));
   Graph data = query;               // Same shape.
-  BuiltNnts q(query, 2);
-  BuiltNnts d(data, 2);
-  EXPECT_TRUE(NntSubtreeEmbeddable(*q.nnts.TreeOf(0), *d.nnts.TreeOf(0)));
+  const auto q = BuildNodeNeighborTrees(query, 2);
+  const auto d = BuildNodeNeighborTrees(data, 2);
+  EXPECT_TRUE(NntSubtreeEmbeddable(q[0], d[0]));
 }
 
 TEST(SubtreeFilterTest, FilterChainOnRandomWorkload) {
@@ -155,11 +167,11 @@ TEST(SubtreeFilterTest, FilterChainOnRandomWorkload) {
   int confirmed_chain = 0;
   for (int depth = 1; depth <= 3; ++depth) {
     for (const Graph& query : queries) {
-      BuiltNnts q(query, depth);
+      const auto q = BuildNodeNeighborTrees(query, depth);
       for (const Graph& data : database) {
-        BuiltNnts d(data, depth);
+        const auto d = BuildNodeNeighborTrees(data, depth);
         const bool exact = IsSubgraphIsomorphic(query, data);
-        const bool subtree = NntSubtreeFilter(q.nnts, d.nnts);
+        const bool subtree = NntSubtreeFilter(q, d);
         const bool branch = BranchCompatibleFilter(query, data, depth);
         if (exact) {
           EXPECT_TRUE(subtree) << "iso must imply subtree embedding";
@@ -201,9 +213,9 @@ TEST(SubtreeFilterTest, StrictlyStrongerThanBranchesSomewhere) {
   ASSERT_TRUE(data.AddEdge(1, 3, 0));  // First B -> C
   ASSERT_TRUE(data.AddEdge(1, 4, 0));  // First B -> D
   ASSERT_TRUE(BranchCompatible(query, 0, data, 0, 2));
-  BuiltNnts q(query, 2);
-  BuiltNnts d(data, 2);
-  EXPECT_FALSE(NntSubtreeEmbeddable(*q.nnts.TreeOf(0), *d.nnts.TreeOf(0)));
+  const auto q = BuildNodeNeighborTrees(query, 2);
+  const auto d = BuildNodeNeighborTrees(data, 2);
+  EXPECT_FALSE(NntSubtreeEmbeddable(q[0], d[0]));
 }
 
 }  // namespace
