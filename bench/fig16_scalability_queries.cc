@@ -75,8 +75,10 @@ int Main(int argc, char** argv) {
               "column isolates the strategies: NL grows linearly\nwith the "
               "query count, Skyline grows sublinearly thanks to early stop, "
               "and DSC's\ncandidate read is near-free because its work moved "
-              "into the incremental counters\n(visible as a slightly higher "
-              "update column).\n");
+              "into the incremental counters,\nwhose upkeep keeps DSC's "
+              "update column close to NL's (level on synthetic sparse,\n"
+              "lower on synthetic dense, about a third higher on "
+              "reality-like streams).\n");
   return 0;
 }
 

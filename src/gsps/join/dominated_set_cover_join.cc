@@ -7,6 +7,25 @@
 #include "gsps/obs/obs.h"
 
 namespace gsps {
+namespace {
+
+// Number of slab slot `k`'s entries that `hay` (sorted by dense dim)
+// satisfies: the dominant counter of a vertex with entries `hay`. Linear
+// merge; a freed slot has no entries and counts 0.
+int32_t MergeCount(const std::vector<NpvEntry>& hay, const NpvSlab& slab,
+                   int32_t k) {
+  int32_t satisfied = 0;
+  auto it = hay.begin();
+  for (const NpvEntry* e = slab.begin(k); e != slab.end(k); ++e) {
+    while (it != hay.end() && it->dim < e->dim) ++it;
+    if (it != hay.end() && it->dim == e->dim && it->count >= e->count) {
+      ++satisfied;
+    }
+  }
+  return satisfied;
+}
+
+}  // namespace
 
 void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
   GSPS_CHECK(num_queries_ == 0 && qvec_query_.empty());
@@ -19,30 +38,22 @@ void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
   std::vector<NpvEntry> translated;
   query_qvecs_.resize(queries.size());
   for (size_t j = 0; j < queries.size(); ++j) {
-    int32_t tracked = 0;
     int32_t trivial = 0;
     for (const Npv& vector : queries[j].vectors) {
-      const QVec qvec = static_cast<QVec>(qvec_query_.size());
-      qvec_query_.push_back(static_cast<int32_t>(j));
-      qvec_nnz_.push_back(vector.nnz());
-      qvec_slot_.push_back(-1);
-      query_qvecs_[j].push_back(qvec);
       if (vector.nnz() == 0) {
         ++trivial;
         continue;
       }
-      ++tracked;
       // Query dims are all registered, so translation is lossless.
       remap_.Translate(vector, &translated);
       const int32_t slot = qvecs_.Append(translated);
-      qvec_slot_[static_cast<size_t>(qvec)] = slot;
-      slab_qvec_.push_back(qvec);
+      qvec_query_.push_back(static_cast<int32_t>(j));
+      query_qvecs_[j].push_back(slot);
       for (const NpvEntry& entry : translated) {
         dim_lists_[static_cast<size_t>(entry.dim)].push_back(
-            DimEntry{entry.count, qvec});
+            DimEntry{entry.count, slot});
       }
     }
-    query_tracked_vectors_.push_back(tracked);
     query_trivial_vectors_.push_back(trivial);
   }
   query_live_.assign(queries.size(), 1);
@@ -55,8 +66,8 @@ void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
   batch_.Bind(qvecs_, remap_.num_dims());
   attr_.Reset(num_queries_);
   for (int32_t j = 0; j < num_queries_; ++j) {
-    attr_.OnAddQuery(
-        j, static_cast<int64_t>(query_tracked_vectors_[static_cast<size_t>(j)]));
+    attr_.OnAddQuery(j, static_cast<int64_t>(
+                            query_qvecs_[static_cast<size_t>(j)].size()));
   }
 }
 
@@ -69,29 +80,12 @@ int32_t DominatedSetCoverJoin::AllocQuerySlot() {
   }
   const int32_t j = num_queries_++;
   query_qvecs_.emplace_back();
-  query_tracked_vectors_.push_back(0);
   query_trivial_vectors_.push_back(0);
   query_live_.push_back(1);
   for (StreamState& stream : streams_) {
     stream.covered_vectors.push_back(0);
   }
   return j;
-}
-
-DominatedSetCoverJoin::QVec DominatedSetCoverJoin::AllocQVec() {
-  if (!free_qvecs_.empty()) {
-    const QVec q = free_qvecs_.back();
-    free_qvecs_.pop_back();
-    return q;
-  }
-  const QVec q = static_cast<QVec>(qvec_query_.size());
-  qvec_query_.push_back(-1);
-  qvec_nnz_.push_back(0);
-  qvec_slot_.push_back(-1);
-  for (StreamState& stream : streams_) {
-    stream.cover_count.push_back(0);
-  }
-  return q;
 }
 
 int32_t DominatedSetCoverJoin::AddQuery(const QueryVectors& query,
@@ -128,78 +122,61 @@ int32_t DominatedSetCoverJoin::AddQuery(const QueryVectors& query,
   }
 
   const int32_t j = AllocQuerySlot();
-  int32_t tracked = 0;
   int32_t trivial = 0;
-  std::vector<QVec>& mine = query_qvecs_[static_cast<size_t>(j)];
+  std::vector<int32_t>& mine = query_qvecs_[static_cast<size_t>(j)];
   for (const Npv& vector : query.vectors) {
-    const QVec qvec = AllocQVec();
-    qvec_query_[static_cast<size_t>(qvec)] = j;
-    qvec_nnz_[static_cast<size_t>(qvec)] = vector.nnz();
-    mine.push_back(qvec);
     if (vector.nnz() == 0) {
       ++trivial;
       continue;
     }
-    ++tracked;
     remap_.Translate(vector, &translate_scratch_);
     const int32_t slot = qvecs_.Append(translate_scratch_);
-    qvec_slot_[static_cast<size_t>(qvec)] = slot;
-    if (slot == static_cast<int32_t>(slab_qvec_.size())) {
-      slab_qvec_.push_back(qvec);
+    if (slot == static_cast<int32_t>(qvec_query_.size())) {
+      qvec_query_.push_back(j);
     } else {
-      slab_qvec_[static_cast<size_t>(slot)] = qvec;
+      qvec_query_[static_cast<size_t>(slot)] = j;
     }
+    mine.push_back(slot);
     for (const NpvEntry& entry : translate_scratch_) {
       std::vector<DimEntry>& list = dim_lists_[static_cast<size_t>(entry.dim)];
       auto pos = std::upper_bound(list.begin(), list.end(), entry.count,
                                   [](int32_t value, const DimEntry& e) {
                                     return value < e.value;
                                   });
-      list.insert(pos, DimEntry{entry.count, qvec});
+      list.insert(pos, DimEntry{entry.count, slot});
     }
   }
-  query_tracked_vectors_[static_cast<size_t>(j)] = tracked;
   query_trivial_vectors_[static_cast<size_t>(j)] = trivial;
   if (*grew_dims) {
     // RemapDims rewrote every live slot: the whole kernel mirror is stale.
     batch_.Bind(qvecs_, remap_.num_dims());
   } else {
-    for (const QVec qvec : mine) {
-      const int32_t slot = qvec_slot_[static_cast<size_t>(qvec)];
-      if (slot >= 0) batch_.RefreshSlot(qvecs_, remap_.num_dims(), slot);
+    for (const int32_t slot : mine) {
+      batch_.RefreshSlot(qvecs_, remap_.num_dims(), slot);
     }
   }
 
-  // Establish the new qvecs' dominant counters against every live vertex.
+  // Establish the new slots' dominant counters against every live vertex.
   // The per-dimension lists already hold the new entries, but the
   // incremental merge only visits dimensions whose value moves, so the new
-  // vectors must be seeded explicitly.
+  // vectors must be seeded explicitly. Existing rows widen here, and only
+  // here, when the slab grew a tail slot; a reused slot's column is
+  // already zero.
+  const size_t slots = static_cast<size_t>(qvecs_.size());
   for (StreamState& stream : streams_) {
+    stream.cover_count.resize(slots, 0);
     stream.cache_valid = false;
     for (auto& [v, vertex] : stream.vertices) {
+      vertex.dominant.resize(slots, 0);
       if (!vertex.live) continue;
-      for (const QVec qvec : mine) {
-        const int32_t slot = qvec_slot_[static_cast<size_t>(qvec)];
-        if (slot < 0) continue;  // Trivial.
-        int32_t satisfied = 0;
-        const NpvEntry* hay = vertex.entries.data();
-        const NpvEntry* const hay_end = hay + vertex.entries.size();
-        for (const NpvEntry* e = qvecs_.begin(slot); e != qvecs_.end(slot);
-             ++e) {
-          while (hay != hay_end && hay->dim < e->dim) ++hay;
-          if (hay != hay_end && hay->dim == e->dim && hay->count >= e->count) {
-            ++satisfied;
-          }
-        }
-        if (satisfied == 0) continue;
-        vertex.dominant[qvec] = satisfied;
-        if (satisfied == qvec_nnz_[static_cast<size_t>(qvec)]) {
-          SetDominates(stream, qvec, true);
-        }
+      for (const int32_t slot : mine) {
+        const int32_t satisfied = MergeCount(vertex.entries, qvecs_, slot);
+        vertex.dominant[static_cast<size_t>(slot)] = satisfied;
+        if (satisfied == qvecs_.nnz(slot)) SetDominates(stream, slot, true);
       }
     }
   }
-  attr_.OnAddQuery(j, static_cast<int64_t>(tracked));
+  attr_.OnAddQuery(j, static_cast<int64_t>(mine.size()));
   return j;
 }
 
@@ -207,48 +184,39 @@ void DominatedSetCoverJoin::RemoveQuery(int32_t local_id) {
   GSPS_CHECK(local_id >= 0 && local_id < num_queries_);
   GSPS_CHECK_MSG(query_live_[static_cast<size_t>(local_id)] != 0,
                  "DominatedSetCoverJoin::RemoveQuery on a retired query");
-  std::vector<QVec>& mine = query_qvecs_[static_cast<size_t>(local_id)];
-  for (const QVec qvec : mine) {
-    const int32_t slot = qvec_slot_[static_cast<size_t>(qvec)];
-    if (slot >= 0) {
-      // Drop this qvec's projected values from the per-dimension lists.
-      for (const NpvEntry* e = qvecs_.begin(slot); e != qvecs_.end(slot);
-           ++e) {
-        std::vector<DimEntry>& list = dim_lists_[static_cast<size_t>(e->dim)];
-        auto it = std::lower_bound(list.begin(), list.end(), e->count,
-                                   [](const DimEntry& d, int32_t value) {
-                                     return d.value < value;
-                                   });
-        while (it != list.end() && it->value == e->count && it->qvec != qvec) {
-          ++it;
-        }
-        GSPS_CHECK(it != list.end() && it->qvec == qvec);
-        list.erase(it);
+  std::vector<int32_t>& mine = query_qvecs_[static_cast<size_t>(local_id)];
+  for (const int32_t slot : mine) {
+    // Drop this vector's projected values from the per-dimension lists.
+    for (const NpvEntry* e = qvecs_.begin(slot); e != qvecs_.end(slot); ++e) {
+      std::vector<DimEntry>& list = dim_lists_[static_cast<size_t>(e->dim)];
+      auto it = std::lower_bound(list.begin(), list.end(), e->count,
+                                 [](const DimEntry& d, int32_t value) {
+                                   return d.value < value;
+                                 });
+      while (it != list.end() && it->value == e->count && it->slot != slot) {
+        ++it;
       }
-      qvecs_.Remove(slot);
-      batch_.RefreshSlot(qvecs_, remap_.num_dims(), slot);
-      slab_qvec_[static_cast<size_t>(slot)] = -1;
-      qvec_slot_[static_cast<size_t>(qvec)] = -1;
+      GSPS_CHECK(it != list.end() && it->slot == slot);
+      list.erase(it);
     }
-    for (StreamState& stream : streams_) {
-      stream.cover_count[static_cast<size_t>(qvec)] = 0;
-      for (auto& [v, vertex] : stream.vertices) {
-        // Zero the counter in place; the node stays so re-adding the same
-        // query allocates nothing (see the note in AdjustRange).
-        auto counter = vertex.dominant.find(qvec);
-        if (counter != vertex.dominant.end()) counter->second = 0;
-      }
-    }
-    qvec_query_[static_cast<size_t>(qvec)] = -1;
-    qvec_nnz_[static_cast<size_t>(qvec)] = 0;
-    free_qvecs_.push_back(qvec);
+    qvecs_.Remove(slot);
+    batch_.RefreshSlot(qvecs_, remap_.num_dims(), slot);
   }
-  mine.clear();
+  // Zero the freed columns in every row (tombstoned rows are zero already),
+  // so a later AddQuery reusing the slot starts from clean counters.
   for (StreamState& stream : streams_) {
+    for (const int32_t slot : mine) {
+      stream.cover_count[static_cast<size_t>(slot)] = 0;
+    }
+    for (auto& [v, vertex] : stream.vertices) {
+      for (const int32_t slot : mine) {
+        vertex.dominant[static_cast<size_t>(slot)] = 0;
+      }
+    }
     stream.covered_vectors[static_cast<size_t>(local_id)] = 0;
     stream.cache_valid = false;
   }
-  query_tracked_vectors_[static_cast<size_t>(local_id)] = 0;
+  mine.clear();
   query_trivial_vectors_[static_cast<size_t>(local_id)] = 0;
   query_live_[static_cast<size_t>(local_id)] = 0;
   free_queries_.push_back(local_id);
@@ -259,7 +227,7 @@ void DominatedSetCoverJoin::SetNumStreams(int num_streams) {
   GSPS_CHECK(streams_.empty());
   streams_.resize(static_cast<size_t>(num_streams));
   for (StreamState& stream : streams_) {
-    stream.cover_count.assign(qvec_query_.size(), 0);
+    stream.cover_count.assign(static_cast<size_t>(qvecs_.size()), 0);
     stream.covered_vectors.assign(static_cast<size_t>(num_queries_), 0);
   }
 }
@@ -270,6 +238,9 @@ void DominatedSetCoverJoin::UpdateStreamVertex(int stream_index, VertexId v,
   StreamVertexState& vertex = stream.vertices[v];
   if (!vertex.live) {
     vertex.live = true;
+    // A fresh vertex gets its row here; a tombstoned one kept its all-zero
+    // row at full width.
+    vertex.dominant.resize(static_cast<size_t>(qvecs_.size()), 0);
     if (++stream.live_vertices == 1) stream.cache_valid = false;
   }
   remap_.Translate(npv, &translate_scratch_);
@@ -277,20 +248,19 @@ void DominatedSetCoverJoin::UpdateStreamVertex(int stream_index, VertexId v,
       qvecs_.size() > 0) {
     // Bulk insert: every dominant counter of this vertex is zero (fresh
     // vertex, or all prior contributions retracted), so one count-mode
-    // kernel sweep produces them all — SatisfiedCount(k) is exactly the
-    // counter the per-dimension AdjustRange walks would have accumulated
-    // from zero.
+    // kernel sweep produces the whole row — SatisfiedCount(k) is exactly
+    // the counter the per-dimension AdjustRange walks would have
+    // accumulated from zero (and 0 for a freed slot).
     batch_.ComputeCounts(
         translate_scratch_.data(),
         translate_scratch_.data() + translate_scratch_.size(),
         &pending_kernel_);
+    int32_t* const row = vertex.dominant.data();
     for (int32_t k = 0; k < qvecs_.size(); ++k) {
       const int32_t satisfied = batch_.SatisfiedCount(k);
-      if (satisfied == 0) continue;
-      const QVec qvec = slab_qvec_[static_cast<size_t>(k)];
-      vertex.dominant[qvec] = satisfied;
-      if (satisfied == qvec_nnz_[static_cast<size_t>(qvec)]) {
-        SetDominates(stream, qvec, true);
+      row[k] = satisfied;
+      if (satisfied != 0 && satisfied == qvecs_.nnz(k)) {
+        SetDominates(stream, k, true);
       }
     }
     vertex.entries.assign(translate_scratch_.begin(),
@@ -355,7 +325,7 @@ void DominatedSetCoverJoin::CandidatesForStream(int stream_index,
     for (int32_t j = 0; j < num_queries_; ++j) {
       if (query_live_[static_cast<size_t>(j)] == 0) continue;
       if (stream.covered_vectors[static_cast<size_t>(j)] !=
-          query_tracked_vectors_[static_cast<size_t>(j)]) {
+          static_cast<int32_t>(query_qvecs_[static_cast<size_t>(j)].size())) {
         continue;
       }
       if (query_trivial_vectors_[static_cast<size_t>(j)] > 0 &&
@@ -411,27 +381,24 @@ void DominatedSetCoverJoin::AdjustRange(StreamState& stream,
       from == 0 ? list.begin()
                 : std::upper_bound(list.begin(), list.end(), from, value_less);
   auto end = std::upper_bound(list.begin(), list.end(), to, value_less);
+  int32_t* const row = vertex.dominant.data();
   for (auto it = begin; it != end; ++it) {
-    auto [counter_it, inserted] = vertex.dominant.try_emplace(it->qvec, 0);
-    const int32_t before = counter_it->second;
-    counter_it->second += delta;
-    const int32_t after = counter_it->second;
+    const int32_t before = row[it->slot];
+    const int32_t after = before + delta;
+    row[it->slot] = after;
     GSPS_DCHECK(after >= 0);
-    const int32_t needed = qvec_nnz_[static_cast<size_t>(it->qvec)];
-    if (before != needed && after == needed) {
-      SetDominates(stream, it->qvec, true);
-    } else if (before == needed && after != needed) {
-      SetDominates(stream, it->qvec, false);
+    const int32_t needed = qvecs_.nnz(it->slot);
+    if (after == needed) {
+      SetDominates(stream, it->slot, true);
+    } else if (before == needed) {
+      SetDominates(stream, it->slot, false);
     }
-    // Zero-count entries stay in the map: erasing and re-inserting them
-    // would allocate a node on every churn cycle, and nothing iterates the
-    // map — entries are only ever looked up by key.
-    (void)inserted;
   }
 }
 
 void DominatedSetCoverJoin::CheckChurnInvariants() const {
   qvecs_.CheckKernelLayout();
+  const int32_t slots = qvecs_.size();
   int32_t live_slots = 0;
   int64_t expected_dim_entries = 0;
   for (int32_t j = 0; j < num_queries_; ++j) {
@@ -440,59 +407,60 @@ void DominatedSetCoverJoin::CheckChurnInvariants() const {
       GSPS_CHECK(mine.empty());
       continue;
     }
-    int32_t tracked = 0;
-    int32_t trivial = 0;
-    for (const QVec qvec : mine) {
-      GSPS_CHECK(qvec_query_[static_cast<size_t>(qvec)] == j);
-      const int32_t slot = qvec_slot_[static_cast<size_t>(qvec)];
-      if (slot < 0) {
-        GSPS_CHECK(qvec_nnz_[static_cast<size_t>(qvec)] == 0);
-        ++trivial;
-        continue;
-      }
-      ++tracked;
-      ++live_slots;
+    for (const int32_t slot : mine) {
       GSPS_CHECK(qvecs_.live(slot));
-      GSPS_CHECK(slab_qvec_[static_cast<size_t>(slot)] == qvec);
-      GSPS_CHECK(qvecs_.nnz(slot) == qvec_nnz_[static_cast<size_t>(qvec)]);
+      GSPS_CHECK(qvec_query_[static_cast<size_t>(slot)] == j);
+      ++live_slots;
       expected_dim_entries += qvecs_.nnz(slot);
     }
-    GSPS_CHECK(tracked == query_tracked_vectors_[static_cast<size_t>(j)]);
-    GSPS_CHECK(trivial == query_trivial_vectors_[static_cast<size_t>(j)]);
   }
   GSPS_CHECK(live_slots == qvecs_.num_live());
+  GSPS_CHECK(static_cast<int32_t>(free_queries_.size()) ==
+             std::count(query_live_.begin(), query_live_.end(), 0));
   int64_t dim_entries = 0;
   for (const std::vector<DimEntry>& list : dim_lists_) {
-    for (size_t i = 0; i + 1 < list.size(); ++i) {
-      GSPS_CHECK(list[i].value <= list[i + 1].value);
+    for (size_t i = 0; i < list.size(); ++i) {
+      GSPS_CHECK(qvecs_.live(list[i].slot));
+      if (i + 1 < list.size()) GSPS_CHECK(list[i].value <= list[i + 1].value);
     }
     dim_entries += static_cast<int64_t>(list.size());
   }
   GSPS_CHECK(dim_entries == expected_dim_entries);
-  // Recount covers from the per-vertex dominant counters.
+  // Recount every row from its vertex's entries, then the covers from the
+  // rows.
   std::vector<int32_t> counts;
   std::vector<int32_t> covered;
   for (const StreamState& stream : streams_) {
-    counts.assign(qvec_query_.size(), 0);
+    GSPS_CHECK(static_cast<int32_t>(stream.cover_count.size()) == slots);
+    counts.assign(static_cast<size_t>(slots), 0);
     covered.assign(static_cast<size_t>(num_queries_), 0);
     int32_t live_vertices = 0;
     for (const auto& [v, vertex] : stream.vertices) {
-      if (!vertex.live) continue;
+      const std::vector<int32_t>& row = vertex.dominant;
+      GSPS_CHECK(static_cast<int32_t>(row.size()) == slots);
+      if (!vertex.live) {
+        GSPS_CHECK(vertex.entries.empty());
+        GSPS_CHECK(std::all_of(row.begin(), row.end(),
+                               [](int32_t counter) { return counter == 0; }));
+        continue;
+      }
       ++live_vertices;
-      for (const auto& [qvec, counter] : vertex.dominant) {
-        if (qvec_slot_[static_cast<size_t>(qvec)] < 0) {
-          GSPS_CHECK(counter == 0);
-          continue;
-        }
-        if (counter == qvec_nnz_[static_cast<size_t>(qvec)]) {
-          ++counts[static_cast<size_t>(qvec)];
+      for (int32_t k = 0; k < slots; ++k) {
+        const int32_t counter = row[static_cast<size_t>(k)];
+        GSPS_CHECK_MSG(counter == MergeCount(vertex.entries, qvecs_, k),
+                       "DSC dominant counter disagrees with its entries");
+        if (qvecs_.live(k) && counter == qvecs_.nnz(k)) {
+          ++counts[static_cast<size_t>(k)];
         }
       }
     }
     GSPS_CHECK(live_vertices == stream.live_vertices);
-    for (size_t q = 0; q < qvec_query_.size(); ++q) {
-      GSPS_CHECK(counts[q] == stream.cover_count[q]);
-      if (counts[q] > 0) ++covered[static_cast<size_t>(qvec_query_[q])];
+    for (int32_t k = 0; k < slots; ++k) {
+      GSPS_CHECK(counts[static_cast<size_t>(k)] ==
+                 stream.cover_count[static_cast<size_t>(k)]);
+      if (counts[static_cast<size_t>(k)] > 0) {
+        ++covered[static_cast<size_t>(qvec_query_[static_cast<size_t>(k)])];
+      }
     }
     for (int32_t j = 0; j < num_queries_; ++j) {
       GSPS_CHECK(covered[static_cast<size_t>(j)] ==
@@ -501,12 +469,12 @@ void DominatedSetCoverJoin::CheckChurnInvariants() const {
   }
 }
 
-void DominatedSetCoverJoin::SetDominates(StreamState& stream, QVec qvec,
+void DominatedSetCoverJoin::SetDominates(StreamState& stream, int32_t slot,
                                          bool now_dominates) {
   ++pending_flips_;
   stream.cache_valid = false;
-  int32_t& cover = stream.cover_count[static_cast<size_t>(qvec)];
-  const int32_t query = qvec_query_[static_cast<size_t>(qvec)];
+  int32_t& cover = stream.cover_count[static_cast<size_t>(slot)];
+  const int32_t query = qvec_query_[static_cast<size_t>(slot)];
   if (now_dominates) {
     if (cover++ == 0) {
       ++stream.covered_vectors[static_cast<size_t>(query)];

@@ -5,14 +5,15 @@
 // kept sorted. Dimensions are translated into the dense query dim-id space
 // (NpvDimRemap), so the per-dimension lists live in a flat array indexed by
 // dense id, and stream NPVs drop dimensions no query projects into — those
-// can never flip a counter. Stream side (changing): each stream vertex
-// keeps, per query vector it "encounters" through shared non-zero
-// dimensions, a dominant counter — in how many of that query vector's
-// non-zero dimensions the stream vector's value is no smaller. A stream
-// vertex dominates a query vector exactly when the counter reaches the
-// query vector's non-zero dimension count; a query graph is a candidate for
-// a stream exactly when the union of dominated query vectors covers all of
-// its vectors (Theorem 4.1).
+// can never flip a counter. Every non-trivial query vector lives in one
+// NpvSlab slot, and the slot index is its id throughout: per-dimension list
+// entries, cover counts and counter rows are all indexed by it. Stream side
+// (changing): each stream vertex keeps one dominant counter per slab slot —
+// in how many of that query vector's non-zero dimensions the stream
+// vector's value is no smaller. A stream vertex dominates a query vector
+// exactly when the counter reaches the query vector's non-zero dimension
+// count; a query graph is a candidate for a stream exactly when the union
+// of dominated query vectors covers all of its vectors (Theorem 4.1).
 //
 // Updates are incremental: when a stream vertex's NPV moves, only its own
 // counter contributions are retracted and re-added, and per-query cover
@@ -20,6 +21,15 @@
 // candidate list is cached; it is invalidated only by a domination-status
 // flip or by the stream transitioning between empty and non-empty, so
 // counter churn that flips nothing reuses the previous verdict.
+//
+// Counter rows are flat, 4 B x slab slots x stream vertices, so the hot
+// loop is a direct row increment. Rows grow only when AddQuery appends a
+// tail slot (every row, tombstoned vertices included); a re-add into a
+// freed slot reuses its column, which RemoveQuery zeroed. A hash map keyed
+// by the query vectors a vertex has met costs about 40 B per entry, so the
+// row is smaller once a vertex meets more than about a tenth of the query
+// vectors. On the reality_manyq benchmark workload a replayed vertex has
+// met a median 87% of them, and a freshly set-up one 28%.
 
 #ifndef GSPS_JOIN_DOMINATED_SET_COVER_JOIN_H_
 #define GSPS_JOIN_DOMINATED_SET_COVER_JOIN_H_
@@ -51,20 +61,18 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   std::string_view name() const override { return "DSC"; }
 
  private:
-  // Global id of one query vertex vector across all query graphs.
-  using QVec = int32_t;
-
   // One projected query value in a single (dense) dimension.
   struct DimEntry {
     int32_t value = 0;
-    QVec qvec = -1;
+    int32_t slot = -1;  // The query vector's slab slot.
   };
 
   struct StreamVertexState {
     // Dense-translated NPV entries (query dims only), sorted ascending.
     std::vector<NpvEntry> entries;
-    // Dominant counters, kept only for encountered query vectors.
-    std::unordered_map<QVec, int32_t> dominant;
+    // Dominant counters indexed by slab slot, qvecs_.size() long; zero for
+    // freed slots.
+    std::vector<int32_t> dominant;
     // Tombstone flag: removed vertices keep their buffers (entries cleared,
     // counters retracted to zero) so a later re-add allocates nothing.
     bool live = false;
@@ -72,7 +80,7 @@ class DominatedSetCoverJoin final : public JoinStrategy {
 
   struct StreamState {
     std::unordered_map<VertexId, StreamVertexState> vertices;
-    // Per query vector: how many stream vertices currently dominate it.
+    // Per query vector (slab slot): how many stream vertices dominate it.
     std::vector<int32_t> cover_count;
     // Per query graph: how many of its query vectors are covered.
     std::vector<int32_t> covered_vectors;
@@ -93,39 +101,32 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   void AdjustRange(StreamState& stream, StreamVertexState& vertex, DimId dim,
                    int32_t from, int32_t to, int delta);
 
-  void SetDominates(StreamState& stream, QVec qvec, bool now_dominates);
+  void SetDominates(StreamState& stream, int32_t slot, bool now_dominates);
 
-  // Allocates (or reuses) a query slot / a global qvec id.
+  // Allocates (or reuses) a query slot.
   int32_t AllocQuerySlot();
-  QVec AllocQVec();
 
   int32_t num_queries_ = 0;
-  // qvec -> owning query graph index.
+  // Slab slot -> owning query graph index.
   std::vector<int32_t> qvec_query_;
-  // qvec -> number of non-zero dimensions (0 = trivially dominated).
-  std::vector<int32_t> qvec_nnz_;
-  // qvec -> slab slot (-1 for trivial or retired qvecs).
-  std::vector<int32_t> qvec_slot_;
-  // Per query graph: its global qvec ids (incl. trivial ones).
-  std::vector<std::vector<QVec>> query_qvecs_;
-  // Per query graph: number of non-trivial query vectors.
-  std::vector<int32_t> query_tracked_vectors_;
+  // Per query graph: the slab slots of its non-trivial ("tracked") query
+  // vectors; a query is covered when all of them are.
+  std::vector<std::vector<int32_t>> query_qvecs_;
   // Per query graph: number of trivially-covered (nnz == 0) vectors.
   std::vector<int32_t> query_trivial_vectors_;
-  // Churn slot bookkeeping: retired query ids / qvec ids are reused.
+  // Churn slot bookkeeping: retired query ids are reused (slab slots are
+  // reused through the slab's own free list).
   std::vector<uint8_t> query_live_;
   std::vector<int32_t> free_queries_;
-  std::vector<QVec> free_qvecs_;
   // Dense dimension -> sorted projected query values (the paper's
   // per-dimension sorted lists), indexed directly by dense dim id.
   NpvDimRemap remap_;
   std::vector<std::vector<DimEntry>> dim_lists_;
-  // Slab mirror of the non-trivial query vectors, consumed by the batched
-  // dominance kernel in count mode when a vertex arrives with no prior
-  // entries (bulk insert): counters start from zero, so one kernel sweep
-  // yields every dominant counter without walking the dimension lists.
+  // The non-trivial query vectors, also consumed by the batched dominance
+  // kernel in count mode when a vertex arrives with no prior entries (bulk
+  // insert): counters start from zero, so one kernel sweep yields every
+  // dominant counter without walking the dimension lists.
   NpvSlab qvecs_;
-  std::vector<QVec> slab_qvec_;  // Slab index -> global qvec id (-1 freed).
   DominanceBatch batch_;
 
   std::vector<StreamState> streams_;

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "gsps/common/random.h"
 #include "gsps/engine/continuous_query_engine.h"
@@ -269,29 +271,42 @@ TEST(JoinIncrementalTest, CachedVerdictsMatchScratchRecompute) {
 
 // Strategy-level delta feed (no engine): random updates/removals with
 // removals of never-inserted vertices, re-updates of tombstoned vertices,
-// and empty vectors; every strategy must match a from-scratch replay into a
-// fresh strategy of the same kind.
+// and empty vectors, mixed with query churn — AddQuery of new queries
+// (some bringing dims no query used yet, which forces the caller's replay;
+// some landing in new tail slots), RemoveQuery, and re-adds of removed
+// queries into their freed slots. After every step the churn invariants
+// hold and every strategy matches a from-scratch replay into a fresh
+// strategy of the same kind, compared through a local-id table as
+// StreamShard::RecomputeCandidatesFromScratch does.
 TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
   Rng rng(8086);
   constexpr int kNumQueries = 6;
   constexpr int kNumStreams = 2;
-  constexpr int kNumDims = 5;
+  constexpr int kNumDims = 5;        // Dims of the initial queries.
+  constexpr int kNumStreamDims = 8;  // Stream and added-query dims.
   constexpr int kSteps = 250;
+
+  auto random_npv = [](Rng& r, int max_nnz, int num_dims, int max_count) {
+    std::unordered_map<DimId, int32_t> counts;
+    const int nnz = static_cast<int>(r.UniformInt(0, max_nnz));
+    for (int k = 0; k < nnz; ++k) {
+      counts[static_cast<DimId>(r.UniformInt(0, num_dims - 1))] =
+          static_cast<int32_t>(r.UniformInt(1, max_count));
+    }
+    return Npv::FromMap(counts);
+  };
+  auto random_query = [&](Rng& r, int num_dims) {
+    QueryVectors query;
+    const int vectors = static_cast<int>(r.UniformInt(0, 3));
+    for (int v = 0; v < vectors; ++v) {
+      query.vectors.push_back(random_npv(r, 3, num_dims, 4));
+    }
+    return query;
+  };
 
   std::vector<QueryVectors> queries;
   for (int j = 0; j < kNumQueries; ++j) {
-    QueryVectors query;
-    const int vectors = static_cast<int>(rng.UniformInt(0, 3));
-    for (int v = 0; v < vectors; ++v) {
-      std::unordered_map<DimId, int32_t> counts;
-      const int nnz = static_cast<int>(rng.UniformInt(0, 3));
-      for (int k = 0; k < nnz; ++k) {
-        counts[static_cast<DimId>(rng.UniformInt(0, kNumDims - 1))] =
-            static_cast<int32_t>(rng.UniformInt(1, 4));
-      }
-      query.vectors.push_back(Npv::FromMap(counts));
-    }
-    queries.push_back(std::move(query));
+    queries.push_back(random_query(rng, kNumDims));
   }
 
   for (const JoinKind kind : AllKinds()) {
@@ -299,34 +314,48 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
     incremental->SetQueries(queries);
     incremental->SetNumStreams(kNumStreams);
 
-    // Live vertex maps, replayed into a fresh strategy at every step.
+    // Live queries by the strategy's local id (nullopt = retired), the
+    // removed queries kept for re-adds, and the live vertex maps, replayed
+    // into a fresh strategy at every step.
+    std::vector<std::optional<QueryVectors>> by_local(queries.begin(),
+                                                      queries.end());
+    std::vector<QueryVectors> removed;
     std::vector<std::unordered_map<VertexId, Npv>> live(kNumStreams);
+    int grew_dims_adds = 0;
+    int readds = 0;
 
-    Rng workload(kind == JoinKind::kNestedLoop          ? 1
-                 : kind == JoinKind::kDominatedSetCover ? 2
-                                                        : 3);
-    for (int step = 0; step < kSteps; ++step) {
-      const int stream =
-          static_cast<int>(workload.UniformInt(0, kNumStreams - 1));
-      const VertexId vertex =
-          static_cast<VertexId>(workload.UniformInt(0, 7));
-      if (workload.Bernoulli(0.25)) {
-        incremental->RemoveStreamVertex(stream, vertex);
-        live[stream].erase(vertex);
+    auto update = [&](int stream, VertexId vertex, const Npv& npv) {
+      incremental->UpdateStreamVertex(stream, vertex, npv);
+      live[stream][vertex] = npv;
+    };
+    auto add_query = [&](const QueryVectors& query) {
+      bool grew_dims = false;
+      const int32_t local = incremental->AddQuery(query, &grew_dims);
+      if (static_cast<size_t>(local) == by_local.size()) {
+        by_local.emplace_back(query);
       } else {
-        std::unordered_map<DimId, int32_t> counts;
-        const int nnz = static_cast<int>(workload.UniformInt(0, 4));
-        for (int k = 0; k < nnz; ++k) {
-          counts[static_cast<DimId>(workload.UniformInt(0, kNumDims - 1))] =
-              static_cast<int32_t>(workload.UniformInt(1, 5));
-        }
-        const Npv npv = Npv::FromMap(counts);
-        incremental->UpdateStreamVertex(stream, vertex, npv);
-        live[stream][vertex] = npv;
+        ASSERT_FALSE(by_local[static_cast<size_t>(local)].has_value());
+        by_local[static_cast<size_t>(local)] = query;
       }
-
+      if (!grew_dims) return;
+      ++grew_dims_adds;
+      for (int i = 0; i < kNumStreams; ++i) {
+        for (const auto& [v, npv] : live[i]) {
+          incremental->UpdateStreamVertex(i, v, npv);
+        }
+      }
+    };
+    auto check = [&](const std::string& where) {
+      incremental->CheckChurnInvariants();
       auto fresh = MakeJoinStrategy(kind);
-      fresh->SetQueries(queries);
+      std::vector<QueryVectors> fresh_queries;
+      std::vector<int> fresh_to_local;
+      for (size_t j = 0; j < by_local.size(); ++j) {
+        if (!by_local[j].has_value()) continue;
+        fresh_queries.push_back(*by_local[j]);
+        fresh_to_local.push_back(static_cast<int>(j));
+      }
+      fresh->SetQueries(std::move(fresh_queries));
       fresh->SetNumStreams(kNumStreams);
       for (int i = 0; i < kNumStreams; ++i) {
         for (const auto& [v, npv] : live[i]) {
@@ -334,11 +363,69 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
         }
       }
       for (int i = 0; i < kNumStreams; ++i) {
-        EXPECT_EQ(incremental->CandidatesForStream(i),
-                  fresh->CandidatesForStream(i))
-            << JoinKindName(kind) << " step " << step << " stream " << i;
+        std::vector<int> expected;
+        for (const int local : fresh->CandidatesForStream(i)) {
+          expected.push_back(fresh_to_local[static_cast<size_t>(local)]);
+        }
+        EXPECT_EQ(incremental->CandidatesForStream(i), expected)
+            << JoinKindName(kind) << " " << where << " stream " << i;
       }
+    };
+
+    // A vertex tombstoned before a new tail slot is appended, then revived:
+    // no slot is free yet, so the added query's vectors append tail slots.
+    update(0, 0, Npv::FromMap({{0, 2}, {1, 1}}));
+    update(0, 1, Npv::FromMap({{1, 3}}));
+    incremental->RemoveStreamVertex(0, 0);
+    live[0].erase(0);
+    check("tombstoned");
+    add_query(MakeQuery({Npv::FromMap({{0, 1}, {1, 1}}), Npv::FromMap({})}));
+    check("tail add");
+    update(0, 0, Npv::FromMap({{0, 1}, {1, 2}}));
+    check("revived");
+
+    Rng workload(kind == JoinKind::kNestedLoop          ? 1
+                 : kind == JoinKind::kDominatedSetCover ? 2
+                                                        : 3);
+    for (int step = 0; step < kSteps; ++step) {
+      if (workload.Bernoulli(0.15)) {
+        std::vector<int32_t> live_ids;
+        for (size_t j = 0; j < by_local.size(); ++j) {
+          if (by_local[j].has_value()) {
+            live_ids.push_back(static_cast<int32_t>(j));
+          }
+        }
+        if (live_ids.size() > 2 && workload.Bernoulli(0.4)) {
+          const int32_t local = live_ids[static_cast<size_t>(workload.UniformInt(
+              0, static_cast<int64_t>(live_ids.size()) - 1))];
+          incremental->RemoveQuery(local);
+          removed.push_back(*by_local[static_cast<size_t>(local)]);
+          by_local[static_cast<size_t>(local)].reset();
+        } else if (!removed.empty() && workload.Bernoulli(0.5)) {
+          // An identical re-add lands in the freed slots.
+          add_query(removed.back());
+          removed.pop_back();
+          ++readds;
+        } else {
+          add_query(random_query(workload, kNumStreamDims));
+        }
+      } else {
+        const int stream =
+            static_cast<int>(workload.UniformInt(0, kNumStreams - 1));
+        const VertexId vertex =
+            static_cast<VertexId>(workload.UniformInt(0, 7));
+        if (workload.Bernoulli(0.25)) {
+          incremental->RemoveStreamVertex(stream, vertex);
+          live[stream].erase(vertex);
+        } else {
+          update(stream, vertex, random_npv(workload, 4, kNumStreamDims, 5));
+        }
+      }
+      check("step " + std::to_string(step));
     }
+    // The mix must actually exercise dim growth and slot reuse.
+    EXPECT_GT(grew_dims_adds, 0) << JoinKindName(kind);
+    EXPECT_GT(readds, 0) << JoinKindName(kind);
   }
 }
 

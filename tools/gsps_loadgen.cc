@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
   }
   if (num_streams < 1 || num_queries < 1 || timestamps < 2 || rate < 0 ||
       num_producers < 1 || queue_capacity < 1 || batch_size < 1 ||
-      depth < 0 || threads < 0 || join_every < 0 || lane_capacity < 1 ||
+      depth < 1 || threads < 0 || join_every < 0 || lane_capacity < 1 ||
       probe_ms < 1) {
     return Usage();
   }

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   }
   if (queries_path.empty() || stream_path.empty()) return Usage();
   if (metrics_format != "prom" && metrics_format != "json") return Usage();
-  if (threads < 0 || lane_capacity < 1) return Usage();
+  if (depth < 1 || threads < 0 || lane_capacity < 1) return Usage();
   if (metrics_every < 0 || stats_every < 0) {
     std::fprintf(stderr,
                  "gsps_monitor: --metrics_every and --stats_every must be "
