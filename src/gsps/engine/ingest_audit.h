@@ -1,10 +1,9 @@
-// Per-stream delivery-order audit shared by the ingest consumers.
+// Per-stream delivery-order audit for the ingest consumers.
 //
 // The ingest contract promises that the deltas of one stream are delivered
 // in timestamp order with nothing skipped (timestamps run 1, 2, ... per
 // stream, each producer sends one event per stream per timestamp). This
-// helper checks that invariant at the point of application: gsps_loadgen's
-// single consumer runs one audit over the whole firehose, and each
+// helper checks that invariant at the point of application: each
 // pipelined shard worker runs its own audit over the streams its lane
 // carries — the audit that a single shared consumer-side counter could not
 // express once delivery fans out across lanes.

@@ -1,8 +1,8 @@
 // Bounded MPSC ingest queue with blocking backpressure.
 //
 // The wire between delta producers (network readers, loadgen replay
-// threads) and the single consumer thread that drives an engine's
-// ApplyChange. The contract the ingest pipeline is built on:
+// threads) and the single consumer thread that drains it — the pipelined
+// engine's router. The contract the ingest pipeline is built on:
 //
 //   - Bounded: at most `capacity` events are ever buffered; a full queue
 //     BLOCKS producers (backpressure) instead of dropping or resizing.
@@ -23,8 +23,8 @@
 //
 // The queue keeps its own counters (accepted, delivered, producer waits,
 // depth high-water) instead of recording obs metrics internally: producer
-// threads have no obs context, and the driver owning the queue decides
-// which sink the stats land in (see tools/gsps_loadgen.cc).
+// threads have no obs context, and the engine owning the queue decides
+// which sink the stats land in (PipelinedQueryEngine::Shutdown).
 
 #ifndef GSPS_ENGINE_INGEST_QUEUE_H_
 #define GSPS_ENGINE_INGEST_QUEUE_H_

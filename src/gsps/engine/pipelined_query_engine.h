@@ -134,7 +134,8 @@ class PipelinedQueryEngine {
   // Multi-producer safe.
   bool Ingest(IngestEvent event);
 
-  // Direct producer access for open-loop drivers (gsps_loadgen).
+  // The shared ingest queue, whose counters (accepted vs delivered) let
+  // open-loop drivers prove that no event was lost.
   IngestQueue& ingest_queue() { return *ingest_; }
 
   // --- Epoch protocol (single driver thread) --------------------------------
@@ -213,7 +214,10 @@ class PipelinedQueryEngine {
     int64_t order_violations = 0;   // Per-lane IngestOrderAudit total.
     int64_t steady_allocs = 0;      // Probe delta after the warmup epochs.
     int32_t watermark = -1;
-    obs::HistogramData e2e_micros;           // Enqueue stamp -> applied.
+    // Enqueue stamp -> applied. Includes the coalescing hold: a batch
+    // waits for its stream's next event or the next marker, so under
+    // open-loop load the hold is bounded by the driver's marker period.
+    obs::HistogramData e2e_micros;
     obs::HistogramData watermark_lag_micros; // Marker publish -> advance.
   };
   LaneReport ReportLane(int shard) const;

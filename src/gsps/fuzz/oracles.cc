@@ -10,7 +10,6 @@
 #include "gsps/engine/continuous_query_engine.h"
 #include "gsps/engine/pipelined_query_engine.h"
 #include "gsps/fuzz/replay.h"
-#include "gsps/graph/delta_codec.h"
 #include "gsps/graph/graph_io.h"
 #include "gsps/graph/stream_io.h"
 #include "gsps/iso/subgraph_isomorphism.h"
@@ -96,54 +95,6 @@ std::optional<std::string> CheckRoundTrips(const FuzzCase& c) {
   return std::nullopt;
 }
 
-// Oracle 7: every stream and query must survive text -> binary -> text
-// through delta_codec. Three layers per object: the decoded value equals
-// the original structurally, re-formatting it reproduces the original text
-// byte for byte, and re-encoding it is a binary fixed point.
-std::optional<std::string> CheckCodecRoundTrips(const FuzzCase& c) {
-  for (size_t i = 0; i < c.workload.streams.size(); ++i) {
-    const GraphStream& stream = c.workload.streams[i];
-    const std::string binary = EncodeStream(stream);
-    IoError error;
-    std::optional<GraphStream> decoded = DecodeStream(binary, &error);
-    if (!decoded) {
-      return "codec-roundtrip: stream " + std::to_string(i) +
-             " failed to decode (" + error.ToString() + ")";
-    }
-    if (!StreamsEqual(stream, *decoded)) {
-      return "codec-roundtrip: stream " + std::to_string(i) +
-             " changed across Encode/Decode";
-    }
-    if (FormatStream(*decoded) != FormatStream(stream)) {
-      return "codec-roundtrip: stream " + std::to_string(i) +
-             " text format changed across Encode/Decode";
-    }
-    if (EncodeStream(*decoded) != binary) {
-      return "codec-roundtrip: stream " + std::to_string(i) +
-             " encoding is not a fixed point";
-    }
-  }
-  for (size_t q = 0; q < c.workload.queries.size(); ++q) {
-    const Graph& query = c.workload.queries[q];
-    const std::string binary = EncodeGraph(query);
-    IoError error;
-    std::optional<Graph> decoded = DecodeGraph(binary, &error);
-    if (!decoded) {
-      return "codec-roundtrip: query " + std::to_string(q) +
-             " failed to decode (" + error.ToString() + ")";
-    }
-    if (!(*decoded == query)) {
-      return "codec-roundtrip: query " + std::to_string(q) +
-             " changed across Encode/Decode";
-    }
-    if (EncodeGraph(*decoded) != binary) {
-      return "codec-roundtrip: query " + std::to_string(q) +
-             " encoding is not a fixed point";
-    }
-  }
-  return std::nullopt;
-}
-
 // Oracle 2: the incrementally maintained NntSet must hold, root by root,
 // the counts of a fresh enumeration of the current graph's paths
 // (Validate), and exactly the roots of a from-scratch rebuild. The root set
@@ -222,9 +173,6 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
 
   if (options.check_roundtrip) {
     if (auto failure = CheckRoundTrips(c)) return failure;
-  }
-  if (options.check_codec) {
-    if (auto failure = CheckCodecRoundTrips(c)) return failure;
   }
 
   // Churn bookkeeping (oracle 6): which workload queries are currently

@@ -28,12 +28,8 @@
 //      engines must also agree on the reused slot every re-add lands in,
 //      and oracles 1/5/8 keep holding on the churned engines with the VF2
 //      truth restricted to registered queries.
-//   7. Binary codec: every stream and query must survive
-//      text -> binary -> text through delta_codec — DecodeStream(
-//      EncodeStream(s)) must equal s structurally, re-formatting the
-//      decoded value must reproduce the original text byte for byte, and
-//      re-encoding it must be a binary fixed point (same for graphs via
-//      EncodeGraph/DecodeGraph).
+//   7. (Retired with the binary delta format it checked. The number stays
+//      reserved, as 3's does.)
 //   8. Threaded engine: PipelinedQueryEngine at 1 worker (one shard holding
 //      every stream) and at 3 workers (multi-shard placement), each with
 //      capacity-8 SPSC lanes so the router actually hits backpressure and
@@ -66,7 +62,6 @@ struct OracleOptions {
   bool check_roundtrip = true;    // Oracle 4.
   bool check_incremental = true;  // Oracle 5.
   bool check_churn = true;        // Oracle 6 (no-op without a schedule).
-  bool check_codec = true;        // Oracle 7.
   bool check_pipelined = true;    // Oracle 8 (oracle 3 merged into it).
 };
 

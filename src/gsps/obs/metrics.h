@@ -79,8 +79,8 @@ enum class Counter : int {
   kTrackerObservations,
   kTrackerAppeared,
   kTrackerDisappeared,
-  // Ingest pipeline (engine/ingest_queue.h, reported by the driver owning
-  // the queue — see tools/gsps_loadgen.cc).
+  // Ingest pipeline (engine/ingest_queue.h, reported by the engine owning
+  // the queue — see PipelinedQueryEngine::Shutdown).
   kIngestAccepted,          // Events accepted into the ingest queue.
   kIngestDelivered,         // Events handed to the consumer.
   kIngestProducerWaits,     // Pushes that blocked on a full queue.

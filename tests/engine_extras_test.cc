@@ -1,12 +1,15 @@
 // Tests for the engine's companion utilities: candidate-transition tracking
-// and the static NPV index, plus the dynamic-query equivalence property.
+// and the static-database (§V.A) filter, plus the dynamic-query equivalence
+// property.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "gsps/common/random.h"
 #include "gsps/engine/candidate_tracker.h"
 #include "gsps/engine/continuous_query_engine.h"
-#include "gsps/engine/static_npv_index.h"
 #include "gsps/gen/aids_like.h"
 #include "gsps/gen/query_extractor.h"
 #include "gsps/gen/stream_generator.h"
@@ -86,6 +89,9 @@ TEST(CandidateTrackerTest, TracksEngineTransitions) {
 }
 
 TEST(StaticNpvIndexTest, NoFalseNegativesAndVerifiedSubset) {
+  // The static setting through the streaming engine: every database graph
+  // is a stream with no changes, so the candidates after Start() are the
+  // Lemma 4.2 filter over the database.
   AidsLikeParams params;
   params.num_graphs = 60;
   params.seed = 17;
@@ -94,30 +100,23 @@ TEST(StaticNpvIndexTest, NoFalseNegativesAndVerifiedSubset) {
   const std::vector<Graph> queries = ExtractQuerySet(database, 5, 10, rng);
   ASSERT_FALSE(queries.empty());
 
-  const StaticNpvIndex index(database, 3);
-  EXPECT_EQ(index.num_graphs(), 60);
-  for (const Graph& query : queries) {
-    const std::vector<int> candidates = index.CandidateGraphsFor(query);
-    const std::vector<int> matches = index.MatchingGraphsFor(query);
-    // matches == exact answers, and candidates is a superset.
-    for (size_t i = 0; i < database.size(); ++i) {
-      const bool exact = IsSubgraphIsomorphic(query, database[i]);
-      const bool listed = std::find(matches.begin(), matches.end(),
-                                    static_cast<int>(i)) != matches.end();
-      EXPECT_EQ(exact, listed);
+  ContinuousQueryEngine engine(EngineOptions{});
+  for (const Graph& query : queries) engine.AddQuery(query);
+  for (const Graph& graph : database) engine.AddStream(graph);
+  engine.Start();
+  ASSERT_EQ(engine.num_streams(), 60);
+  for (int i = 0; i < engine.num_streams(); ++i) {
+    const std::vector<int> candidates = engine.CandidatesForStream(i);
+    for (int q = 0; q < static_cast<int>(queries.size()); ++q) {
+      const bool exact = IsSubgraphIsomorphic(queries[static_cast<size_t>(q)],
+                                              database[static_cast<size_t>(i)]);
+      EXPECT_EQ(engine.VerifyCandidate(i, q), exact);
       if (exact) {
-        EXPECT_TRUE(std::find(candidates.begin(), candidates.end(),
-                              static_cast<int>(i)) != candidates.end());
+        EXPECT_TRUE(
+            std::binary_search(candidates.begin(), candidates.end(), q));
       }
     }
   }
-}
-
-TEST(StaticNpvIndexTest, EmptyQueryMatchesEverything) {
-  std::vector<Graph> database(3);
-  for (Graph& g : database) g.AddVertex(0);
-  const StaticNpvIndex index(database, 2);
-  EXPECT_EQ(index.CandidateGraphsFor(Graph()), (std::vector<int>{0, 1, 2}));
 }
 
 TEST(DynamicQueryEquivalenceTest, MatchesEngineBuiltWithAllQueriesUpfront) {

@@ -581,7 +581,8 @@ TEST(ObsEndToEndTest, EveryMetricNonzeroAfterInstrumentedRun) {
   }
 
   // Ingest pipeline: a capacity-1 queue whose second Push blocks until the
-  // consumer drains, reported into the sink the way gsps_loadgen does.
+  // consumer drains, reported into the sink the way
+  // PipelinedQueryEngine::Shutdown does.
   {
     obs::ScopedObsContext scope(&root_sink, nullptr);
     IngestQueue queue(1);

@@ -12,8 +12,7 @@
 //   gsps_fuzz --seed=1 --iterations=100 [--depth=0] [--max_streams=3]
 //       [--max_queries=4] [--max_timestamps=8] [--max_churn_ops=5]
 //       [--out=FILE] [--minimize_attempts=4000] [--no-baselines]
-//       [--no-incremental] [--no-churn] [--no-codec] [--no-pipelined]
-//       [--quiet]
+//       [--no-incremental] [--no-churn] [--no-pipelined] [--quiet]
 //
 // Replay mode: re-run the oracle set over one committed replay file.
 //
@@ -46,7 +45,7 @@ int Usage() {
       "           [--max_streams=3] [--max_queries=4] [--max_timestamps=8]\n"
       "           [--max_churn_ops=5] [--minimize_attempts=4000]\n"
       "           [--no-baselines] [--no-incremental] [--no-churn]\n"
-      "           [--no-codec] [--no-pipelined] [--quiet]\n"
+      "           [--no-pipelined] [--quiet]\n"
       "       gsps_fuzz --replay=FILE [--quiet]\n"
       "       gsps_fuzz --emit=FILE --seed=S [--iteration=K]\n");
   return 2;
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
   options.minimize_attempts = flags.GetInt("minimize_attempts", 4000);
   options.oracles.check_baselines = !flags.GetBool("no-baselines");
   options.oracles.check_incremental = !flags.GetBool("no-incremental");
-  options.oracles.check_codec = !flags.GetBool("no-codec");
   options.oracles.check_pipelined = !flags.GetBool("no-pipelined");
   if (flags.GetBool("no-churn")) {
     options.oracles.check_churn = false;
