@@ -11,6 +11,8 @@
 namespace gsps {
 namespace {
 
+bool DimLess(const NpvEntry& x, const NpvEntry& y) { return x.dim < y.dim; }
+
 uint64_t EdgeKey(VertexId a, VertexId b) {
   const uint32_t lo = static_cast<uint32_t>(std::min(a, b));
   const uint32_t hi = static_cast<uint32_t>(std::max(a, b));
@@ -34,11 +36,13 @@ void NntSet::Build(const Graph& graph) {
   npv_cache_valid_.clear();
   dirty_flag_.clear();
   dirty_list_.clear();
+  walks_to_.clear();
   paths_counted_ = 0;
   for (const VertexId v : graph.VertexIds()) {
     EnsureRoot(v);
     walk_.clear();
-    WalkForward(v, v, graph.GetVertexLabel(v), /*level=*/1, /*sign=*/+1);
+    WalkForward(v, graph.GetVertexLabel(v), /*level=*/1);
+    FlushPending(v, +1);
   }
   GSPS_OBS_COUNT(Counter::kNntTreeNodesCreated, paths_counted_);
 }
@@ -61,11 +65,18 @@ void NntSet::DeleteEdge(VertexId u, VertexId v) {
 void NntSet::CountPathsThrough(VertexId u, VertexId v, int32_t sign) {
   walks_back_ = 0;
   paths_counted_ = 0;
-  walk_.assign(1, EdgeKey(u, v));
   const VertexLabel u_label = graph_->GetVertexLabel(u);
   const VertexLabel v_label = graph_->GetVertexLabel(v);
-  WalkBack(Crossing{u, v, u_label, v_label, sign}, u, 0);
-  WalkBack(Crossing{v, u, v_label, u_label, sign}, v, 0);
+  const Crossing uv{u, v, u_label, v_label, sign};
+  const Crossing vu{v, u, v_label, u_label, sign};
+  if (depth_ <= 3) {
+    CountShallow(uv);
+    CountShallow(vu);
+  } else {
+    walk_.assign(1, EdgeKey(u, v));
+    WalkBack(uv, u, 0);
+    WalkBack(vu, v, 0);
+  }
   GSPS_OBS_COUNT(Counter::kNntPathsTouched, walks_back_);
   if (sign > 0) {
     GSPS_OBS_COUNT(Counter::kNntTreeNodesCreated, paths_counted_);
@@ -74,12 +85,79 @@ void NntSet::CountPathsThrough(VertexId u, VertexId v, int32_t sign) {
   }
 }
 
+void NntSet::CountShallow(const Crossing& crossing) {
+  const VertexId a = crossing.a;
+  const VertexId b = crossing.b;
+  const VertexLabel a_label = crossing.a_label;
+  const VertexLabel b_label = crossing.b_label;
+  // Root a: the crossing, then every forward extension from b.
+  ++walks_back_;
+  AddPath(1, a_label, b_label);
+  if (depth_ >= 2) {
+    for (const HalfEdge& bc : graph_->Neighbors(b)) {
+      if (bc.to == a) continue;
+      const VertexLabel c_label = graph_->GetVertexLabel(bc.to);
+      AddPath(2, b_label, c_label);
+      if (depth_ < 3) continue;
+      for (const HalfEdge& cd : graph_->Neighbors(bc.to)) {
+        if (cd.to != b) AddPath(3, c_label, graph_->GetVertexLabel(cd.to));
+      }
+    }
+  }
+  FlushPending(a, crossing.sign);
+
+  // Distance 1: every r1 in N(a)\{b} gets the same list. N(a) holds b, so
+  // a lone neighbour means there is no r1 (and no 2-walk).
+  const std::vector<HalfEdge>& a_neighbors = graph_->Neighbors(a);
+  if (depth_ < 2 || a_neighbors.size() < 2) return;
+  AddPath(2, a_label, b_label);
+  if (depth_ >= 3) {
+    for (const HalfEdge& bc : graph_->Neighbors(b)) {
+      if (bc.to != a) AddPath(3, b_label, graph_->GetVertexLabel(bc.to));
+    }
+  }
+  SortPending();
+  for (const HalfEdge& ar : a_neighbors) {
+    if (ar.to == b) continue;
+    ++walks_back_;
+    MergeIntoRow(ar.to, pending_.data(), pending_.data() + pending_.size(),
+                 crossing.sign);
+  }
+  pending_.clear();
+  if (depth_ < 3) return;
+
+  // Distance 2: each 2-walk a->r1->r2 is one path r2-r1-a-b; count the
+  // walks per r2, then add them in one entry.
+  for (const HalfEdge& ar : a_neighbors) {
+    if (ar.to == b) continue;
+    for (const HalfEdge& rr : graph_->Neighbors(ar.to)) {
+      if (rr.to == a) continue;
+      ++walks_back_;
+      if (walks_to_[static_cast<size_t>(rr.to)]++ == 0) {
+        walk_ends_.push_back(rr.to);
+      }
+    }
+  }
+  if (walk_ends_.empty()) return;
+  NpvEntry crossing_at_3{dimensions_->Intern(3, a_label, b_label), 0};
+  for (const VertexId r2 : walk_ends_) {
+    int32_t& walks = walks_to_[static_cast<size_t>(r2)];
+    crossing_at_3.count = walks;
+    walks = 0;
+    MergeIntoRow(r2, &crossing_at_3, &crossing_at_3 + 1, crossing.sign);
+  }
+  walk_ends_.clear();
+}
+
 void NntSet::WalkBack(const Crossing& crossing, VertexId root,
                       int32_t length) {
   ++walks_back_;
-  Bump(root, length + 1, crossing.a_label, crossing.b_label, crossing.sign);
+  AddPath(length + 1, crossing.a_label, crossing.b_label);
+  if (length + 1 < depth_) {
+    WalkForward(crossing.b, crossing.b_label, length + 2);
+  }
+  FlushPending(root, crossing.sign);
   if (length + 1 >= depth_) return;
-  WalkForward(root, crossing.b, crossing.b_label, length + 2, crossing.sign);
   for (const HalfEdge& half : graph_->Neighbors(root)) {
     const uint64_t key = EdgeKey(root, half.to);
     if (OnWalk(key)) continue;
@@ -89,16 +167,15 @@ void NntSet::WalkBack(const Crossing& crossing, VertexId root,
   }
 }
 
-void NntSet::WalkForward(VertexId root, VertexId at, VertexLabel at_label,
-                         int32_t level, int32_t sign) {
+void NntSet::WalkForward(VertexId at, VertexLabel at_label, int32_t level) {
   for (const HalfEdge& half : graph_->Neighbors(at)) {
     const uint64_t key = EdgeKey(at, half.to);
     if (OnWalk(key)) continue;
     const VertexLabel to_label = graph_->GetVertexLabel(half.to);
-    Bump(root, level, at_label, to_label, sign);
+    AddPath(level, at_label, to_label);
     if (level < depth_) {
       walk_.push_back(key);
-      WalkForward(root, half.to, to_label, level + 1, sign);
+      WalkForward(half.to, to_label, level + 1);
       walk_.pop_back();
     }
   }
@@ -169,7 +246,11 @@ int64_t NntSet::StorageBytes() const {
   int64_t bytes = static_cast<int64_t>(
       is_root_.capacity() + npv_cache_valid_.capacity() +
       dirty_flag_.capacity() + dirty_list_.capacity() * sizeof(VertexId) +
-      walk_.capacity() * sizeof(uint64_t));
+      walk_.capacity() * sizeof(uint64_t) +
+      pending_.capacity() * sizeof(NpvEntry) +
+      pending_slot_.capacity() * sizeof(int32_t) +
+      walks_to_.capacity() * sizeof(int32_t) +
+      walk_ends_.capacity() * sizeof(VertexId));
   bytes += static_cast<int64_t>(rows_.capacity() *
                                 sizeof(std::vector<NpvEntry>));
   for (const std::vector<NpvEntry>& row : rows_) {
@@ -191,6 +272,7 @@ void NntSet::EnsureRoot(VertexId v) {
     npv_cache_.resize(r + 1);
     npv_cache_valid_.resize(r + 1, 0);
     dirty_flag_.resize(r + 1, 0);
+    walks_to_.resize(r + 1, 0);
   }
   if (is_root_[r]) return;
   is_root_[r] = 1;
@@ -198,23 +280,76 @@ void NntSet::EnsureRoot(VertexId v) {
   MarkDirty(v);
 }
 
-void NntSet::Bump(VertexId root, int32_t level, VertexLabel parent_label,
-                  VertexLabel child_label, int32_t delta) {
-  ++paths_counted_;
+void NntSet::AddPath(int32_t level, VertexLabel parent_label,
+                     VertexLabel child_label) {
   const DimId dim = dimensions_->Intern(level, parent_label, child_label);
-  std::vector<NpvEntry>& row = rows_[static_cast<size_t>(root)];
-  auto it = std::lower_bound(
-      row.begin(), row.end(), dim,
-      [](const NpvEntry& entry, DimId d) { return entry.dim < d; });
-  if (it != row.end() && it->dim == dim) {
-    it->count += delta;
-    GSPS_CHECK(it->count >= 0);
-    if (it->count == 0) row.erase(it);
-  } else {
-    GSPS_CHECK(delta > 0);
-    row.insert(it, NpvEntry{dim, delta});
+  if (static_cast<size_t>(dim) >= pending_slot_.size()) {
+    pending_slot_.resize(static_cast<size_t>(dimensions_->size()), -1);
   }
-  npv_cache_valid_[static_cast<size_t>(root)] = 0;
+  int32_t& slot = pending_slot_[static_cast<size_t>(dim)];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(pending_.size());
+    pending_.push_back(NpvEntry{dim, 1});
+  } else {
+    ++pending_[static_cast<size_t>(slot)].count;
+  }
+}
+
+void NntSet::SortPending() {
+  for (const NpvEntry& entry : pending_) {
+    pending_slot_[static_cast<size_t>(entry.dim)] = -1;
+  }
+  std::sort(pending_.begin(), pending_.end(), DimLess);
+}
+
+void NntSet::FlushPending(VertexId root, int32_t sign) {
+  if (pending_.empty()) return;
+  SortPending();
+  MergeIntoRow(root, pending_.data(), pending_.data() + pending_.size(), sign);
+  pending_.clear();
+}
+
+void NntSet::MergeIntoRow(VertexId root, const NpvEntry* begin,
+                          const NpvEntry* end, int32_t sign) {
+  const size_t r = static_cast<size_t>(root);
+  std::vector<NpvEntry>& row = rows_[r];
+  // Front to back: apply each delta whose dim the row has, in place, and
+  // count the dims it lacks. Only an insertion may bring a new dim.
+  size_t missing = 0;
+  bool emptied = false;
+  auto at = row.begin();
+  for (const NpvEntry* delta = begin; delta != end; ++delta) {
+    paths_counted_ += delta->count;
+    at = std::lower_bound(at, row.end(), *delta, DimLess);
+    if (at != row.end() && at->dim == delta->dim) {
+      at->count += sign * delta->count;
+      GSPS_CHECK(at->count >= 0);
+      emptied |= at->count == 0;
+    } else {
+      GSPS_CHECK(sign > 0);
+      ++missing;
+    }
+  }
+  if (missing > 0) {
+    // Back to front: widen the row and slot the new dims in, moving each
+    // old entry at most once.
+    size_t read = row.size();
+    row.resize(read + missing);
+    size_t write = row.size();
+    for (const NpvEntry* delta = end; write != read;) {
+      --delta;
+      while (read > 0 && row[read - 1].dim > delta->dim) {
+        row[--write] = row[--read];
+      }
+      if (read > 0 && row[read - 1].dim == delta->dim) continue;
+      row[--write] = *delta;
+    }
+  } else if (emptied) {
+    row.erase(std::remove_if(row.begin(), row.end(),
+                             [](const NpvEntry& e) { return e.count == 0; }),
+              row.end());
+  }
+  npv_cache_valid_[r] = 0;
   MarkDirty(root);
 }
 

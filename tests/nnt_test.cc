@@ -17,6 +17,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gsps/common/random.h"
@@ -25,6 +26,7 @@
 #include "gsps/graph/graph_change.h"
 #include "gsps/nnt/dimension.h"
 #include "gsps/nnt/npv.h"
+#include "gsps/obs/obs.h"
 
 namespace gsps {
 namespace {
@@ -284,11 +286,50 @@ std::map<VertexId, std::vector<NpvEntry>> RowsOf(const NntSet& nnts) {
   return rows;
 }
 
+// Deletes {a, b} if `g` holds it, else inserts it (b may be a vertex with
+// no edge yet), keeping `nnts` in step. Then checks that Validate() holds
+// and that the drained dirty set is exactly the roots whose rows changed
+// (a new root's row always does: it gains the new edge). `rows` holds
+// every row before the op and is advanced past it.
+void ToggleAndCheck(VertexId a, VertexId b, EdgeLabel label, Graph* g,
+                    NntSet* nnts,
+                    std::map<VertexId, std::vector<NpvEntry>>* rows) {
+  if (g->HasEdge(a, b)) {
+    nnts->DeleteEdge(a, b);
+    ASSERT_TRUE(g->RemoveEdge(a, b));
+  } else {
+    ASSERT_TRUE(g->AddEdge(a, b, label));
+    nnts->InsertEdge(*g, a, b);
+  }
+  ASSERT_TRUE(nnts->Validate(*g));
+  const std::map<VertexId, std::vector<NpvEntry>> after = RowsOf(*nnts);
+  std::vector<VertexId> changed;
+  for (const auto& [root, row] : after) {
+    auto it = rows->find(root);
+    if (it == rows->end() || it->second != row) changed.push_back(root);
+  }
+  EXPECT_EQ(nnts->TakeDirtyRoots(), changed);
+  *rows = after;
+}
+
+using EdgePairs = std::vector<std::pair<VertexId, VertexId>>;
+
+// A hub (vertex 0) whose `leaves` leaves all touch a second hub.
+EdgePairs TwoHubs(int leaves) {
+  EdgePairs edges;
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) {
+    edges.emplace_back(0, leaf);
+    edges.emplace_back(leaf, leaves + 1);
+  }
+  return edges;
+}
+
 // The counter's referee: random churn with deletes, re-inserts and edges to
-// brand-new vertices, across depths and label alphabets. After every
-// operation Validate() holds — each row equals the projection of a fresh
-// EnumerateBranches — and the drained dirty set is exactly the roots whose
-// rows changed (a new root's row always does: it gains the new edge).
+// brand-new vertices, across depths and label alphabets, then fixed graphs
+// with the depth-3 histogram's corner cases, each edge deleted and
+// re-inserted. After every operation Validate() holds — each row equals
+// the projection of a fresh EnumerateBranches — and the drained dirty set
+// is exactly the roots whose rows changed.
 TEST(NntCounterTest, RandomChurnMatchesPathEnumerationAfterEveryOp) {
   for (int depth = 1; depth <= 4; ++depth) {
     for (int labels = 1; labels <= 4; ++labels) {
@@ -305,34 +346,104 @@ TEST(NntCounterTest, RandomChurnMatchesPathEnumerationAfterEveryOp) {
       nnts.Build(g);
       ASSERT_TRUE(nnts.Validate(g));
       nnts.TakeDirtyRoots();
-      std::map<VertexId, std::vector<NpvEntry>> before = RowsOf(nnts);
+      std::map<VertexId, std::vector<NpvEntry>> rows = RowsOf(nnts);
       for (int step = 0; step < 80; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
         const VertexId bound = g.VertexIdBound();
         const VertexId a = static_cast<VertexId>(rng.UniformInt(0, bound - 1));
         // b == bound grows the graph by one vertex through the insertion.
         const VertexId b = static_cast<VertexId>(rng.UniformInt(0, bound));
         if (a == b) continue;
-        if (b < bound && g.HasEdge(a, b)) {
-          nnts.DeleteEdge(a, b);
-          ASSERT_TRUE(g.RemoveEdge(a, b));
-        } else {
-          if (b == bound) {
-            ASSERT_TRUE(g.EnsureVertex(b, random_label()));
-          }
-          ASSERT_TRUE(g.AddEdge(a, b, static_cast<EdgeLabel>(step % 2)));
-          nnts.InsertEdge(g, a, b);
+        if (b == bound) {
+          ASSERT_TRUE(g.EnsureVertex(b, random_label()));
         }
-        ASSERT_TRUE(nnts.Validate(g)) << "step " << step;
-        const std::map<VertexId, std::vector<NpvEntry>> after = RowsOf(nnts);
-        std::vector<VertexId> changed;
-        for (const auto& [root, row] : after) {
-          auto it = before.find(root);
-          if (it == before.end() || it->second != row) changed.push_back(root);
-        }
-        EXPECT_EQ(nnts.TakeDirtyRoots(), changed) << "step " << step;
-        before = after;
+        ASSERT_NO_FATAL_FAILURE(ToggleAndCheck(
+            a, b, static_cast<EdgeLabel>(step % 2), &g, &nnts, &rows));
       }
       ExpectMatchesRebuild(nnts, g, &dims);
+    }
+  }
+
+  const struct {
+    const char* name;
+    int vertices;
+    EdgePairs edges;
+  } fixed[] = {
+      // A root at distances 1 and 2 at once, 2-walks ending at b, and
+      // forward 2-steps ending at a.
+      {"K4", 4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}},
+      // Crossing the chord {0, 2} from 0, vertex 2 is a distance-2 root
+      // reached by two 2-walks.
+      {"4-cycle with a chord", 4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}},
+      // Crossing {0, 1} from 0, the second hub is reached by four 2-walks.
+      {"two hubs", 7, TwoHubs(5)},
+  };
+  for (const auto& graph : fixed) {
+    for (int depth = 1; depth <= 4; ++depth) {
+      for (int labels = 1; labels <= 2; ++labels) {
+        SCOPED_TRACE(std::string(graph.name) + ", depth " +
+                     std::to_string(depth) + ", labels " +
+                     std::to_string(labels));
+        Graph g;
+        for (int v = 0; v < graph.vertices; ++v) g.AddVertex(v % labels);
+        for (const auto& [u, v] : graph.edges) ASSERT_TRUE(g.AddEdge(u, v, 0));
+        DimensionTable dims;
+        NntSet nnts(depth, &dims);
+        nnts.Build(g);
+        ASSERT_TRUE(nnts.Validate(g));
+        nnts.TakeDirtyRoots();
+        std::map<VertexId, std::vector<NpvEntry>> rows = RowsOf(nnts);
+        for (const auto& [u, v] : graph.edges) {
+          SCOPED_TRACE("edge " + std::to_string(u) + "-" + std::to_string(v));
+          ASSERT_NO_FATAL_FAILURE(ToggleAndCheck(u, v, 0, &g, &nnts, &rows));
+          ASSERT_NO_FATAL_FAILURE(ToggleAndCheck(u, v, 0, &g, &nnts, &rows));
+        }
+        ExpectMatchesRebuild(nnts, g, &dims);
+      }
+    }
+  }
+}
+
+// The tree-node counters count paths, not row updates: after Build and
+// after every op, created minus freed is the number of tree nodes below
+// the roots. With instrumentation compiled out both stay 0.
+TEST(NntCounterTest, TreeNodeCountersCountPaths) {
+  for (int depth = 1; depth <= 4; ++depth) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    obs::MetricSink sink;
+    obs::ScopedObsContext scope(&sink, nullptr);
+    Rng rng(7100 + static_cast<uint64_t>(depth));
+    Graph g = RandomConnectedGraph(10, 2, 1, rng);
+    DimensionTable dims;
+    NntSet nnts(depth, &dims);
+    auto expect_counters_match = [&] {
+      const int64_t net = sink.Value(obs::Counter::kNntTreeNodesCreated) -
+                          sink.Value(obs::Counter::kNntTreeNodesFreed);
+      if constexpr (obs::kEnabled) {
+        EXPECT_EQ(net, nnts.TotalTreeNodes() -
+                           static_cast<int64_t>(nnts.Roots().size()));
+      } else {
+        EXPECT_EQ(sink.Value(obs::Counter::kNntTreeNodesCreated), 0);
+        EXPECT_EQ(sink.Value(obs::Counter::kNntTreeNodesFreed), 0);
+      }
+    };
+    nnts.Build(g);
+    expect_counters_match();
+    nnts.TakeDirtyRoots();
+    std::map<VertexId, std::vector<NpvEntry>> rows = RowsOf(nnts);
+    for (int step = 0; step < 120; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const VertexId bound = g.VertexIdBound();
+      const VertexId a = static_cast<VertexId>(rng.UniformInt(0, bound - 1));
+      // b == bound grows the graph by one vertex through the insertion.
+      const VertexId b = static_cast<VertexId>(rng.UniformInt(0, bound));
+      if (a == b) continue;
+      if (b == bound) {
+        ASSERT_TRUE(
+            g.EnsureVertex(b, static_cast<VertexLabel>(rng.UniformInt(0, 1))));
+      }
+      ASSERT_NO_FATAL_FAILURE(ToggleAndCheck(a, b, 0, &g, &nnts, &rows));
+      expect_counters_match();
     }
   }
 }
