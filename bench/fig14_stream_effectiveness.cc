@@ -6,6 +6,10 @@
 // Paper scale: 25x25 real / 70x70 synthetic, 1000 timestamps; reproduce with
 //   fig14_stream_effectiveness --pairs=70 --real_streams=25 ...
 //       --timestamps=1000 --gindex_timestamps=1000
+//
+// Exits 1 unless the paper's shape holds: NPV's candidate ratio is below
+// GraphGrep's in every setting, and dense streams give NPV a larger ratio
+// than sparse ones.
 
 #include <algorithm>
 #include <cstdio>
@@ -16,21 +20,29 @@
 namespace gsps::bench {
 namespace {
 
-void RunSetting(const char* name, const StreamWorkload& workload,
-                int gindex_timestamps, int64_t gindex_max_patterns) {
+// Average candidate ratios of the two filters the shape check compares.
+struct SettingRatios {
+  double npv = 0;
+  double graphgrep = 0;
+};
+
+SettingRatios RunSetting(const char* name, const StreamWorkload& workload,
+                         int gindex_timestamps, int64_t gindex_max_patterns) {
+  SettingRatios ratios;
   std::printf("\n[%s] %zu queries x %zu streams, %d timestamps\n", name,
               workload.queries.size(), workload.streams.size(),
               workload.horizon);
   {
     const StatsAccumulator stats =
         RunNpvEngine(workload, JoinKind::kDominatedSetCover, /*depth=*/3);
-    std::printf("  %-8s candidate%%=%6.2f\n", "NPV",
-                100.0 * stats.AvgCandidateRatio());
+    ratios.npv = stats.AvgCandidateRatio();
+    std::printf("  %-8s candidate%%=%6.2f\n", "NPV", 100.0 * ratios.npv);
   }
   {
     const StatsAccumulator stats = RunGraphGrepBaseline(workload, 4);
+    ratios.graphgrep = stats.AvgCandidateRatio();
     std::printf("  %-8s candidate%%=%6.2f\n", "Ggrep",
-                100.0 * stats.AvgCandidateRatio());
+                100.0 * ratios.graphgrep);
   }
   StreamWorkload truncated = workload;
   truncated.horizon = std::min(workload.horizon, gindex_timestamps);
@@ -55,6 +67,16 @@ void RunSetting(const char* name, const StreamWorkload& workload,
                 "gIndex2", 100.0 * stats.AvgCandidateRatio(),
                 truncated.horizon);
   }
+  return ratios;
+}
+
+// True, and prints why not otherwise, when NPV prunes more than GraphGrep.
+bool NpvBeatsGraphGrep(const char* name, const SettingRatios& ratios) {
+  if (ratios.npv < ratios.graphgrep) return true;
+  std::printf("ERROR: %s NPV candidate ratio %.4f is not below GraphGrep's "
+              "%.4f\n",
+              name, ratios.npv, ratios.graphgrep);
+  return false;
 }
 
 int Main(int argc, char** argv) {
@@ -70,22 +92,36 @@ int Main(int argc, char** argv) {
   std::printf("Figure 14: stream effectiveness (avg candidate %%; lower is "
               "better)\n");
 
-  RunSetting("reality-like",
-             RealityStreamWorkload(real_streams, real_streams, timestamps,
-                                   seed),
-             gindex_timestamps, gindex_max_patterns);
-  RunSetting("synthetic sparse",
-             SyntheticStreamWorkload(pairs, 0.1, 0.3, timestamps, seed + 1,
-                                     /*extra_pair_fraction=*/12.0),
-             gindex_timestamps, gindex_max_patterns);
-  RunSetting("synthetic dense",
-             SyntheticStreamWorkload(pairs, 0.2, 0.15, timestamps, seed + 2,
-                                     /*extra_pair_fraction=*/6.2),
-             gindex_timestamps, gindex_max_patterns);
+  const SettingRatios reality = RunSetting(
+      "reality-like",
+      RealityStreamWorkload(real_streams, real_streams, timestamps, seed),
+      gindex_timestamps, gindex_max_patterns);
+  const SettingRatios sparse = RunSetting(
+      "synthetic sparse",
+      SyntheticStreamWorkload(pairs, 0.1, 0.3, timestamps, seed + 1,
+                              /*extra_pair_fraction=*/12.0),
+      gindex_timestamps, gindex_max_patterns);
+  const SettingRatios dense = RunSetting(
+      "synthetic dense",
+      SyntheticStreamWorkload(pairs, 0.2, 0.15, timestamps, seed + 2,
+                              /*extra_pair_fraction=*/6.2),
+      gindex_timestamps, gindex_max_patterns);
 
   std::printf("\nPaper shape check: GraphGrep reports roughly half of all "
               "pairs; NPV sits between\ngIndex1 (best) and gIndex2; dense "
               "streams yield larger candidate sets than sparse.\n");
+  bool ok = NpvBeatsGraphGrep("reality-like", reality);
+  ok = NpvBeatsGraphGrep("synthetic sparse", sparse) && ok;
+  ok = NpvBeatsGraphGrep("synthetic dense", dense) && ok;
+  if (dense.npv <= sparse.npv) {
+    std::printf("ERROR: NPV candidate ratio on dense streams (%.4f) is not "
+                "above sparse (%.4f)\n",
+                dense.npv, sparse.npv);
+    ok = false;
+  }
+  if (!ok) return 1;
+  std::printf("  shape check (NPV < GraphGrep in every setting, NPV dense > "
+              "sparse): OK\n");
   return 0;
 }
 

@@ -2,7 +2,7 @@
 //
 // A thin sequential scheduler over exactly one StreamShard: every call
 // forwards to the shard, which owns the whole pipeline (NNTs, join
-// strategy, tracker, stage timers, attribution, churn). The pipelined
+// strategy, tracker, stage timers, churn). The pipelined
 // engine (pipelined_query_engine.h) drives many shards of the same type on
 // worker threads; this class exists so single-threaded callers keep a
 // minimal API with no sharding vocabulary. See stream_shard.h for the
@@ -70,7 +70,6 @@ class ContinuousQueryEngine {
   bool VerifyCandidate(int stream, int query) const {
     return shard_.VerifyCandidate(stream, query);
   }
-  void FlushAttribution() { shard_.FlushAttribution(); }
 
   // --- Candidate transitions ------------------------------------------------
 

@@ -477,7 +477,6 @@ void PipelinedQueryEngine::HandleMarker(Worker& worker,
     GSPS_OBS_OBSERVE(Hist::kPipelineWatermarkLagMicros, lag);
     GSPS_OBS_GAUGE_SET(Gauge::kPipelineLaneDepth,
                        worker.lane.Stats().depth_high_water);
-    worker.shard.FlushAttribution();
     obs::MetricsRegistry::Global().MergeAndReset(worker.sink);
   }
 
@@ -546,7 +545,6 @@ void PipelinedQueryEngine::WorkerLoop(int s) {
   // marker so every accepted event reaches the shard (lossless shutdown).
   FlushAllPending(worker);
   if constexpr (obs::kEnabled) {
-    shard.FlushAttribution();
     obs::MetricsRegistry::Global().MergeAndReset(worker.sink);
   }
 }

@@ -36,7 +36,15 @@ void StreamShard::Start() {
     stream.nnts->Build(stream.graph);
   }
   tracker_ = CandidateTracker(num_streams());
-  RebuildStrategy();
+  // No query can be retired before Start(), so the strategy's ids are the
+  // engine's: 0..n-1.
+  strategy_ = MakeJoinStrategy(options_.join_kind);
+  std::vector<QueryVectors> vectors;
+  for (const QueryState& query : queries_) vectors.push_back(query.vectors);
+  GSPS_OBS_GAUGE_SET(Gauge::kQueriesActive, num_active_queries());
+  strategy_->SetQueries(std::move(vectors));
+  strategy_->SetNumStreams(num_streams());
+  for (int i = 0; i < num_streams(); ++i) ReplayStream(i);
 }
 
 void StreamShard::ApplyChange(int stream_index, const GraphChange& change) {
@@ -53,9 +61,7 @@ void StreamShard::ApplyChange(int stream_index, const GraphChange& change) {
     }
     for (const EdgeOp& op : change.ops) {
       if (op.kind != EdgeOp::Kind::kInsert) continue;
-      if (!stream.graph.EnsureVertex(op.u, op.u_label)) continue;
-      if (!stream.graph.EnsureVertex(op.v, op.v_label)) continue;
-      if (!stream.graph.AddEdge(op.u, op.v, op.edge_label)) continue;
+      if (!ApplyInsert(op, stream.graph)) continue;
       stream.nnts->InsertEdge(stream.graph, op.u, op.v);
     }
   }
@@ -63,27 +69,15 @@ void StreamShard::ApplyChange(int stream_index, const GraphChange& change) {
   FlushDirty(stream_index);
 }
 
-void StreamShard::FlushAttribution() {
-  if (strategy_ != nullptr) strategy_->FlushAttribution();
-}
-
 std::vector<int> StreamShard::CandidatesForStream(int stream) {
-  std::vector<int> mapped;
-  mapped.reserve(strategy_to_engine_.size());
-  CandidatesForStream(stream, &mapped);
-  return mapped;
+  std::vector<int> candidates;
+  CandidatesForStream(stream, &candidates);
+  return candidates;
 }
 
 void StreamShard::CandidatesForStream(int stream, std::vector<int>* out) {
   GSPS_CHECK(started_);
-  strategy_->CandidatesForStream(stream, &local_scratch_);
-  out->clear();
-  for (const int local : local_scratch_) {
-    out->push_back(strategy_to_engine_[static_cast<size_t>(local)]);
-  }
-  // Slot reuse makes the local->engine map non-monotonic, so the mapped
-  // list must be re-sorted to keep the "ascending" contract.
-  std::sort(out->begin(), out->end());
+  strategy_->CandidatesForStream(stream, out);
 }
 
 std::vector<std::pair<int, int>> StreamShard::AllCandidatePairs() {
@@ -96,10 +90,8 @@ void StreamShard::AllCandidatePairs(std::vector<std::pair<int, int>>* out) {
   GSPS_CHECK(started_);
   out->clear();
   for (int i = 0; i < num_streams(); ++i) {
-    CandidatesForStream(i, &mapped_scratch_);
-    for (const int engine_id : mapped_scratch_) {
-      out->emplace_back(i, engine_id);
-    }
+    CandidatesForStream(i, &candidates_scratch_);
+    for (const int query : candidates_scratch_) out->emplace_back(i, query);
   }
 }
 
@@ -108,9 +100,9 @@ std::vector<int> StreamShard::RecomputeCandidatesFromScratch(
   GSPS_CHECK(started_);
   std::unique_ptr<JoinStrategy> fresh = MakeJoinStrategy(options_.join_kind);
   std::vector<QueryVectors> vectors;
-  // The fresh strategy numbers queries 0..n-1 in engine-ascending order,
-  // which need not match the churned strategy's slot assignment — map
-  // through a local table, never through strategy_to_engine_.
+  // The fresh strategy numbers the registered queries 0..n-1 in ascending
+  // engine order, which skips retired ids — map back through a local
+  // table.
   std::vector<int> fresh_to_engine;
   for (size_t j = 0; j < queries_.size(); ++j) {
     if (queries_[j].retired) continue;
@@ -151,45 +143,25 @@ const std::vector<int>& StreamShard::LastObservedCandidates(int stream) const {
 int StreamShard::AddQueryDynamic(const Graph& query) {
   GSPS_CHECK(started_);
   QueryVectors vectors = ComputeQueryVectors(query);
-  bool grew_dims = false;
-  const int32_t local = strategy_->AddQuery(vectors, &grew_dims);
-  int engine_id;
+  int id;
   if (!free_query_slots_.empty()) {
-    engine_id = free_query_slots_.back();
+    id = free_query_slots_.back();
     free_query_slots_.pop_back();
-    QueryState& state = queries_[static_cast<size_t>(engine_id)];
-    state.graph = query;
-    state.vectors = std::move(vectors);
-    state.retired = false;
   } else {
-    engine_id = static_cast<int>(queries_.size());
-    queries_.push_back(QueryState{query, std::move(vectors), false});
+    id = static_cast<int>(queries_.size());
+    queries_.emplace_back();
   }
-  if (static_cast<size_t>(local) == strategy_to_engine_.size()) {
-    strategy_to_engine_.push_back(engine_id);
-  } else {
-    strategy_to_engine_[static_cast<size_t>(local)] = engine_id;
-  }
-  if (static_cast<size_t>(engine_id) == engine_to_strategy_.size()) {
-    engine_to_strategy_.push_back(local);
-  } else {
-    engine_to_strategy_[static_cast<size_t>(engine_id)] = local;
-  }
-  ++num_active_queries_;
-  GSPS_OBS_GAUGE_SET(Gauge::kQueriesActive, num_active_queries_);
+  bool grew_dims = false;
+  strategy_->AddQuery(id, vectors, &grew_dims);
+  queries_[static_cast<size_t>(id)] =
+      QueryState{query, std::move(vectors), false};
+  GSPS_OBS_GAUGE_SET(Gauge::kQueriesActive, num_active_queries());
   if (grew_dims) {
     // The strategy renumbered its dense dimension space; replay every
-    // stream vertex so its translated entries use the new ids. Drain the
-    // dirty set first so the next incremental flush starts clean.
-    for (int i = 0; i < num_streams(); ++i) {
-      StreamState& stream = streams_[static_cast<size_t>(i)];
-      stream.nnts->TakeDirtyRoots(&dirty_scratch_);
-      for (const VertexId root : stream.nnts->Roots()) {
-        strategy_->UpdateStreamVertex(i, root, stream.nnts->NpvOf(root));
-      }
-    }
+    // stream vertex so its translated entries use the new ids.
+    for (int i = 0; i < num_streams(); ++i) ReplayStream(i);
   }
-  return engine_id;
+  return id;
 }
 
 void StreamShard::RemoveQueryDynamic(int query) {
@@ -199,12 +171,10 @@ void StreamShard::RemoveQueryDynamic(int query) {
   QueryState& state = queries_[static_cast<size_t>(query)];
   GSPS_CHECK_MSG(!state.retired,
                  "RemoveQueryDynamic: query was already removed");
-  strategy_->RemoveQuery(engine_to_strategy_[static_cast<size_t>(query)]);
-  engine_to_strategy_[static_cast<size_t>(query)] = -1;
+  strategy_->RemoveQuery(query);
   state.retired = true;
   free_query_slots_.push_back(query);
-  --num_active_queries_;
-  GSPS_OBS_GAUGE_SET(Gauge::kQueriesActive, num_active_queries_);
+  GSPS_OBS_GAUGE_SET(Gauge::kQueriesActive, num_active_queries());
 }
 
 bool StreamShard::IsQueryRetired(int query) const {
@@ -215,23 +185,10 @@ bool StreamShard::IsQueryRetired(int query) const {
 void StreamShard::CheckChurnInvariants() const {
   GSPS_CHECK(started_);
   strategy_->CheckChurnInvariants();
-  GSPS_CHECK(engine_to_strategy_.size() == queries_.size());
-  int active = 0;
-  for (size_t j = 0; j < queries_.size(); ++j) {
-    const int local = engine_to_strategy_[j];
-    if (queries_[j].retired) {
-      GSPS_CHECK(local == -1);
-      continue;
-    }
-    ++active;
-    GSPS_CHECK(local >= 0 &&
-               local < static_cast<int>(strategy_to_engine_.size()));
-    GSPS_CHECK(strategy_to_engine_[static_cast<size_t>(local)] ==
-               static_cast<int>(j));
-  }
-  GSPS_CHECK(active == num_active_queries_);
-  GSPS_CHECK(static_cast<int>(free_query_slots_.size()) ==
-             static_cast<int>(queries_.size()) - num_active_queries_);
+  const auto active = std::count_if(
+      queries_.begin(), queries_.end(),
+      [](const QueryState& query) { return !query.retired; });
+  GSPS_CHECK(active == num_active_queries());
 }
 
 const Graph& StreamShard::StreamGraph(int stream) const {
@@ -247,33 +204,13 @@ const NntSet& StreamShard::StreamNnts(int stream) const {
   return *streams_[static_cast<size_t>(stream)].nnts;
 }
 
-void StreamShard::RebuildStrategy() {
-  strategy_ = MakeJoinStrategy(options_.join_kind);
-  strategy_to_engine_.clear();
-  engine_to_strategy_.assign(queries_.size(), -1);
-  free_query_slots_.clear();
-  std::vector<QueryVectors> vectors;
-  for (size_t j = 0; j < queries_.size(); ++j) {
-    if (queries_[j].retired) {
-      free_query_slots_.push_back(static_cast<int>(j));
-      continue;
-    }
-    engine_to_strategy_[j] = static_cast<int>(vectors.size());
-    vectors.push_back(queries_[j].vectors);
-    strategy_to_engine_.push_back(static_cast<int>(j));
-  }
-  num_active_queries_ = static_cast<int>(strategy_to_engine_.size());
-  GSPS_OBS_GAUGE_SET(Gauge::kQueriesActive, num_active_queries_);
-  strategy_->SetQueries(std::move(vectors));
-  strategy_->SetNumStreams(num_streams());
-  for (int i = 0; i < num_streams(); ++i) {
-    StreamState& stream = streams_[static_cast<size_t>(i)];
-    // Prime the strategy with every vertex; drain the dirty set so the next
-    // incremental flush starts clean.
-    stream.nnts->TakeDirtyRoots(&dirty_scratch_);
-    for (const VertexId root : stream.nnts->Roots()) {
-      strategy_->UpdateStreamVertex(i, root, stream.nnts->NpvOf(root));
-    }
+void StreamShard::ReplayStream(int stream_index) {
+  StreamState& stream = streams_[static_cast<size_t>(stream_index)];
+  // Drain the dirty set so the next incremental flush starts clean.
+  stream.nnts->TakeDirtyRoots(&dirty_scratch_);
+  for (const VertexId root : stream.nnts->Roots()) {
+    strategy_->UpdateStreamVertex(stream_index, root,
+                                  stream.nnts->NpvOf(root));
   }
 }
 

@@ -3,7 +3,7 @@
 // A StreamShard owns everything the paper's per-stream pipeline needs —
 // the evolving stream graphs, their NNTs and NPVs (§III.B), the pluggable
 // join strategy (§IV.B), the candidate-transition tracker, the per-stage
-// obs timers, per-query attribution, and the dynamic-query churn machinery.
+// obs timers, and the dynamic-query churn machinery.
 // It is the single implementation of the tick path (NNT maintain → dirty
 // drain → join refresh → tracker observe); the engines in
 // continuous_query_engine.h and pipelined_query_engine.h are thin
@@ -85,12 +85,6 @@ class StreamShard {
   // expensive, off the monitoring hot path).
   bool VerifyCandidate(int stream, int query) const;
 
-  // Pushes the join strategy's pending per-query attribution (dominance
-  // probes, refresh time) into the global AttributionRegistry. Call at
-  // metrics-flush cadence — per epoch close in the pipelined engine, per
-  // metrics interval in single-threaded drivers. No-op before Start().
-  void FlushAttribution();
-
   // --- Candidate transitions ------------------------------------------------
 
   // Diffs `*current` (ascending query indices) against the last observed
@@ -109,9 +103,10 @@ class StreamShard {
 
   // Registers a new query while streaming, incrementally: the join
   // strategy's slotted AddQuery folds the new vectors into its existing
-  // state (no rebuild). Returns the engine id — the most recently retired
-  // slot when one is free, a fresh index otherwise. When
-  // the new query introduces dimensions no prior query used, every stream
+  // state (no rebuild). Returns the query's id — the most recently retired
+  // id when one is free, a fresh index otherwise; the shard's free list is
+  // the only allocator, and the strategy is handed the same id. When the
+  // new query introduces dimensions no prior query used, every stream
   // vertex is replayed through the strategy once (the dense dim space was
   // renumbered); otherwise the cost is proportional to the new query alone.
   int AddQueryDynamic(const Graph& query);
@@ -126,7 +121,7 @@ class StreamShard {
   bool IsQueryRetired(int query) const;
 
   // Asserts the full churn-invariant battery of the underlying strategy
-  // plus the shard's own slot maps. Test/fuzz hook; O(everything).
+  // plus the shard's own id bookkeeping. Test/fuzz hook; O(everything).
   void CheckChurnInvariants() const;
 
   // --- Introspection --------------------------------------------------------
@@ -135,7 +130,9 @@ class StreamShard {
   // Slot-space size: includes retired slots awaiting reuse.
   int num_queries() const { return static_cast<int>(queries_.size()); }
   // Queries currently registered (num_queries() minus retired slots).
-  int num_active_queries() const { return num_active_queries_; }
+  int num_active_queries() const {
+    return num_queries() - static_cast<int>(free_query_slots_.size());
+  }
   const Graph& StreamGraph(int stream) const;
   const Graph& QueryGraph(int query) const;
   const NntSet& StreamNnts(int stream) const;
@@ -155,8 +152,9 @@ class StreamShard {
   // Builds the NPVs of a query graph against the shared dimension table.
   QueryVectors ComputeQueryVectors(const Graph& query);
 
-  // Recreates the join strategy from current queries and stream vectors.
-  void RebuildStrategy();
+  // Feeds every vertex NPV of one stream to the strategy (priming, or the
+  // replay after a dimension regrowth) and drains its dirty set.
+  void ReplayStream(int stream);
 
   // Pushes dirty NPVs of one stream into the strategy.
   void FlushDirty(int stream);
@@ -167,23 +165,14 @@ class StreamShard {
   std::vector<StreamState> streams_;
   std::unique_ptr<JoinStrategy> strategy_;
   CandidateTracker tracker_{0};  // Resized (reconstructed) at Start().
-  // Maps the strategy's local query slots back to engine query indices and
-  // vice versa. With slot reuse neither map is monotonic, so candidate
-  // lists are sorted after mapping. engine_to_strategy_ holds -1 for
-  // retired engine slots.
-  std::vector<int> strategy_to_engine_;
-  std::vector<int> engine_to_strategy_;
-  // Retired engine slots available for AddQueryDynamic reuse (LIFO).
+  // Retired query ids available for AddQueryDynamic reuse (LIFO). The
+  // strategy takes the same ids, so its candidate lists need no mapping.
   std::vector<int> free_query_slots_;
-  int num_active_queries_ = 0;
   // Reused dirty-root drain buffer so FlushDirty allocates nothing in
   // steady state.
   std::vector<VertexId> dirty_scratch_;
-  // Reused strategy-local candidate buffer for the index mapping in
-  // CandidatesForStream, and the mapped per-stream buffer used by
-  // AllCandidatePairs.
-  std::vector<int> local_scratch_;
-  std::vector<int> mapped_scratch_;
+  // Reused per-stream candidate buffer of AllCandidatePairs.
+  std::vector<int> candidates_scratch_;
   bool started_ = false;
 };
 

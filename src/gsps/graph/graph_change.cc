@@ -2,6 +2,21 @@
 
 namespace gsps {
 
+bool ApplyInsert(const EdgeOp& op, Graph& graph) {
+  const auto label_fits = [&graph](VertexId id, VertexLabel label) {
+    return !graph.HasVertex(id) || graph.GetVertexLabel(id) == label;
+  };
+  if (op.u == op.v || !label_fits(op.u, op.u_label) ||
+      !label_fits(op.v, op.v_label)) {
+    return false;
+  }
+  // An edge already present has both endpoints, so AddEdge refusing it
+  // leaves nothing created.
+  graph.EnsureVertex(op.u, op.u_label);
+  graph.EnsureVertex(op.v, op.v_label);
+  return graph.AddEdge(op.u, op.v, op.edge_label);
+}
+
 int ApplyChange(const GraphChange& change, Graph& graph) {
   int applied = 0;
   for (const EdgeOp& op : change.ops) {
@@ -9,10 +24,9 @@ int ApplyChange(const GraphChange& change, Graph& graph) {
     if (graph.RemoveEdge(op.u, op.v)) ++applied;
   }
   for (const EdgeOp& op : change.ops) {
-    if (op.kind != EdgeOp::Kind::kInsert) continue;
-    if (!graph.EnsureVertex(op.u, op.u_label)) continue;
-    if (!graph.EnsureVertex(op.v, op.v_label)) continue;
-    if (graph.AddEdge(op.u, op.v, op.edge_label)) ++applied;
+    if (op.kind == EdgeOp::Kind::kInsert && ApplyInsert(op, graph)) {
+      ++applied;
+    }
   }
   return applied;
 }

@@ -47,10 +47,16 @@ struct GraphChange {
   friend bool operator==(const GraphChange&, const GraphChange&) = default;
 };
 
+// Applies one insertion all-or-nothing: adds the edge {u, v}, creating
+// missing endpoints with the op's labels, or changes nothing — on a self
+// loop, an edge already present, or an existing endpoint with another
+// label. Returns true when the edge was added.
+bool ApplyInsert(const EdgeOp& op, Graph& graph);
+
 // Applies `change` to `graph`: all deletions first, then all insertions
 // (the sequentialization order §III.B prescribes). Ops that do not apply
-// (deleting an absent edge, inserting a duplicate, label conflicts) are
-// skipped; returns the number of ops that took effect.
+// (deleting an absent edge, an insertion ApplyInsert refuses) are skipped;
+// returns the number of ops that took effect.
 int ApplyChange(const GraphChange& change, Graph& graph);
 
 // Computes a change operation that transforms `from` into `to`:

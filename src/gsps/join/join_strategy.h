@@ -25,6 +25,11 @@
 // Query-side vectors live in a dense dim-id-translated slab (see
 // NpvDimRemap/NpvSlab in nnt/npv.h), so dominance tests that survive the
 // 64-bit signature fast-reject are linear merges over contiguous arrays.
+// NL and DSC share that query side and the cover counts built on it
+// (CoverQuerySide, cover_query_side.h); Skyline keeps its own slab of
+// skyline points. Query ids are the caller's throughout: SetQueries
+// numbers the initial queries 0..n-1, and AddQuery / RemoveQuery take the
+// id the caller chose, so candidate lists need no translation.
 
 #ifndef GSPS_JOIN_JOIN_STRATEGY_H_
 #define GSPS_JOIN_JOIN_STRATEGY_H_
@@ -67,25 +72,28 @@ class JoinStrategy {
   // SetQueries.
   virtual void SetNumStreams(int num_streams) = 0;
 
-  // Registers a new query at runtime and returns its local id — a retired
-  // id is reused when one is free, else ids keep growing densely. May be
-  // called after SetNumStreams with stream state already in place; the
-  // strategy folds the new query into every live stream vertex
+  // Registers query `id` at runtime. The caller owns the id space (the
+  // shard's free list): `id` must be a retired id or the next unused one
+  // (one past the largest id ever registered), and the strategy checks
+  // both. May be called after SetNumStreams with stream state already in
+  // place; the strategy folds the new query into every live stream vertex
   // incrementally. Sets *grew_dims to true when the query introduced dense
   // dimensions no existing query used — the caller must then replay every
   // stream vertex NPV through UpdateStreamVertex, because stream-side
   // vectors translated before the growth dropped those dimensions at
   // translate time and cannot be fixed up in place.
-  virtual int32_t AddQuery(const QueryVectors& query, bool* grew_dims) = 0;
+  virtual void AddQuery(int32_t id, const QueryVectors& query,
+                        bool* grew_dims) = 0;
 
-  // Retires query `local_id` (must be live). Its slab slots, signatures,
-  // cached verdicts, and per-dimension index entries are freed for reuse;
-  // live queries and the kernel's sentinel-padded slab layout are
-  // undisturbed. The id becomes eligible for reuse by a later AddQuery.
-  virtual void RemoveQuery(int32_t local_id) = 0;
+  // Retires query `id` (must be live). Its slab slots, signatures, cached
+  // verdicts, and per-dimension index entries are freed for reuse; live
+  // queries and the kernel's sentinel-padded slab layout are undisturbed.
+  // The id may be passed to a later AddQuery.
+  virtual void RemoveQuery(int32_t id) = 0;
 
-  // Validates the strategy's churn bookkeeping (slab kernel layout, free
-  // lists, liveness counts). Test/soak hook; O(state), not for hot loops.
+  // Validates the strategy's churn bookkeeping (slab kernel layout, slot
+  // ownership, cover and liveness counts). Test/soak hook; O(state), not
+  // for hot loops.
   virtual void CheckChurnInvariants() const = 0;
 
   // Installs or replaces the NPV of vertex `v` of stream `stream`.
@@ -98,12 +106,6 @@ class JoinStrategy {
   // `stream` at the current state into *out (cleared first, capacity
   // reused), ascending. The allocation-free form for steady-state loops.
   virtual void CandidatesForStream(int stream, std::vector<int>* out) = 0;
-
-  // Pushes pending per-query attribution (dominance probes, refresh time)
-  // into the global obs::AttributionRegistry. Called at metrics-flush
-  // cadence by the engine; the default is a no-op for strategies that do
-  // not attribute.
-  virtual void FlushAttribution() {}
 
   // By-value convenience wrapper.
   std::vector<int> CandidatesForStream(int stream) {

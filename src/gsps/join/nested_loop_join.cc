@@ -1,192 +1,75 @@
 #include "gsps/join/nested_loop_join.h"
 
-#include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "gsps/common/check.h"
-#include "gsps/obs/obs.h"
 
 namespace gsps {
 
 void NestedLoopJoin::SetQueries(std::vector<QueryVectors> queries) {
-  GSPS_CHECK(num_queries_ == 0 && qvec_query_.empty());
-  num_queries_ = static_cast<int32_t>(queries.size());
-  for (const QueryVectors& query : queries) {
-    for (const Npv& vector : query.vectors) remap_.AddDims(vector);
-  }
-  remap_.Seal();
-  std::vector<NpvEntry> translated;
-  query_qvecs_.resize(queries.size());
-  for (size_t j = 0; j < queries.size(); ++j) {
-    int32_t tracked = 0;
-    int32_t trivial = 0;
-    for (const Npv& vector : queries[j].vectors) {
-      if (vector.nnz() == 0) {
-        ++trivial;
-        continue;
-      }
-      ++tracked;
-      remap_.Translate(vector, &translated);
-      const int32_t k = qvecs_.Append(translated);
-      qvec_query_.push_back(static_cast<int32_t>(j));
-      query_qvecs_[j].push_back(k);
-    }
-    query_tracked_vectors_.push_back(tracked);
-    query_trivial_vectors_.push_back(trivial);
-  }
-  query_live_.assign(queries.size(), 1);
-  batch_.Bind(qvecs_, remap_.num_dims());
-  attr_.Reset(num_queries_);
-  for (int32_t j = 0; j < num_queries_; ++j) {
-    attr_.OnAddQuery(j, static_cast<int64_t>(
-                            query_qvecs_[static_cast<size_t>(j)].size()));
-  }
-}
-
-int32_t NestedLoopJoin::AllocQuerySlot() {
-  if (!free_queries_.empty()) {
-    const int32_t j = free_queries_.back();
-    free_queries_.pop_back();
-    query_live_[static_cast<size_t>(j)] = 1;
-    return j;
-  }
-  const int32_t j = num_queries_++;
-  query_qvecs_.emplace_back();
-  query_tracked_vectors_.push_back(0);
-  query_trivial_vectors_.push_back(0);
-  query_live_.push_back(1);
-  for (StreamState& stream : streams_) {
-    stream.covered_vectors.push_back(0);
-  }
-  return j;
-}
-
-int32_t NestedLoopJoin::AddQuery(const QueryVectors& query, bool* grew_dims) {
-  *grew_dims = false;
-  for (const Npv& vector : query.vectors) {
-    if (remap_.GrowDims(vector, &scratch_old_to_new_)) {
-      *grew_dims = true;
-      qvecs_.RemapDims(scratch_old_to_new_);
-      GSPS_OBS_COUNT(Counter::kRemapRegrowths, 1);
-    }
-  }
-  const int32_t j = AllocQuerySlot();
-  int32_t tracked = 0;
-  int32_t trivial = 0;
-  for (const Npv& vector : query.vectors) {
-    if (vector.nnz() == 0) {
-      ++trivial;
-      continue;
-    }
-    ++tracked;
-    remap_.Translate(vector, &scratch_entries_);
-    const int32_t k = qvecs_.Append(scratch_entries_);
-    if (k == static_cast<int32_t>(qvec_query_.size())) {
-      qvec_query_.push_back(j);
-    } else {
-      qvec_query_[static_cast<size_t>(k)] = j;
-    }
-    query_qvecs_[static_cast<size_t>(j)].push_back(k);
-  }
-  query_tracked_vectors_[static_cast<size_t>(j)] = tracked;
-  query_trivial_vectors_[static_cast<size_t>(j)] = trivial;
-  if (*grew_dims) {
-    // RemapDims rewrote every live slot: the whole kernel mirror is stale.
-    batch_.Bind(qvecs_, remap_.num_dims());
-  } else {
-    for (const int32_t k : query_qvecs_[static_cast<size_t>(j)]) {
-      batch_.RefreshSlot(qvecs_, remap_.num_dims(), k);
-    }
-  }
-
-  for (StreamState& stream : streams_) {
-    stream.cover_count.resize(static_cast<size_t>(qvecs_.size()), 0);
-    stream.cache_valid = false;
-    if (*grew_dims) continue;  // Caller replays every vertex instead.
-    // Fold the new vectors into the existing cover state: each live vertex
-    // is tested against just the new slab slots (scalar — the slots are
-    // few and the kernel would re-test the whole slab).
-    for (auto& [v, vertex] : stream.vertices) {
-      if (!vertex.live) continue;
-      for (const int32_t k : query_qvecs_[static_cast<size_t>(j)]) {
-        if (!SignatureCovers(vertex.sig, qvecs_.signature(k))) continue;
-        if (!DominatesRange(vertex.entries.data(),
-                            vertex.entries.data() + vertex.entries.size(),
-                            qvecs_.begin(k), qvecs_.end(k))) {
-          continue;
-        }
-        vertex.dominated.push_back(k);
-        if (stream.cover_count[static_cast<size_t>(k)]++ == 0) {
-          ++stream.covered_vectors[static_cast<size_t>(j)];
-        }
-      }
-    }
-  }
-  attr_.OnAddQuery(j, static_cast<int64_t>(
-                          query_qvecs_[static_cast<size_t>(j)].size()));
-  return j;
-}
-
-void NestedLoopJoin::RemoveQuery(int32_t local_id) {
-  GSPS_CHECK(local_id >= 0 && local_id < num_queries_);
-  GSPS_CHECK_MSG(query_live_[static_cast<size_t>(local_id)] != 0,
-                 "NestedLoopJoin::RemoveQuery on a retired query");
-  std::vector<int32_t>& slots = query_qvecs_[static_cast<size_t>(local_id)];
-  slot_removed_.resize(static_cast<size_t>(qvecs_.size()), 0);
-  for (const int32_t k : slots) slot_removed_[static_cast<size_t>(k)] = 1;
-  for (StreamState& stream : streams_) {
-    for (auto& [v, vertex] : stream.vertices) {
-      if (!vertex.live) continue;
-      auto keep = std::remove_if(
-          vertex.dominated.begin(), vertex.dominated.end(), [&](int32_t k) {
-            return slot_removed_[static_cast<size_t>(k)] != 0;
-          });
-      vertex.dominated.erase(keep, vertex.dominated.end());
-    }
-    for (const int32_t k : slots) {
-      stream.cover_count[static_cast<size_t>(k)] = 0;
-    }
-    stream.covered_vectors[static_cast<size_t>(local_id)] = 0;
-    stream.cache_valid = false;
-  }
-  for (const int32_t k : slots) {
-    slot_removed_[static_cast<size_t>(k)] = 0;
-    qvecs_.Remove(k);
-    batch_.RefreshSlot(qvecs_, remap_.num_dims(), k);
-  }
-  slots.clear();
-  query_tracked_vectors_[static_cast<size_t>(local_id)] = 0;
-  query_trivial_vectors_[static_cast<size_t>(local_id)] = 0;
-  query_live_[static_cast<size_t>(local_id)] = 0;
-  free_queries_.push_back(local_id);
-  attr_.OnRemoveQuery(local_id);
+  query_.SetQueries(queries);
 }
 
 void NestedLoopJoin::SetNumStreams(int num_streams) {
-  GSPS_CHECK(streams_.empty());
-  streams_.resize(static_cast<size_t>(num_streams));
-  for (StreamState& stream : streams_) {
-    stream.cover_count.assign(qvec_query_.size(), 0);
-    stream.covered_vectors.assign(static_cast<size_t>(num_queries_), 0);
+  query_.SetNumStreams(num_streams);
+  vertices_.resize(static_cast<size_t>(num_streams));
+}
+
+void NestedLoopJoin::AddQuery(int32_t id, const QueryVectors& query,
+                              bool* grew_dims) {
+  // On growth the caller replays every vertex, re-translating its entries.
+  *grew_dims = query_.AddQuery(id, query, [](const std::vector<DimId>&) {});
+  if (*grew_dims) return;
+  // Fold the new vectors into the existing cover state: each live vertex
+  // is tested against just the new slab slots (scalar — the slots are few
+  // and the kernel would re-test the whole slab).
+  const NpvSlab& slab = query_.slab();
+  for (int i = 0; i < query_.num_streams(); ++i) {
+    CoverQuerySide::Stream& cover = query_.stream(i);
+    for (auto& [v, vertex] : vertices_[static_cast<size_t>(i)]) {
+      if (!vertex.live) continue;
+      for (const int32_t k : query_.slots(id)) {
+        if (!SignatureCovers(vertex.sig, slab.signature(k))) continue;
+        if (!DominatesRange(vertex.entries.data(),
+                            vertex.entries.data() + vertex.entries.size(),
+                            slab.begin(k), slab.end(k))) {
+          continue;
+        }
+        vertex.dominated.push_back(k);
+        query_.SetDominates(cover, k, true);
+      }
+    }
+  }
+}
+
+void NestedLoopJoin::RemoveQuery(int32_t id) {
+  query_.RemoveQuery(id);
+  // The query's slots are the only ones freed: drop them from every
+  // vertex's dominated list.
+  const NpvSlab& slab = query_.slab();
+  for (VertexMap& vertices : vertices_) {
+    for (auto& [v, vertex] : vertices) {
+      std::erase_if(vertex.dominated,
+                    [&slab](int32_t k) { return !slab.live(k); });
+    }
   }
 }
 
 void NestedLoopJoin::UpdateStreamVertex(int stream_index, VertexId v,
                                         const Npv& npv) {
-  StreamState& stream = streams_[static_cast<size_t>(stream_index)];
-  VertexState& vertex = stream.vertices[v];
+  CoverQuerySide::Stream& cover = query_.stream(stream_index);
+  VertexState& vertex = vertices_[static_cast<size_t>(stream_index)][v];
   if (vertex.live) {
-    Retract(stream, vertex);
+    Retract(cover, vertex);
   } else {
     vertex.live = true;
-    ++stream.live_vertices;
+    CoverQuerySide::AddLiveVertex(cover);
   }
-  vertex.sig = remap_.Translate(npv, &vertex.entries);
+  vertex.sig = query_.remap().Translate(npv, &vertex.entries);
   vertex.dominated.clear();
   const NpvEntry* const begin = vertex.entries.data();
-  const NpvEntry* const end = begin + vertex.entries.size();
-  batch_.ComputeMask(begin, end, vertex.sig, &pending_kernel_);
-  const std::vector<uint64_t>& mask = batch_.mask_words();
+  const std::vector<uint64_t>& mask =
+      query_.DominatedMask(begin, begin + vertex.entries.size(), vertex.sig);
   for (size_t w = 0; w < mask.size(); ++w) {
     uint64_t word = mask[w];
     while (word != 0) {
@@ -194,129 +77,54 @@ void NestedLoopJoin::UpdateStreamVertex(int stream_index, VertexId v,
           w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
       word &= word - 1;
       vertex.dominated.push_back(k);
-      if (stream.cover_count[static_cast<size_t>(k)]++ == 0) {
-        ++stream.covered_vectors[static_cast<size_t>(qvec_query_[k])];
-      }
+      query_.SetDominates(cover, k, true);
     }
   }
-  stream.cache_valid = false;
+  cover.cache_valid = false;
 }
 
 void NestedLoopJoin::RemoveStreamVertex(int stream_index, VertexId v) {
-  StreamState& stream = streams_[static_cast<size_t>(stream_index)];
-  auto it = stream.vertices.find(v);
-  if (it == stream.vertices.end() || !it->second.live) return;
-  Retract(stream, it->second);
+  VertexMap& vertices = vertices_[static_cast<size_t>(stream_index)];
+  auto it = vertices.find(v);
+  if (it == vertices.end() || !it->second.live) return;
+  CoverQuerySide::Stream& cover = query_.stream(stream_index);
+  Retract(cover, it->second);
   it->second.live = false;
   it->second.sig = 0;
   it->second.entries.clear();
   it->second.dominated.clear();
-  --stream.live_vertices;
-  stream.cache_valid = false;
+  CoverQuerySide::RemoveLiveVertex(cover);
+  cover.cache_valid = false;
 }
 
 void NestedLoopJoin::CandidatesForStream(int stream_index,
                                          std::vector<int>* out) {
-  StreamState& stream = streams_[static_cast<size_t>(stream_index)];
-  if (stream.cache_valid) {
-    GSPS_OBS_COUNT(Counter::kJoinVerdictsReused, 1);
-  } else {
-    // Timed manually (not via StageTimer) because the elapsed micros also
-    // feed the per-query attribution split; decimated because a refresh is
-    // sub-microsecond (see JoinRefreshSampleTick).
-    const bool timed = obs::kEnabled &&
-                       (obs::CurrentSink() != nullptr ||
-                        obs::FlightRecorderArmed()) &&
-                       obs::JoinRefreshSampleTick();
-    const int64_t refresh_start = timed ? obs::MonotonicMicros() : 0;
-    stream.cache.clear();
-    for (int32_t j = 0; j < num_queries_; ++j) {
-      if (query_live_[static_cast<size_t>(j)] == 0) continue;
-      if (stream.covered_vectors[static_cast<size_t>(j)] !=
-          query_tracked_vectors_[static_cast<size_t>(j)]) {
-        continue;
-      }
-      if (query_trivial_vectors_[static_cast<size_t>(j)] > 0 &&
-          stream.live_vertices == 0) {
-        continue;
-      }
-      stream.cache.push_back(static_cast<int>(j));
-    }
-    stream.cache_valid = true;
-    if (timed) {
-      const int64_t micros = obs::MonotonicMicros() - refresh_start;
-      obs::StageSample(obs::Stage::kJoinRefresh, micros, stream_index);
-      attr_.AddRefresh(micros);
-    }
-  }
-  out->assign(stream.cache.begin(), stream.cache.end());
-  attr_.AddProbes(pending_kernel_.tests + pending_kernel_.sig_rejects);
-  GSPS_OBS_COUNT(Counter::kJoinPairsIn, static_cast<int64_t>(num_queries_));
-  GSPS_OBS_COUNT(Counter::kJoinPairsOut, static_cast<int64_t>(out->size()));
-  GSPS_OBS_COUNT(Counter::kJoinDominanceTests, pending_kernel_.tests);
-  GSPS_OBS_COUNT(Counter::kJoinSignatureRejects, pending_kernel_.sig_rejects);
-  if constexpr (obs::kEnabled) {
-    if (obs::MetricSink* sink = obs::CurrentSink(); sink != nullptr) {
-      sink->Add(batch_.batch_counter(), pending_kernel_.batches);
-    }
-  }
-  pending_kernel_ = DominanceKernelStats{};
+  query_.Candidates(stream_index, out);
 }
 
-void NestedLoopJoin::Retract(StreamState& stream, VertexState& vertex) {
+void NestedLoopJoin::Retract(CoverQuerySide::Stream& cover,
+                             VertexState& vertex) {
   for (const int32_t k : vertex.dominated) {
-    if (--stream.cover_count[static_cast<size_t>(k)] == 0) {
-      --stream.covered_vectors[static_cast<size_t>(qvec_query_[k])];
-    }
+    query_.SetDominates(cover, k, false);
   }
 }
 
 void NestedLoopJoin::CheckChurnInvariants() const {
-  qvecs_.CheckKernelLayout();
-  int32_t live_slots = 0;
-  for (int32_t j = 0; j < num_queries_; ++j) {
-    const auto& slots = query_qvecs_[static_cast<size_t>(j)];
-    if (query_live_[static_cast<size_t>(j)] == 0) {
-      GSPS_CHECK(slots.empty());
-      continue;
-    }
-    GSPS_CHECK(static_cast<int32_t>(slots.size()) ==
-               query_tracked_vectors_[static_cast<size_t>(j)]);
-    for (const int32_t k : slots) {
-      GSPS_CHECK(qvecs_.live(k));
-      GSPS_CHECK(qvec_query_[static_cast<size_t>(k)] == j);
-      ++live_slots;
-    }
-  }
-  GSPS_CHECK(live_slots == qvecs_.num_live());
-  GSPS_CHECK(static_cast<int32_t>(free_queries_.size()) ==
-             std::count(query_live_.begin(), query_live_.end(), 0));
+  query_.CheckQueryInvariants();
   // Recount the per-stream cover state from the vertices.
   std::vector<int32_t> counts;
-  std::vector<int32_t> covered;
-  for (const StreamState& stream : streams_) {
-    counts.assign(static_cast<size_t>(qvecs_.size()), 0);
-    covered.assign(static_cast<size_t>(num_queries_), 0);
+  for (int i = 0; i < query_.num_streams(); ++i) {
+    counts.assign(static_cast<size_t>(query_.slab().size()), 0);
     int32_t live_vertices = 0;
-    for (const auto& [v, vertex] : stream.vertices) {
+    for (const auto& [v, vertex] : vertices_[static_cast<size_t>(i)]) {
       if (!vertex.live) continue;
       ++live_vertices;
       for (const int32_t k : vertex.dominated) {
-        GSPS_CHECK(qvecs_.live(k));
-        if (counts[static_cast<size_t>(k)]++ == 0) {
-          ++covered[static_cast<size_t>(qvec_query_[k])];
-        }
+        GSPS_CHECK(query_.slab().live(k));
+        ++counts[static_cast<size_t>(k)];
       }
     }
-    GSPS_CHECK(live_vertices == stream.live_vertices);
-    for (int32_t k = 0; k < qvecs_.size(); ++k) {
-      GSPS_CHECK(counts[static_cast<size_t>(k)] ==
-                 stream.cover_count[static_cast<size_t>(k)]);
-    }
-    for (int32_t j = 0; j < num_queries_; ++j) {
-      GSPS_CHECK(covered[static_cast<size_t>(j)] ==
-                 stream.covered_vectors[static_cast<size_t>(j)]);
-    }
+    query_.CheckCover(i, counts, live_vertices);
   }
 }
 

@@ -5,9 +5,10 @@
 // optimized strategies are property-tested against, but it is evaluated
 // incrementally: when a stream vertex's NPV changes, only that vertex is
 // re-tested against the query vectors (signature fast-reject first, then a
-// linear merge against the dense query slab), and per-query-vector cover
-// counts absorb the delta. CandidatesForStream is an O(queries) counter
-// scan, answered from a cached list when no delta touched the stream.
+// linear merge against the dense query slab), and the shared cover counts
+// (CoverQuerySide) absorb the delta. CandidatesForStream is an O(queries)
+// counter scan, answered from a cached list when no delta touched the
+// stream.
 
 #ifndef GSPS_JOIN_NESTED_LOOP_JOIN_H_
 #define GSPS_JOIN_NESTED_LOOP_JOIN_H_
@@ -16,9 +17,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gsps/join/dominance_kernel.h"
+#include "gsps/join/cover_query_side.h"
 #include "gsps/join/join_strategy.h"
-#include "gsps/obs/attribution.h"
 
 namespace gsps {
 
@@ -28,14 +28,14 @@ class NestedLoopJoin final : public JoinStrategy {
 
   void SetQueries(std::vector<QueryVectors> queries) override;
   void SetNumStreams(int num_streams) override;
-  int32_t AddQuery(const QueryVectors& query, bool* grew_dims) override;
-  void RemoveQuery(int32_t local_id) override;
+  void AddQuery(int32_t id, const QueryVectors& query,
+                bool* grew_dims) override;
+  void RemoveQuery(int32_t id) override;
   void UpdateStreamVertex(int stream, VertexId v, const Npv& npv) override;
   void RemoveStreamVertex(int stream, VertexId v) override;
   void CandidatesForStream(int stream, std::vector<int>* out) override;
   using JoinStrategy::CandidatesForStream;
   void CheckChurnInvariants() const override;
-  void FlushAttribution() override { attr_.Flush(); }
   std::string_view name() const override { return "NL"; }
 
  private:
@@ -49,62 +49,14 @@ class NestedLoopJoin final : public JoinStrategy {
     // later re-add allocates nothing.
     bool live = false;
   };
-
-  struct StreamState {
-    std::unordered_map<VertexId, VertexState> vertices;
-    // Per query vector (slab index): stream vertices dominating it.
-    std::vector<int32_t> cover_count;
-    // Per query graph: non-trivial query vectors with cover_count > 0.
-    std::vector<int32_t> covered_vectors;
-    int32_t live_vertices = 0;
-    // Cached candidate list, valid until the next delta for this stream.
-    std::vector<int> cache;
-    bool cache_valid = false;
-  };
+  using VertexMap = std::unordered_map<VertexId, VertexState>;
 
   // Removes `vertex`'s cover contributions.
-  void Retract(StreamState& stream, VertexState& vertex);
+  void Retract(CoverQuerySide::Stream& cover, VertexState& vertex);
 
-  // Registers `query`'s dims (growing the remap and rewriting the slab if
-  // needed) and allocates a query slot. Shared by SetQueries and AddQuery.
-  int32_t AllocQuerySlot();
-
-  // Query side, slotted for churn: non-trivial query vectors live
-  // dim-translated in a contiguous slab; qvec_query_ maps slab index ->
-  // owning query graph, query_qvecs_ the inverse.
-  NpvDimRemap remap_;
-  NpvSlab qvecs_;
-  // Batched dominance kernel, re-bound after every churn op; one
-  // ComputeMask per vertex update replaces the per-vector scan.
-  DominanceBatch batch_;
-  std::vector<int32_t> qvec_query_;
-  std::vector<std::vector<int32_t>> query_qvecs_;
-  // Per query graph: number of non-trivial / trivial (nnz == 0) vectors. A
-  // trivial vector is dominated by any stream vertex, so it is covered
-  // exactly when the stream is non-empty.
-  std::vector<int32_t> query_tracked_vectors_;
-  std::vector<int32_t> query_trivial_vectors_;
-  // Slot liveness + free list: retired query ids are reused, and dead
-  // slots never surface as candidates.
-  std::vector<uint8_t> query_live_;
-  std::vector<int32_t> free_queries_;
-  int32_t num_queries_ = 0;
-
-  std::vector<StreamState> streams_;
-
-  // Churn scratch, capacity-retained across ops so steady-state churn is
-  // allocation-free.
-  std::vector<NpvEntry> scratch_entries_;
-  std::vector<DimId> scratch_old_to_new_;
-  std::vector<uint8_t> slot_removed_;
-
-  // Observability accumulators (see the note in dominated_set_cover_join.h):
-  // bumped by the kernel in the update loops, flushed once per
-  // CandidatesForStream.
-  DominanceKernelStats pending_kernel_;
-  // Per-query work attribution; weight is the query's tracked vector
-  // count. Flushed by the engine at metrics cadence.
-  obs::QueryAttribution attr_;
+  CoverQuerySide query_;
+  // Per stream: its vertices.
+  std::vector<VertexMap> vertices_;
 };
 
 }  // namespace gsps

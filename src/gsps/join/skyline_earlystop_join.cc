@@ -17,12 +17,9 @@ void SkylineEarlyStopJoin::SetQueries(std::vector<QueryVectors> queries) {
   remap_.Seal();
   plans_.resize(queries.size());
   DominanceKernelStats build_kernel_stats;
-  attr_.Reset(static_cast<int>(queries.size()));
   for (size_t j = 0; j < queries.size(); ++j) {
     BuildPlan(static_cast<int32_t>(j), queries[j].vectors,
               &build_kernel_stats);
-    attr_.OnAddQuery(static_cast<int>(j),
-                     static_cast<int64_t>(plans_[j].points.size()));
   }
   // Flushed here rather than deferred: setup-time kernel activity stays out
   // of the per-refresh accumulators, preserving the steady-state
@@ -113,8 +110,12 @@ void SkylineEarlyStopJoin::BuildPlan(int32_t j,
   }
 }
 
-int32_t SkylineEarlyStopJoin::AddQuery(const QueryVectors& query,
-                                       bool* grew_dims) {
+void SkylineEarlyStopJoin::AddQuery(int32_t id, const QueryVectors& query,
+                                    bool* grew_dims) {
+  const int32_t n = static_cast<int32_t>(plans_.size());
+  GSPS_CHECK_MSG(id >= 0 && id <= n &&
+                     (id == n || !plans_[static_cast<size_t>(id)].live),
+                 "AddQuery: the id must be retired or the next unused one");
   *grew_dims = false;
   for (const Npv& vector : query.vectors) {
     if (!remap_.GrowDims(vector, &remap_scratch_)) continue;
@@ -156,27 +157,22 @@ int32_t SkylineEarlyStopJoin::AddQuery(const QueryVectors& query,
     }
   }
 
-  int32_t j;
-  if (!free_plans_.empty()) {
-    j = free_plans_.back();
-    free_plans_.pop_back();
-  } else {
-    j = static_cast<int32_t>(plans_.size());
+  if (id == n) {
     plans_.emplace_back();
     for (StreamState& stream : streams_) {
       stream.verdicts.emplace_back();
     }
   }
   DominanceKernelStats build_stats;
-  BuildPlan(j, query.vectors, &build_stats);
+  BuildPlan(id, query.vectors, &build_stats);
   pending_tests_ += build_stats.tests;
   pending_rejects_ += build_stats.sig_rejects;
-  const QueryPlan& plan = plans_[static_cast<size_t>(j)];
+  const QueryPlan& plan = plans_[static_cast<size_t>(id)];
   // Eager verdict: the cached-verdict invariant ("state as of the last
   // refresh") only holds for plans that existed at that refresh, so the new
   // plan's coverage is scanned now against the current stream state.
   for (StreamState& stream : streams_) {
-    Verdict& verdict = stream.verdicts[static_cast<size_t>(j)];
+    Verdict& verdict = stream.verdicts[static_cast<size_t>(id)];
     verdict.covered = true;
     verdict.witness = static_cast<int32_t>(plan.points.size());
     for (size_t i = 0; i < plan.points.size(); ++i) {
@@ -188,14 +184,11 @@ int32_t SkylineEarlyStopJoin::AddQuery(const QueryVectors& query,
     }
     stream.cache_valid = false;
   }
-  attr_.OnAddQuery(j, static_cast<int64_t>(plan.points.size()));
-  return j;
 }
 
-void SkylineEarlyStopJoin::RemoveQuery(int32_t local_id) {
-  GSPS_CHECK(local_id >= 0 &&
-             local_id < static_cast<int32_t>(plans_.size()));
-  QueryPlan& plan = plans_[static_cast<size_t>(local_id)];
+void SkylineEarlyStopJoin::RemoveQuery(int32_t id) {
+  GSPS_CHECK(id >= 0 && id < static_cast<int32_t>(plans_.size()));
+  QueryPlan& plan = plans_[static_cast<size_t>(id)];
   GSPS_CHECK_MSG(plan.live,
                  "SkylineEarlyStopJoin::RemoveQuery on a retired query");
   for (const int32_t point : plan.points) points_.Remove(point);
@@ -204,10 +197,8 @@ void SkylineEarlyStopJoin::RemoveQuery(int32_t local_id) {
   plan.has_trivial_vector = false;
   plan.empty_query = false;
   plan.live = false;
-  free_plans_.push_back(local_id);
-  attr_.OnRemoveQuery(local_id);
   for (StreamState& stream : streams_) {
-    stream.verdicts[static_cast<size_t>(local_id)] = Verdict{};
+    stream.verdicts[static_cast<size_t>(id)] = Verdict{};
     stream.cache_valid = false;
   }
 }
@@ -215,11 +206,9 @@ void SkylineEarlyStopJoin::RemoveQuery(int32_t local_id) {
 void SkylineEarlyStopJoin::CheckChurnInvariants() const {
   points_.CheckKernelLayout();
   int32_t live_points = 0;
-  int32_t dead_plans = 0;
   for (const QueryPlan& plan : plans_) {
     if (!plan.live) {
       GSPS_CHECK(plan.points.empty());
-      ++dead_plans;
       continue;
     }
     NpvSignature union_sig = 0;
@@ -232,7 +221,6 @@ void SkylineEarlyStopJoin::CheckChurnInvariants() const {
     GSPS_CHECK(union_sig == plan.union_sig);
   }
   GSPS_CHECK(live_points == points_.num_live());
-  GSPS_CHECK(dead_plans == static_cast<int32_t>(free_plans_.size()));
   for (const StreamState& stream : streams_) {
     GSPS_CHECK(stream.verdicts.size() == plans_.size());
     int32_t live_vertices = 0;
@@ -313,14 +301,7 @@ void SkylineEarlyStopJoin::CandidatesForStream(int stream_index,
   if (stream.cache_valid) {
     GSPS_OBS_COUNT(Counter::kJoinVerdictsReused, 1);
   } else {
-    // Timed manually (not via StageTimer) because the elapsed micros also
-    // feed the per-query attribution split; decimated because a refresh is
-    // sub-microsecond (see JoinRefreshSampleTick).
-    const bool timed = obs::kEnabled &&
-                       (obs::CurrentSink() != nullptr ||
-                        obs::FlightRecorderArmed()) &&
-                       obs::JoinRefreshSampleTick();
-    const int64_t refresh_start = timed ? obs::MonotonicMicros() : 0;
+    GSPS_OBS_JOIN_REFRESH(stream_index);
     stream.cache.clear();
     const bool stream_nonempty = stream.live_vertices > 0;
     int64_t early_stops = 0;
@@ -351,14 +332,8 @@ void SkylineEarlyStopJoin::CandidatesForStream(int stream_index,
     stream.combined_changed = 0;
     stream.cache_valid = true;
     GSPS_OBS_COUNT(Counter::kJoinSkylineEarlyStops, early_stops);
-    if (timed) {
-      const int64_t micros = obs::MonotonicMicros() - refresh_start;
-      obs::StageSample(obs::Stage::kJoinRefresh, micros, stream_index);
-      attr_.AddRefresh(micros);
-    }
   }
   out->assign(stream.cache.begin(), stream.cache.end());
-  attr_.AddProbes(pending_tests_ + pending_rejects_);
   GSPS_OBS_COUNT(Counter::kJoinPairsIn, static_cast<int64_t>(plans_.size()));
   GSPS_OBS_COUNT(Counter::kJoinPairsOut, static_cast<int64_t>(out->size()));
   GSPS_OBS_COUNT(Counter::kJoinDominanceTests, pending_tests_);

@@ -41,7 +41,6 @@
 
 #include "gsps/join/dominance_kernel.h"
 #include "gsps/join/join_strategy.h"
-#include "gsps/obs/attribution.h"
 
 namespace gsps {
 
@@ -51,14 +50,14 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
 
   void SetQueries(std::vector<QueryVectors> queries) override;
   void SetNumStreams(int num_streams) override;
-  int32_t AddQuery(const QueryVectors& query, bool* grew_dims) override;
-  void RemoveQuery(int32_t local_id) override;
+  void AddQuery(int32_t id, const QueryVectors& query,
+                bool* grew_dims) override;
+  void RemoveQuery(int32_t id) override;
   void UpdateStreamVertex(int stream, VertexId v, const Npv& npv) override;
   void RemoveStreamVertex(int stream, VertexId v) override;
   void CandidatesForStream(int stream, std::vector<int>* out) override;
   using JoinStrategy::CandidatesForStream;
   void CheckChurnInvariants() const override;
-  void FlushAttribution() override { attr_.Flush(); }
   std::string_view name() const override { return "Skyline"; }
 
   // Statistics: how many query skyline points were compared against stream
@@ -150,8 +149,8 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
   void BuildPlan(int32_t j, const std::vector<Npv>& vectors,
                  DominanceKernelStats* build_stats);
 
+  // Indexed by query id.
   std::vector<QueryPlan> plans_;
-  std::vector<int32_t> free_plans_;
   // All skyline points of all plans, dense-translated, in one slab.
   NpvDimRemap remap_;
   NpvSlab points_;
@@ -173,9 +172,6 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
   // once per CandidatesForStream.
   int64_t pending_tests_ = 0;
   int64_t pending_rejects_ = 0;
-  // Per-query work attribution; weight is the plan's skyline point count.
-  // Flushed by the engine at metrics cadence.
-  obs::QueryAttribution attr_;
 };
 
 }  // namespace gsps

@@ -213,7 +213,6 @@ void NpvSlab::Remove(int32_t i) {
   sigs_[static_cast<size_t>(i)] = ~NpvSignature{0};
   ref.size = 0;
   ref.live = false;
-  ++ref.generation;
   free_slots_.push_back(i);
   live_words_[static_cast<size_t>(i) / 64] &=
       ~(uint64_t{1} << (static_cast<uint32_t>(i) % 64));

@@ -174,15 +174,14 @@ using NpvSignatureVector =
 // query-side layout, and the memory the dominance kernel sweeps.
 //
 // Slots are slotted for churn: Remove frees a slot without moving live
-// vectors — its entry
-// region is repadded with {0, 0} sentinels, its signature becomes the
-// all-ones sentinel (so the signature fast-reject discards it for every hay
-// that is not all-ones; kernel consumers additionally mask with
-// live_words), its generation bumps, and the slot joins a free list.
+// vectors — its entry region is repadded with {0, 0} sentinels, its
+// signature becomes the all-ones sentinel (so the signature fast-reject
+// discards it for every hay that is not all-ones; kernel consumers
+// additionally mask with live_words), and the slot joins a free list.
 // Append reuses the best-fitting free slot (smallest adequate capacity, in
 // place, allocation-free) before growing the tail, so remove + re-add of an
-// identical vector set is zero-alloc and zero-growth in steady state. CheckKernelLayout holds
-// after every churn op.
+// identical vector set is zero-alloc and zero-growth in steady state.
+// CheckKernelLayout holds after every churn op.
 class NpvSlab {
  public:
   // Appends a vector (entries sorted ascending by dim) and returns its
@@ -192,9 +191,9 @@ class NpvSlab {
   int32_t Append(const std::vector<NpvEntry>& entries);
 
   // Frees slot `i` (must be live): entries become {0, 0} sentinels, the
-  // signature becomes all-ones, the generation bumps, and the slot is
-  // available for reuse. The slot index stays valid (size() is unchanged);
-  // nnz(i) reads 0 until the slot is reused.
+  // signature becomes all-ones, and the slot is available for reuse. The
+  // slot index stays valid (size() is unchanged); nnz(i) reads 0 until the
+  // slot is reused.
   void Remove(int32_t i);
 
   // Forgets every slot but keeps array capacity — the scratch-slab reset.
@@ -208,9 +207,6 @@ class NpvSlab {
   int32_t size() const { return static_cast<int32_t>(refs_.size()); }
   int32_t num_live() const { return num_live_; }
   bool live(int32_t i) const { return refs_[static_cast<size_t>(i)].live; }
-  uint32_t generation(int32_t i) const {
-    return refs_[static_cast<size_t>(i)].generation;
-  }
 
   const NpvEntry* begin(int32_t i) const {
     return entries_.data() + refs_[static_cast<size_t>(i)].offset;
@@ -246,7 +242,6 @@ class NpvSlab {
     int32_t offset = 0;
     int32_t size = 0;      // Entries in use; 0 while freed.
     int32_t capacity = 0;  // Entries reserved; fixed at first allocation.
-    uint32_t generation = 0;
     bool live = false;
   };
   // [0, num_entries_) is slot-owned (live entries, in-slot slack, freed

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <vector>
 
-#include "gsps/obs/attribution.h"
 #include "gsps/obs/exemplar.h"
 #include "gsps/obs/flight_recorder.h"
 #include "gsps/obs/window.h"
@@ -255,14 +254,12 @@ void MetricsRegistry::Reset() {
   }
   WindowedTelemetry::Global().Reset();
   ExemplarStore::Global().Reset();
-  AttributionRegistry::Global().Reset();
 }
 
 namespace {
 
 constexpr double kWindowQuantiles[3] = {0.5, 0.95, 0.99};
 constexpr const char* kWindowQuantileLabels[3] = {"0.5", "0.95", "0.99"};
-constexpr int kAttributionTopK = 10;
 
 }  // namespace
 
@@ -342,30 +339,6 @@ std::string ToPrometheusText(const MetricSink& snapshot) {
              "\"} " + FormatDouble(HistogramQuantile(data, kWindowQuantiles[q])) +
              "\n";
     }
-  }
-
-  // Per-query attribution heavy hitters (top-K by dominance probes).
-  std::vector<AttributionRow> top;
-  AttributionRegistry::Global().TopK(kAttributionTopK, &top);
-  out += "# HELP gsps_query_dominance_probes_total Dominance probes "
-         "attributed to the query slot (weighted split)\n";
-  out += "# TYPE gsps_query_dominance_probes_total counter\n";
-  out += "# HELP gsps_query_refresh_micros_total Verdict-refresh micros "
-         "attributed to the query slot\n";
-  out += "# TYPE gsps_query_refresh_micros_total counter\n";
-  out += "# HELP gsps_query_refreshes_total Refresh passes the query slot "
-         "was live for\n";
-  out += "# TYPE gsps_query_refreshes_total counter\n";
-  for (const AttributionRow& row : top) {
-    const std::string labels = "{query=\"" + FormatInt(row.slot) +
-                               "\",generation=\"" +
-                               FormatInt(row.generation) + "\"} ";
-    out += "gsps_query_dominance_probes_total" + labels +
-           FormatInt(row.dominance_probes) + "\n";
-    out += "gsps_query_refresh_micros_total" + labels +
-           FormatInt(row.refresh_micros) + "\n";
-    out += "gsps_query_refreshes_total" + labels + FormatInt(row.refreshes) +
-           "\n";
   }
 
   // Exemplars ride along as comment lines: the classic text format has no
@@ -449,20 +422,6 @@ std::string ToMetricsJson(const MetricSink& snapshot) {
     out += "}";
   }
   out += "}}";
-
-  std::vector<AttributionRow> top;
-  AttributionRegistry::Global().TopK(kAttributionTopK, &top);
-  out += ",\"attribution\":[";
-  for (size_t i = 0; i < top.size(); ++i) {
-    const AttributionRow& row = top[i];
-    if (i > 0) out += ",";
-    out += "{\"query\":" + FormatInt(row.slot) +
-           ",\"generation\":" + FormatInt(row.generation) +
-           ",\"dominance_probes\":" + FormatInt(row.dominance_probes) +
-           ",\"refresh_micros\":" + FormatInt(row.refresh_micros) +
-           ",\"refreshes\":" + FormatInt(row.refreshes) + "}";
-  }
-  out += "]";
 
   std::vector<Exemplar> exemplars;
   ExemplarStore::Global().Snapshot(&exemplars);

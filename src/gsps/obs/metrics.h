@@ -34,7 +34,7 @@ namespace gsps::obs {
 // Compile-time master switch. The macros in obs.h expand to nothing when
 // this is false; non-macro instrumentation work gates on
 // `if constexpr (gsps::obs::kEnabled)`. Lives here (not obs.h) so the
-// window/exemplar/attribution modules can use it without pulling in the
+// window and exemplar modules can use it without pulling in the
 // macro header.
 #if defined(GSPS_OBS_DISABLED)
 inline constexpr bool kEnabled = false;
@@ -244,19 +244,19 @@ class MetricsRegistry {
   // Copy of the current aggregate.
   MetricSink Snapshot() const;
 
-  // Zeroes the aggregate and cascades to the windowed telemetry, exemplar
-  // store, and attribution registry (test isolation).
+  // Zeroes the aggregate and cascades to the windowed telemetry and the
+  // exemplar store (test isolation).
   void Reset();
 };
 
 // Prometheus text exposition format: "# HELP"/"# TYPE" headers, "_total"
 // counters, cumulative le="..." histogram buckets with _sum/_count, plus
 // the gsps_build_info gauge, the latest telemetry window's rates and
-// quantiles, the per-query attribution top-K, and exemplar comment lines.
+// quantiles, and exemplar comment lines.
 std::string ToPrometheusText(const MetricSink& snapshot);
 
 // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
-// "build_info":{...},"window":{...},"attribution":[...],"exemplars":[...]}.
+// "build_info":{...},"window":{...},"exemplars":[...]}.
 std::string ToMetricsJson(const MetricSink& snapshot);
 
 }  // namespace gsps::obs

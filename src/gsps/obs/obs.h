@@ -12,6 +12,7 @@
 //   GSPS_OBS_OBSERVE(Hist::kIngestE2eMicros, micros);
 //   GSPS_OBS_SPAN("shard_update", "monitor");  // RAII, ends at scope exit
 //   GSPS_OBS_STAGE(Stage::kNntMaintain, stream);  // Stage timer for scope
+//   GSPS_OBS_JOIN_REFRESH(stream);  // Sampled join-refresh stage timer
 //
 // Compile with -DGSPS_OBS_DISABLED (CMake option of the same name) and all
 // macros expand to nothing — zero instructions on the hot path — while
@@ -117,13 +118,13 @@ void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream = -1,
 // runs well under a microsecond, so timing every refresh spends two clock
 // reads against ~100ns of measured work — over 10% on the skyline fast
 // path, against a <=3% total overhead budget. Sampling 1 refresh in 8
-// amortizes the clock reads to about 1% while the histogram quantiles and
-// the attribution split stay representative (the sample is unbiased: the
-// gate ticks on refresh count, not on refresh cost). The gate fires on a
-// thread's *first* eligible refresh so short test workloads still populate
-// the stage histogram. Batch-level stages (NNT maintain, dirty drain,
-// tracker observe, metrics merge) stay unsampled — they run once per batch,
-// where two clock reads are noise.
+// amortizes the clock reads to about 1% while the histogram quantiles stay
+// representative (the sample is unbiased: the gate ticks on refresh count,
+// not on refresh cost). The gate fires on a thread's *first* eligible
+// refresh so short test workloads still populate the stage histogram.
+// Batch-level stages (NNT maintain, dirty drain, tracker observe, metrics
+// merge) stay unsampled — they run once per batch, where two clock reads
+// are noise.
 inline constexpr uint32_t kJoinRefreshSampleEvery = 8;
 inline bool JoinRefreshSampleTick() {
   thread_local uint32_t tick = 0;
@@ -132,13 +133,16 @@ inline bool JoinRefreshSampleTick() {
 
 // Scoped wall-clock timer for one pipeline stage. Skips the clock entirely
 // when the thread has neither a sink nor an armed flight recorder, so an
-// uninstrumented caller pays two branches. Use through GSPS_OBS_STAGE so
-// GSPS_OBS_DISABLED builds compile it out.
+// uninstrumented caller pays two branches; a `sampled` timer also skips
+// all but 1 call in kJoinRefreshSampleEvery. Use through GSPS_OBS_STAGE or
+// GSPS_OBS_JOIN_REFRESH so GSPS_OBS_DISABLED builds compile it out.
 class StageTimer {
  public:
-  explicit StageTimer(Stage stage, int32_t stream = -1, int32_t query = -1)
+  explicit StageTimer(Stage stage, int32_t stream = -1, int32_t query = -1,
+                      bool sampled = false)
       : stage_(stage), stream_(stream), query_(query) {
-    if (CurrentSink() != nullptr || FlightRecorderArmed()) {
+    if ((CurrentSink() != nullptr || FlightRecorderArmed()) &&
+        (!sampled || JoinRefreshSampleTick())) {
       start_ = MonotonicMicros();
     }
   }
@@ -176,6 +180,9 @@ class StageTimer {
   } while (false)
 #define GSPS_OBS_STAGE(stage, ...) \
   do {                             \
+  } while (false)
+#define GSPS_OBS_JOIN_REFRESH(stream) \
+  do {                                \
   } while (false)
 
 #else  // !GSPS_OBS_DISABLED
@@ -218,6 +225,14 @@ class StageTimer {
   ::gsps::obs::StageTimer GSPS_OBS_CONCAT(gsps_obs_stage_,  \
                                           __LINE__)(        \
       ::gsps::obs::stage __VA_OPT__(, ) __VA_ARGS__)
+
+// Times the rest of the enclosing scope as one join verdict refresh of
+// `stream`, sampled (see JoinRefreshSampleTick); all three join
+// strategies time their refresh through it.
+#define GSPS_OBS_JOIN_REFRESH(stream)                       \
+  ::gsps::obs::StageTimer GSPS_OBS_CONCAT(gsps_obs_stage_,  \
+                                          __LINE__)(        \
+      ::gsps::obs::Stage::kJoinRefresh, (stream), -1, /*sampled=*/true)
 
 #endif  // GSPS_OBS_DISABLED
 

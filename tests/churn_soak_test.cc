@@ -149,7 +149,7 @@ TEST(ChurnSoakTest, SteadyStateRemoveReaddAllocatesNothing) {
     const int nq = static_cast<int>(qvecs.size());
     for (int j = 0; j < nq; ++j) {
       strategy->RemoveQuery(j);
-      ASSERT_EQ(strategy->AddQuery(qvecs[static_cast<size_t>(j)], &grew), j);
+      strategy->AddQuery(j, qvecs[static_cast<size_t>(j)], &grew);
       ASSERT_FALSE(grew);  // The remap already knows every dim.
       strategy->CandidatesForStream(0, &cands);
     }
@@ -158,7 +158,7 @@ TEST(ChurnSoakTest, SteadyStateRemoveReaddAllocatesNothing) {
     for (int op = 0; op < 10000; ++op) {
       const int j = op % nq;
       strategy->RemoveQuery(j);
-      ASSERT_EQ(strategy->AddQuery(qvecs[static_cast<size_t>(j)], &grew), j);
+      strategy->AddQuery(j, qvecs[static_cast<size_t>(j)], &grew);
       ASSERT_FALSE(grew);
       strategy->CandidatesForStream(0, &cands);
     }

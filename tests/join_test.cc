@@ -135,6 +135,28 @@ TEST_P(JoinKindTest, StreamsAreIndependent) {
   EXPECT_EQ(strategy->CandidatesForStream(1), std::vector<int>{0});
 }
 
+// The caller owns the id space: AddQuery takes a retired id or the next
+// unused one, and anything else is a programmer error.
+TEST_P(JoinKindTest, AddQueryTakesOnlyARetiredOrTheNextId) {
+  auto strategy = MakeJoinStrategy(GetParam());
+  std::vector<QueryVectors> queries;
+  queries.push_back(MakeQuery({Npv::FromMap({{0, 1}})}));
+  queries.push_back(MakeQuery({Npv::FromMap({{1, 1}})}));
+  strategy->SetQueries(queries);
+  strategy->SetNumStreams(1);
+  bool grew = false;
+  const char* const message = "retired or the next unused";
+  EXPECT_DEATH(strategy->AddQuery(1, queries[0], &grew), message);  // Live.
+  EXPECT_DEATH(strategy->AddQuery(3, queries[0], &grew), message);  // Gap.
+  EXPECT_DEATH(strategy->AddQuery(-1, queries[0], &grew), message);
+  strategy->RemoveQuery(0);
+  strategy->AddQuery(2, queries[0], &grew);
+  strategy->AddQuery(0, queries[1], &grew);
+  strategy->UpdateStreamVertex(0, 0, Npv::FromMap({{1, 1}}));
+  EXPECT_EQ(strategy->CandidatesForStream(0), (std::vector<int>{0, 1}));
+  strategy->CheckChurnInvariants();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, JoinKindTest,
                          ::testing::Values(JoinKind::kNestedLoop,
                                            JoinKind::kDominatedSetCover,
@@ -276,7 +298,7 @@ TEST(JoinIncrementalTest, CachedVerdictsMatchScratchRecompute) {
 // some landing in new tail slots), RemoveQuery, and re-adds of removed
 // queries into their freed slots. After every step the churn invariants
 // hold and every strategy matches a from-scratch replay into a fresh
-// strategy of the same kind, compared through a local-id table as
+// strategy of the same kind, compared through an id table as
 // StreamShard::RecomputeCandidatesFromScratch does.
 TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
   Rng rng(8086);
@@ -314,11 +336,12 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
     incremental->SetQueries(queries);
     incremental->SetNumStreams(kNumStreams);
 
-    // Live queries by the strategy's local id (nullopt = retired), the
-    // removed queries kept for re-adds, and the live vertex maps, replayed
-    // into a fresh strategy at every step.
-    std::vector<std::optional<QueryVectors>> by_local(queries.begin(),
-                                                      queries.end());
+    // Live queries by id (nullopt = retired), the retired ids (the caller
+    // owns the id space), the removed queries kept for re-adds, and the
+    // live vertex maps, replayed into a fresh strategy at every step.
+    std::vector<std::optional<QueryVectors>> by_id(queries.begin(),
+                                                   queries.end());
+    std::vector<int32_t> free_ids;
     std::vector<QueryVectors> removed;
     std::vector<std::unordered_map<VertexId, Npv>> live(kNumStreams);
     int grew_dims_adds = 0;
@@ -330,13 +353,15 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
     };
     auto add_query = [&](const QueryVectors& query) {
       bool grew_dims = false;
-      const int32_t local = incremental->AddQuery(query, &grew_dims);
-      if (static_cast<size_t>(local) == by_local.size()) {
-        by_local.emplace_back(query);
+      int32_t id = static_cast<int32_t>(by_id.size());
+      if (!free_ids.empty()) {
+        id = free_ids.back();
+        free_ids.pop_back();
       } else {
-        ASSERT_FALSE(by_local[static_cast<size_t>(local)].has_value());
-        by_local[static_cast<size_t>(local)] = query;
+        by_id.emplace_back();
       }
+      incremental->AddQuery(id, query, &grew_dims);
+      by_id[static_cast<size_t>(id)] = query;
       if (!grew_dims) return;
       ++grew_dims_adds;
       for (int i = 0; i < kNumStreams; ++i) {
@@ -349,11 +374,11 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
       incremental->CheckChurnInvariants();
       auto fresh = MakeJoinStrategy(kind);
       std::vector<QueryVectors> fresh_queries;
-      std::vector<int> fresh_to_local;
-      for (size_t j = 0; j < by_local.size(); ++j) {
-        if (!by_local[j].has_value()) continue;
-        fresh_queries.push_back(*by_local[j]);
-        fresh_to_local.push_back(static_cast<int>(j));
+      std::vector<int> fresh_to_id;
+      for (size_t j = 0; j < by_id.size(); ++j) {
+        if (!by_id[j].has_value()) continue;
+        fresh_queries.push_back(*by_id[j]);
+        fresh_to_id.push_back(static_cast<int>(j));
       }
       fresh->SetQueries(std::move(fresh_queries));
       fresh->SetNumStreams(kNumStreams);
@@ -364,8 +389,8 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
       }
       for (int i = 0; i < kNumStreams; ++i) {
         std::vector<int> expected;
-        for (const int local : fresh->CandidatesForStream(i)) {
-          expected.push_back(fresh_to_local[static_cast<size_t>(local)]);
+        for (const int fresh_id : fresh->CandidatesForStream(i)) {
+          expected.push_back(fresh_to_id[static_cast<size_t>(fresh_id)]);
         }
         EXPECT_EQ(incremental->CandidatesForStream(i), expected)
             << JoinKindName(kind) << " " << where << " stream " << i;
@@ -390,17 +415,18 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
     for (int step = 0; step < kSteps; ++step) {
       if (workload.Bernoulli(0.15)) {
         std::vector<int32_t> live_ids;
-        for (size_t j = 0; j < by_local.size(); ++j) {
-          if (by_local[j].has_value()) {
+        for (size_t j = 0; j < by_id.size(); ++j) {
+          if (by_id[j].has_value()) {
             live_ids.push_back(static_cast<int32_t>(j));
           }
         }
         if (live_ids.size() > 2 && workload.Bernoulli(0.4)) {
-          const int32_t local = live_ids[static_cast<size_t>(workload.UniformInt(
+          const int32_t id = live_ids[static_cast<size_t>(workload.UniformInt(
               0, static_cast<int64_t>(live_ids.size()) - 1))];
-          incremental->RemoveQuery(local);
-          removed.push_back(*by_local[static_cast<size_t>(local)]);
-          by_local[static_cast<size_t>(local)].reset();
+          incremental->RemoveQuery(id);
+          removed.push_back(*by_id[static_cast<size_t>(id)]);
+          by_id[static_cast<size_t>(id)].reset();
+          free_ids.push_back(id);
         } else if (!removed.empty() && workload.Bernoulli(0.5)) {
           // An identical re-add lands in the freed slots.
           add_query(removed.back());

@@ -290,7 +290,6 @@ TEST(NpvSlabTest, RemoveFreesTheSlotAndAppendReusesIt) {
   slab.Append(v2);
   slab.CheckKernelLayout();
   ASSERT_EQ(slab.num_live(), 3);
-  const uint32_t gen_before = slab.generation(1);
 
   slab.Remove(1);
   slab.CheckKernelLayout();
@@ -298,11 +297,10 @@ TEST(NpvSlabTest, RemoveFreesTheSlotAndAppendReusesIt) {
   EXPECT_EQ(slab.num_live(), 2);
   EXPECT_FALSE(slab.live(1));
   EXPECT_EQ(slab.nnz(1), 0);
-  // Freed slot: all-ones signature sentinel, live bit cleared, generation
-  // bumped; its neighbours are untouched.
+  // Freed slot: all-ones signature sentinel, live bit cleared; its
+  // neighbours are untouched.
   EXPECT_EQ(slab.signature(1), ~NpvSignature{0});
   EXPECT_EQ(slab.live_words()[0] & 0b111u, 0b101u);
-  EXPECT_EQ(slab.generation(1), gen_before + 1);
   EXPECT_EQ(std::vector<NpvEntry>(slab.begin(0), slab.end(0)), v0);
   EXPECT_EQ(std::vector<NpvEntry>(slab.begin(2), slab.end(2)), v2);
 

@@ -22,7 +22,6 @@
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph_change.h"
 #include "gsps/join/dominance_kernel.h"
-#include "gsps/obs/attribution.h"
 #include "gsps/obs/exemplar.h"
 #include "gsps/obs/window.h"
 #include "test_json.h"
@@ -153,7 +152,7 @@ TEST(ObsSinkTest, RegistryMergeAndResetDrainsTheSink) {
 // --- Serializers -----------------------------------------------------------
 
 TEST(ObsSerializerTest, PrometheusTextShape) {
-  // The serializer also reads the global window/attribution/exemplar state;
+  // The serializer also reads the global window/exemplar state;
   // reset so the shape below is deterministic regardless of test order.
   obs::MetricsRegistry::Global().Reset();
   MetricSink sink;
@@ -186,10 +185,10 @@ TEST(ObsSerializerTest, PrometheusTextShape) {
   EXPECT_NE(text.find("gsps_ingest_e2e_micros_sum 103\n"), std::string::npos);
   EXPECT_NE(text.find("gsps_ingest_e2e_micros_count 3\n"), std::string::npos);
 
-  // Every counter appears with the _total suffix even when zero, plus the
-  // three always-emitted per-query attribution families.
+  // Every counter appears with the _total suffix even when zero, and no
+  // other family is a counter.
   EXPECT_EQ(CountOccurrences(text, "_total counter\n"),
-            static_cast<int>(obs::kNumCounters) + 3);
+            static_cast<int>(obs::kNumCounters));
 
   // Exposition-format hygiene: every TYPE line is preceded by a HELP line
   // for the same family, and the build-identity gauge is present.
@@ -353,82 +352,6 @@ TEST(ObsExemplarTest, RingEvictsOldestOnceFull) {
   EXPECT_EQ(exemplars.front().value_micros, 5);
   EXPECT_EQ(exemplars.back().value_micros, obs::kExemplarRingSize + 4);
   obs::ExemplarStore::Global().Reset();
-}
-
-// --- Per-query attribution -------------------------------------------------
-
-TEST(ObsAttributionTest, RegistryMergesByGeneration) {
-  obs::AttributionRegistry& registry = obs::AttributionRegistry::Global();
-  registry.Reset();
-  obs::AttributionRow row;
-  row.slot = 0;
-  row.generation = 1;
-  row.dominance_probes = 10;
-  row.refresh_micros = 5;
-  row.refreshes = 1;
-  registry.MergeBatch(&row, 1);
-  registry.MergeBatch(&row, 1);  // Same generation: accumulates.
-  std::vector<obs::AttributionRow> top;
-  registry.TopK(10, &top);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].dominance_probes, 20);
-  EXPECT_EQ(top[0].refresh_micros, 10);
-
-  obs::AttributionRow newer = row;
-  newer.generation = 2;
-  newer.dominance_probes = 7;
-  registry.MergeBatch(&newer, 1);  // Newer generation: replaces.
-  registry.TopK(10, &top);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].dominance_probes, 7);
-  EXPECT_EQ(top[0].generation, 2);
-
-  registry.MergeBatch(&row, 1);  // Stale generation: dropped.
-  registry.TopK(10, &top);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].dominance_probes, 7);
-  registry.Reset();
-}
-
-TEST(ObsAttributionTest, FlushSplitsByWeightAndConservesTotals) {
-  if constexpr (!obs::kEnabled) {
-    GTEST_SKIP() << "instrumentation compiled out (GSPS_OBS_DISABLED)";
-  }
-  obs::AttributionRegistry& registry = obs::AttributionRegistry::Global();
-  registry.Reset();
-  obs::QueryAttribution attribution;
-  attribution.Reset(3);
-  attribution.OnAddQuery(0, 1);
-  attribution.OnAddQuery(1, 3);
-  attribution.OnAddQuery(2, 1);
-  attribution.AddProbes(100);
-  attribution.AddRefresh(50);
-  attribution.Flush();
-
-  std::vector<obs::AttributionRow> top;
-  registry.TopK(10, &top);
-  ASSERT_EQ(top.size(), 3u);
-  int64_t probes = 0, micros = 0;
-  for (const obs::AttributionRow& r : top) {
-    probes += r.dominance_probes;
-    micros += r.refresh_micros;
-  }
-  EXPECT_EQ(probes, 100) << "weighted split conserves the probe total";
-  EXPECT_EQ(micros, 50) << "weighted split conserves the refresh total";
-  EXPECT_EQ(top[0].slot, 1) << "heaviest-weight slot leads the top-K";
-  EXPECT_EQ(top[0].dominance_probes, 60);  // 100 * 3/5.
-
-  // A removed slot stops receiving attribution on later flushes.
-  attribution.OnRemoveQuery(1);
-  attribution.AddProbes(10);
-  attribution.Flush();
-  registry.TopK(10, &top);
-  for (const obs::AttributionRow& r : top) {
-    if (r.slot == 1) {
-      EXPECT_EQ(r.dominance_probes, 60);
-    }
-  }
-  registry.Reset();
 }
 
 // --- Scoped context --------------------------------------------------------

@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 
+#include "gsps/common/file_io.h"
 #include "gsps/common/flags.h"
 #include "gsps/fuzz/fuzzer.h"
 #include "gsps/fuzz/replay.h"
@@ -49,13 +50,6 @@ int Usage() {
       "       gsps_fuzz --replay=FILE [--quiet]\n"
       "       gsps_fuzz --emit=FILE --seed=S [--iteration=K]\n");
   return 2;
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << content;
-  return out.good();
 }
 
 int RunReplayMode(const std::string& path, const OracleOptions& oracles,
@@ -131,7 +125,7 @@ int main(int argc, char** argv) {
   if (!emit_path.empty()) {
     Rng rng(CaseSeed(options.seed, iteration));
     const FuzzCase c = GenerateCase(options.gen, rng);
-    if (!WriteFile(emit_path, FormatReplay(c))) {
+    if (!WriteWholeFile(emit_path, FormatReplay(c))) {
       std::fprintf(stderr, "cannot write %s\n", emit_path.c_str());
       return 2;
     }
@@ -158,7 +152,7 @@ int main(int argc, char** argv) {
             " case_seed=" + std::to_string(outcome.case_seed) + "\n";
   replay += "# failure: " + outcome.minimized_failure + "\n";
   replay += FormatReplay(outcome.minimized);
-  if (!WriteFile(out_path, replay)) {
+  if (!WriteWholeFile(out_path, replay)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 2;
   }

@@ -9,9 +9,9 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
+#include "gsps/common/file_io.h"
 #include "gsps/gen/reality_like.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph_io.h"
@@ -30,13 +30,6 @@ std::string GetFlag(int argc, char** argv, const std::string& name,
     }
   }
   return default_value;
-}
-
-bool WriteFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -78,11 +71,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!WriteFile(out_queries, FormatGraphs(dataset.queries))) {
+  if (!WriteWholeFile(out_queries, FormatGraphs(dataset.queries))) {
     std::fprintf(stderr, "cannot write %s\n", out_queries.c_str());
     return 2;
   }
-  if (!WriteFile(out_stream, FormatStream(dataset.streams.front()))) {
+  if (!WriteWholeFile(out_stream, FormatStream(dataset.streams.front()))) {
     std::fprintf(stderr, "cannot write %s\n", out_stream.c_str());
     return 2;
   }

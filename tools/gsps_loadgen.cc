@@ -51,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "gsps/common/file_io.h"
 #include "gsps/common/flags.h"
 #include "gsps/common/stopwatch.h"
 #include "gsps/engine/ingest_queue.h"
@@ -73,26 +74,6 @@ int Usage() {
       "        [--metrics=FILE|-] [--metrics_format=prom|json]\n"
       "        [--quiet]\n");
   return 2;
-}
-
-bool WriteWholeFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
-}
-
-bool WriteMetricsSnapshot(const std::string& destination, bool json) {
-  const obs::MetricSink snapshot = obs::MetricsRegistry::Global().Snapshot();
-  const std::string text =
-      json ? obs::ToMetricsJson(snapshot) : obs::ToPrometheusText(snapshot);
-  if (destination == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    if (json) std::fputc('\n', stdout);
-    return true;
-  }
-  return WriteWholeFile(destination, text);
 }
 
 // One producer's replay plan: the batches of the streams it owns,

@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "gsps/common/file_io.h"
 #include "gsps/common/flags.h"
 #include "gsps/common/stopwatch.h"
 #include "gsps/engine/candidate_tracker.h"
@@ -93,34 +94,12 @@ std::vector<std::string> SplitCommas(const std::string& spec) {
   return parts;
 }
 
-bool WriteWholeFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 // Folds the driver thread's sink into the registry and closes the open
 // telemetry window. Each flush cadence tick calls this exactly once, so
 // the metrics rewrite and the stderr heartbeat report the same window.
 obs::WindowSnapshot CloseWindow(obs::MetricSink& root_sink) {
   obs::MetricsRegistry::Global().MergeAndReset(root_sink);
   return obs::WindowedTelemetry::Global().Advance();
-}
-
-// Rewrites the metrics destination with a fresh snapshot (cumulative since
-// process start; the serializers append the latest closed window's rates).
-bool WriteMetricsSnapshot(const std::string& destination, bool json) {
-  const obs::MetricSink snapshot = obs::MetricsRegistry::Global().Snapshot();
-  const std::string text =
-      json ? obs::ToMetricsJson(snapshot) : obs::ToPrometheusText(snapshot);
-  if (destination == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    if (json) std::fputc('\n', stdout);
-    return true;
-  }
-  return WriteWholeFile(destination, text);
 }
 
 // One-line stderr heartbeat over the just-closed window.
