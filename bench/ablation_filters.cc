@@ -132,12 +132,13 @@ int RunWorkload(const char* name, const std::vector<Graph>& database,
 }
 
 int Main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  FlagParser flags(argc, argv);
   const int num_graphs = flags.GetInt("graphs", 120);
   const int num_queries = flags.GetInt("queries", 30);
   const int query_edges = flags.GetInt("query_edges", 6);
   const int depth = flags.GetInt("depth", 3);
-  const uint64_t seed = flags.GetUint64("seed", 3);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 3));
+  if (!AllFlagsKnown(flags)) return 2;
 
   std::printf("Filter-chain ablation (candidate ratio + evaluation cost per "
               "tier)\n");

@@ -20,51 +20,10 @@
 
 namespace gsps::bench {
 
-Flags::Flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    const size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      values_[arg] = "true";
-    } else {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-}
-
-int Flags::GetInt(const std::string& name, int default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atoi(it->second.c_str());
-}
-
-double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::atof(it->second.c_str());
-}
-
-bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return it->second != "false" && it->second != "0";
-}
-
-uint64_t Flags::GetUint64(const std::string& name,
-                          uint64_t default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end()
-             ? default_value
-             : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-std::string Flags::GetString(const std::string& name,
-                             const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+bool AllFlagsKnown(const FlagParser& flags) {
+  if (flags.UnrecognizedArgs().empty()) return true;
+  std::fprintf(stderr, "%s\n", flags.ErrorMessage().c_str());
+  return false;
 }
 
 StreamWorkload MakeWorkload(StreamDataset dataset, int num_queries,

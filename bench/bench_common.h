@@ -1,6 +1,6 @@
-// Shared infrastructure for the experiment harnesses: a tiny flag parser,
-// table printing, and the three method runners (NPV engine, GraphGrep,
-// gIndex) that every stream experiment reuses.
+// Shared infrastructure for the experiment harnesses: the unknown-flag
+// check, table printing, and the three method runners (NPV engine,
+// GraphGrep, gIndex) that every stream experiment reuses.
 
 #ifndef GSPS_BENCH_BENCH_COMMON_H_
 #define GSPS_BENCH_BENCH_COMMON_H_
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gsps/baselines/gindex/gspan_miner.h"
+#include "gsps/common/flags.h"
 #include "gsps/engine/filter_stats.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph.h"
@@ -20,21 +21,11 @@ namespace gsps::bench {
 
 // --- Flags -------------------------------------------------------------
 
-// Parses "--name=value" and "--flag" arguments.
-class Flags {
- public:
-  Flags(int argc, char** argv);
-
-  int GetInt(const std::string& name, int default_value) const;
-  double GetDouble(const std::string& name, double default_value) const;
-  bool GetBool(const std::string& name, bool default_value) const;
-  uint64_t GetUint64(const std::string& name, uint64_t default_value) const;
-  std::string GetString(const std::string& name,
-                        const std::string& default_value) const;
-
- private:
-  std::map<std::string, std::string> values_;
-};
+// Harnesses read their flags through gsps::FlagParser. Call after the last
+// Get*: true when every argument was read; otherwise prints the parser's
+// diagnostic (with its did-you-mean) to stderr, and the harness exits 2 —
+// a misspelled flag must not silently run the default.
+bool AllFlagsKnown(const FlagParser& flags);
 
 // --- Workloads -----------------------------------------------------------
 

@@ -44,12 +44,13 @@ bool HasKneeAtDepth3(const char* name, const std::vector<double>& ratios) {
 }
 
 int Main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  FlagParser flags(argc, argv);
   const int num_graphs = flags.GetInt("graphs", 400);
   const int num_queries = flags.GetInt("queries", 60);
   const int max_depth = flags.GetInt("max_depth", 5);
   const int query_edges = flags.GetInt("query_edges", 8);
-  const uint64_t seed = flags.GetUint64("seed", 3);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 3));
+  if (!AllFlagsKnown(flags)) return 2;
   if (max_depth < 3) {
     std::fprintf(stderr, "fig12_depth: --max_depth must be >= 3\n");
     return 2;

@@ -91,12 +91,13 @@ bool RunDataset(const char* name, const std::vector<Graph>& database,
 }
 
 int Main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  FlagParser flags(argc, argv);
   const int num_graphs = flags.GetInt("graphs", 300);
   const int queries_per_set = flags.GetInt("queries", 40);
-  const uint64_t seed = flags.GetUint64("seed", 3);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 3));
   GspanOptions gindex_options = GindexFilter::Gindex1Options();
   gindex_options.max_patterns = flags.GetInt("gindex_max_patterns", 2000);
+  if (!AllFlagsKnown(flags)) return 2;
 
   std::printf("Figure 13: static effectiveness (candidate ratio; lower is "
               "better)\n");

@@ -64,12 +64,13 @@ void RunSetting(const char* name, const StreamWorkload& full,
 }
 
 int Main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  FlagParser flags(argc, argv);
   const int pairs = flags.GetInt("pairs", 20);
   const int real_streams = flags.GetInt("real_streams", 10);
   const int timestamps = flags.GetInt("timestamps", 30);
-  const uint64_t seed = flags.GetUint64("seed", 11);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 11));
   const int num_threads = flags.GetInt("threads", 1);
+  if (!AllFlagsKnown(flags)) return 2;
 
   std::printf("Figure 17: cost per timestamp vs number of streams\n");
 

@@ -95,9 +95,8 @@ std::unique_ptr<JoinStrategy> BuildStrategy(JoinKind kind, const Workload& w) {
   return strategy;
 }
 
-void RunStrategy(JoinKind kind, const Workload& w, const Flags& flags) {
-  const int churn_ops = flags.GetInt("churn_ops", 4000);
-  const int rebuilds = flags.GetInt("rebuilds", 10);
+void RunStrategy(JoinKind kind, const Workload& w, int churn_ops,
+                 int rebuilds) {
   const int num_queries = static_cast<int>(w.queries.size());
 
   auto strategy = BuildStrategy(kind, w);
@@ -200,23 +199,30 @@ void RunStrategy(JoinKind kind, const Workload& w, const Flags& flags) {
        {"steady_frees", static_cast<double>(steady_frees)}});
 }
 
-void Run(const Flags& flags) {
-  const Workload w = MakeChurnWorkload(
-      flags.GetInt("queries", 1000), flags.GetInt("qvecs", 4),
-      flags.GetInt("stream_vertices", 40), flags.GetInt("dims", 64),
-      flags.GetInt("nnz", 3), flags.GetUint64("seed", 11));
+int Run(FlagParser& flags) {
+  const int queries = flags.GetInt("queries", 1000);
+  const int qvecs = flags.GetInt("qvecs", 4);
+  const int stream_vertices = flags.GetInt("stream_vertices", 40);
+  const int dims = flags.GetInt("dims", 64);
+  const int nnz = flags.GetInt("nnz", 3);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 11));
+  const int churn_ops = flags.GetInt("churn_ops", 4000);
+  const int rebuilds = flags.GetInt("rebuilds", 10);
+  if (!AllFlagsKnown(flags)) return 2;
+  const Workload w =
+      MakeChurnWorkload(queries, qvecs, stream_vertices, dims, nnz, seed);
   for (const JoinKind kind :
        {JoinKind::kNestedLoop, JoinKind::kDominatedSetCover,
         JoinKind::kSkylineEarlyStop}) {
-    RunStrategy(kind, w, flags);
+    RunStrategy(kind, w, churn_ops, rebuilds);
   }
+  return 0;
 }
 
 }  // namespace
 }  // namespace gsps::bench
 
 int main(int argc, char** argv) {
-  gsps::bench::Flags flags(argc, argv);
-  gsps::bench::Run(flags);
-  return 0;
+  gsps::FlagParser flags(argc, argv);
+  return gsps::bench::Run(flags);
 }

@@ -28,6 +28,10 @@
 //                        deltas (default 2)
 //   --rebuilds=N         from-scratch rebuild+refresh baseline reps
 //   --seed=N             workload seed
+//   --kernel=1           dominance-kernel ablation instead of the strategy
+//                        rows (see RunKernelAblation)
+//   --kernel_hays=N      hay vectors in the ablation's pool (default 256)
+//   --kernel_passes=N    timed sweeps of the pool per ISA (default 300)
 //
 // Output: human-readable rows plus one EmitBenchJson line per strategy
 // (bench "micro_join"), archived by the CI bench-JSON job; CI also checks
@@ -95,6 +99,25 @@ Workload MakeVectorWorkload(int num_queries, int vectors_per_query,
   return w;
 }
 
+// Every flag, read before any run so a misspelled one is reported whichever
+// mode it belongs to.
+struct Config {
+  int queries = 0;
+  int qvecs = 0;
+  int stream_vertices = 0;
+  int streams = 0;
+  int dims = 0;
+  int nnz = 0;
+  int refreshes = 0;
+  int warmup = 0;
+  int delta_reps = 0;
+  int rebuilds = 0;
+  int kernel_hays = 0;
+  int kernel_passes = 0;
+  uint64_t seed = 0;
+  bool kernel = false;
+};
+
 std::unique_ptr<JoinStrategy> BuildStrategy(JoinKind kind, const Workload& w) {
   auto strategy = MakeJoinStrategy(kind);
   strategy->SetQueries(w.queries);
@@ -107,13 +130,13 @@ std::unique_ptr<JoinStrategy> BuildStrategy(JoinKind kind, const Workload& w) {
   return strategy;
 }
 
-void RunStrategy(JoinKind kind, const Workload& w, const Flags& flags) {
-  const int dims = flags.GetInt("dims", 64);
-  const int nnz = flags.GetInt("nnz", 3);
-  const int refreshes = flags.GetInt("refreshes", 2000);
-  const int warmup_flag = flags.GetInt("warmup", 0);
-  const int rebuilds = flags.GetInt("rebuilds", 50);
-  const uint64_t seed = flags.GetUint64("seed", 9);
+void RunStrategy(JoinKind kind, const Workload& w, const Config& config) {
+  const int dims = config.dims;
+  const int nnz = config.nnz;
+  const int refreshes = config.refreshes;
+  const int warmup_flag = config.warmup;
+  const int rebuilds = config.rebuilds;
+  const uint64_t seed = config.seed;
   const int num_streams = static_cast<int>(w.streams.size());
   const int stream_vertices = static_cast<int>(w.streams[0].size());
 
@@ -131,7 +154,7 @@ void RunStrategy(JoinKind kind, const Workload& w, const Flags& flags) {
   };
   std::vector<Delta> deltas;
   Rng delta_rng(seed + 1);
-  const int reps = flags.GetInt("delta_reps", 2);
+  const int reps = config.delta_reps;
   for (int rep = 0; rep < reps; ++rep) {
     for (int stream = 0; stream < num_streams; ++stream) {
       for (int v = 0; v < stream_vertices; ++v) {
@@ -290,12 +313,12 @@ void RunStrategy(JoinKind kind, const Workload& w, const Flags& flags) {
 // must match bit-for-bit, else the bench exits non-zero (the CI
 // kernel-dispatch matrix relies on this) — then timed. One
 // "kernel_<isa>" JSON row per ISA records dominance tests/s.
-void RunKernelAblation(const Workload& w, const Flags& flags) {
-  const int dims = flags.GetInt("dims", 64);
-  const int nnz = flags.GetInt("nnz", 3);
-  const int hays = flags.GetInt("kernel_hays", 256);
-  const int passes = flags.GetInt("kernel_passes", 300);
-  const uint64_t seed = flags.GetUint64("seed", 9);
+void RunKernelAblation(const Workload& w, const Config& config) {
+  const int dims = config.dims;
+  const int nnz = config.nnz;
+  const int hays = config.kernel_hays;
+  const int passes = config.kernel_passes;
+  const uint64_t seed = config.seed;
 
   NpvDimRemap remap;
   for (const QueryVectors& query : w.queries) {
@@ -433,28 +456,42 @@ void RunKernelAblation(const Workload& w, const Flags& flags) {
   }
 }
 
-void Run(const Flags& flags) {
+int Run(FlagParser& flags) {
+  Config config;
+  config.queries = flags.GetInt("queries", 40);
+  config.qvecs = flags.GetInt("qvecs", 8);
+  config.stream_vertices = flags.GetInt("stream_vertices", 60);
+  config.streams = flags.GetInt("streams", 4);
+  config.dims = flags.GetInt("dims", 64);
+  config.nnz = flags.GetInt("nnz", 3);
+  config.refreshes = flags.GetInt("refreshes", 2000);
+  config.warmup = flags.GetInt("warmup", 0);
+  config.delta_reps = flags.GetInt("delta_reps", 2);
+  config.rebuilds = flags.GetInt("rebuilds", 50);
+  config.kernel_hays = flags.GetInt("kernel_hays", 256);
+  config.kernel_passes = flags.GetInt("kernel_passes", 300);
+  config.seed = static_cast<uint64_t>(flags.GetInt64("seed", 9));
+  config.kernel = flags.GetBool("kernel");
+  if (!AllFlagsKnown(flags)) return 2;
   const Workload w = MakeVectorWorkload(
-      flags.GetInt("queries", 40), flags.GetInt("qvecs", 8),
-      flags.GetInt("stream_vertices", 60), flags.GetInt("streams", 4),
-      flags.GetInt("dims", 64), flags.GetInt("nnz", 3),
-      flags.GetUint64("seed", 9));
-  if (flags.GetBool("kernel", false)) {
-    RunKernelAblation(w, flags);
-    return;
+      config.queries, config.qvecs, config.stream_vertices, config.streams,
+      config.dims, config.nnz, config.seed);
+  if (config.kernel) {
+    RunKernelAblation(w, config);
+    return 0;
   }
   for (const JoinKind kind :
        {JoinKind::kNestedLoop, JoinKind::kDominatedSetCover,
         JoinKind::kSkylineEarlyStop}) {
-    RunStrategy(kind, w, flags);
+    RunStrategy(kind, w, config);
   }
+  return 0;
 }
 
 }  // namespace
 }  // namespace gsps::bench
 
 int main(int argc, char** argv) {
-  gsps::bench::Flags flags(argc, argv);
-  gsps::bench::Run(flags);
-  return 0;
+  gsps::FlagParser flags(argc, argv);
+  return gsps::bench::Run(flags);
 }

@@ -68,13 +68,14 @@ void Toggle(NntSet& nnts, Graph& graph, const EdgeRec& e, DirtyFn&& flush) {
   flush();
 }
 
-void RunChurn(const Flags& flags) {
+int RunChurn(FlagParser& flags) {
   const int num_edges = flags.GetInt("edges", 240);
   const int depth = flags.GetInt("depth", 3);
   const int toggles = flags.GetInt("toggles", 3000);
   const int warmup = flags.GetInt("warmup", 300);
   const int rebuilds = flags.GetInt("rebuilds", 30);
-  const uint64_t seed = flags.GetUint64("seed", 42);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
+  if (!AllFlagsKnown(flags)) return 2;
 
   Rng rng(seed);
   Graph graph = RandomConnectedGraph(num_edges, 4, 1, rng);
@@ -169,13 +170,13 @@ void RunChurn(const Flags& flags) {
        {"npvs_flushed", static_cast<double>(npvs_flushed)},
        {"steady_allocs", static_cast<double>(steady_allocs)},
        {"steady_frees", static_cast<double>(steady_frees)}});
+  return 0;
 }
 
 }  // namespace
 }  // namespace gsps::bench
 
 int main(int argc, char** argv) {
-  gsps::bench::Flags flags(argc, argv);
-  gsps::bench::RunChurn(flags);
-  return 0;
+  gsps::FlagParser flags(argc, argv);
+  return gsps::bench::RunChurn(flags);
 }

@@ -192,7 +192,7 @@ double RunCycles(PipelinedQueryEngine& engine, const PipelineWorkload& w,
 }
 
 int Main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  FlagParser flags(argc, argv);
   const int num_streams = flags.GetInt("streams", 24);
   const int num_queries = std::min(flags.GetInt("queries", 8), num_streams);
   const int threads = flags.GetInt("threads", 4);
@@ -201,7 +201,8 @@ int Main(int argc, char** argv) {
   const int heavy = flags.GetInt("heavy", 96);
   const double zipf = flags.GetDouble("zipf", 1.0);
   const int depth = flags.GetInt("depth", 3);
-  const uint64_t seed = flags.GetUint64("seed", 11);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 11));
+  if (!AllFlagsKnown(flags)) return 2;
   constexpr int kWarmupCycles = 2;
   if (cycles <= kWarmupCycles) {
     Fail("--cycles must be >= 3 (cycles 1-2 are warmup)");

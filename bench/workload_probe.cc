@@ -14,15 +14,16 @@ namespace gsps::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  FlagParser flags(argc, argv);
   const int pairs = flags.GetInt("pairs", 10);
   const int timestamps = flags.GetInt("timestamps", 20);
   const double p1 = flags.GetDouble("p1", 0.2);
   const double p2 = flags.GetDouble("p2", 0.15);
   const double extra = flags.GetDouble("extra", 4.0);
-  const uint64_t seed = flags.GetUint64("seed", 11);
-  const bool reality = flags.GetBool("reality", false);
-  const bool truth = flags.GetBool("truth", false);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 11));
+  const bool reality = flags.GetBool("reality");
+  const bool truth = flags.GetBool("truth");
+  if (!AllFlagsKnown(flags)) return 2;
 
   const StreamWorkload workload =
       reality ? RealityStreamWorkload(pairs, pairs, timestamps, seed)

@@ -524,7 +524,9 @@ void PipelinedQueryEngine::WorkerLoop(int s) {
   epoch_cv_.notify_all();
 
   std::optional<obs::ScopedObsContext> obs_scope;
-  if constexpr (obs::kEnabled) obs_scope.emplace(&worker.sink, worker.trace);
+  if constexpr (obs::kEnabled) {
+    obs_scope.emplace(&worker.sink, worker.trace, &worker.global_streams);
+  }
   if (options_.alloc_probe != nullptr) {
     worker.last_probe = options_.alloc_probe();
   }

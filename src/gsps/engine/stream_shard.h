@@ -5,15 +5,27 @@
 // join strategy (§IV.B), the candidate-transition tracker, the per-stage
 // obs timers, and the dynamic-query churn machinery.
 // It is the single implementation of the tick path (NNT maintain → dirty
-// drain → join refresh → tracker observe); the engines in
-// continuous_query_engine.h and pipelined_query_engine.h are thin
-// schedulers over one or many identical shards and contain no copies of
-// this logic.
+// drain → join refresh → tracker observe). Driven directly by one thread,
+// it is the sequential engine: ContinuousQueryEngine
+// (continuous_query_engine.h) is an alias of this class. The pipelined
+// engine (pipelined_query_engine.h) schedules many identical shards on
+// worker threads and contains no copy of this logic.
 //
 // A shard is single-threaded by construction: exactly one thread drives
 // it (the caller, or the pipelined engine's worker that owns it), so
 // nothing in here locks. Scheduling state — stream placement, epoch
 // snapshots, per-worker metric sinks — lives with the scheduler.
+//
+// Usage:
+//   ContinuousQueryEngine engine(options);  // == StreamShard
+//   for (auto& q : queries) engine.AddQuery(q);
+//   for (auto& s : streams) engine.AddStream(s.StartGraph());
+//   engine.Start();
+//   for (int t = 1; t < horizon; ++t) {
+//     for (int i = 0; i < num_streams; ++i)
+//       engine.ApplyChange(i, streams[i].ChangeAt(t));
+//     auto pairs = engine.AllCandidatePairs();
+//   }
 
 #ifndef GSPS_ENGINE_STREAM_SHARD_H_
 #define GSPS_ENGINE_STREAM_SHARD_H_

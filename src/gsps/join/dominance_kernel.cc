@@ -53,12 +53,6 @@ bool CpuHasIsa(DominanceIsa isa) {
 #else
       return false;
 #endif
-    case DominanceIsa::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
   }
   return false;
 }
@@ -68,14 +62,13 @@ DominanceIsa ResolveActiveIsa() {
       force != nullptr && force[0] != '\0') {
     const std::optional<DominanceIsa> parsed = ParseDominanceIsa(force);
     GSPS_CHECK_MSG(parsed.has_value(),
-                   "GSPS_FORCE_ISA must be scalar, avx2, or avx512");
+                   "GSPS_FORCE_ISA must be scalar or avx2");
     GSPS_CHECK_MSG(DominanceIsaCompiled(*parsed),
                    "GSPS_FORCE_ISA names an ISA this binary was built without");
     GSPS_CHECK_MSG(CpuHasIsa(*parsed),
                    "GSPS_FORCE_ISA names an ISA this CPU does not support");
     return *parsed;
   }
-  if (DominanceIsaSupported(DominanceIsa::kAvx512)) return DominanceIsa::kAvx512;
   if (DominanceIsaSupported(DominanceIsa::kAvx2)) return DominanceIsa::kAvx2;
   return DominanceIsa::kScalar;
 }
@@ -88,8 +81,6 @@ const char* DominanceIsaName(DominanceIsa isa) {
       return "scalar";
     case DominanceIsa::kAvx2:
       return "avx2";
-    case DominanceIsa::kAvx512:
-      return "avx512";
   }
   GSPS_CHECK_MSG(false, "unknown DominanceIsa");
   return "";
@@ -98,7 +89,6 @@ const char* DominanceIsaName(DominanceIsa isa) {
 std::optional<DominanceIsa> ParseDominanceIsa(std::string_view name) {
   if (name == "scalar") return DominanceIsa::kScalar;
   if (name == "avx2") return DominanceIsa::kAvx2;
-  if (name == "avx512") return DominanceIsa::kAvx512;
   return std::nullopt;
 }
 
@@ -108,12 +98,6 @@ bool DominanceIsaCompiled(DominanceIsa isa) {
       return true;
     case DominanceIsa::kAvx2:
 #if defined(GSPS_DOMINANCE_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case DominanceIsa::kAvx512:
-#if defined(GSPS_DOMINANCE_HAVE_AVX512)
       return true;
 #else
       return false;
@@ -143,8 +127,6 @@ obs::Counter DominanceBatchCounter(DominanceIsa isa) {
       return obs::Counter::kDominanceBatchesScalar;
     case DominanceIsa::kAvx2:
       return obs::Counter::kDominanceBatchesAvx2;
-    case DominanceIsa::kAvx512:
-      return obs::Counter::kDominanceBatchesAvx512;
   }
   GSPS_CHECK_MSG(false, "unknown DominanceIsa");
   return obs::Counter::kDominanceBatchesScalar;
@@ -179,8 +161,7 @@ void DominanceBatch::Bind(const NpvSlab& slab, int32_t num_dims) {
     return;
   }
 
-  const int32_t lanes = isa_ == DominanceIsa::kAvx512 ? 16 : 8;
-  layout_.lanes = lanes;
+  constexpr int32_t lanes = kDominanceLanes;
   layout_.num_vectors = n;
   layout_.num_blocks = (n + lanes - 1) / lanes;
   layout_.block_slots.assign(static_cast<size_t>(layout_.num_blocks), 0);
@@ -228,7 +209,7 @@ void DominanceBatch::RefreshSlot(const NpvSlab& slab, int32_t num_dims,
   }
   if (isa_ == DominanceIsa::kScalar) return;  // No mirror to patch.
   const int32_t nnz = slab.nnz(k);
-  const int32_t lanes = layout_.lanes;
+  constexpr int32_t lanes = kDominanceLanes;
   const int32_t b = k / lanes;
   if (nnz > layout_.block_slots[static_cast<size_t>(b)]) {
     // The reused slot carries more entries than its block budgeted for;
@@ -300,24 +281,15 @@ void DominanceBatch::ComputeMask(const NpvEntry* hay_begin,
                                   accept_words_.data(), mask_words_.data());
       break;
 #endif
-#if defined(GSPS_DOMINANCE_HAVE_AVX512)
-    case DominanceIsa::kAvx512:
-      kernel_detail::SigPassAvx512(slab_->sig_data(), slab_->padded_sigs(),
-                                   hay_sig, accept_words_.data());
-      ClearPhantomBits(&accept_words_);
-      kernel_detail::MaskPassAvx512(layout_, dense_.data(),
-                                    accept_words_.data(), mask_words_.data());
-      break;
-#endif
     default:
       GSPS_CHECK_MSG(false, "DominanceBatch: ISA not compiled in");
   }
   ClearPhantomBits(&accept_words_);  // No-op for SIMD (already cleared).
   ClearPhantomBits(&mask_words_);
-  // Freed slab slots carry the all-ones signature sentinel and {0, 0}
-  // entries, so an all-ones hay would accept and trivially dominate them:
-  // mask both bitsets with the slab's liveness words. Bits past the live
-  // words' extent are already phantom-cleared to zero.
+  // Freed slab slots carry the all-ones signature sentinel and no entries,
+  // so an all-ones hay would accept and trivially dominate them: mask both
+  // bitsets with the slab's liveness words. Bits past the live words'
+  // extent are already phantom-cleared to zero.
   const std::vector<uint64_t>& live = slab_->live_words();
   for (size_t w = 0; w < accept_words_.size() && w < live.size(); ++w) {
     accept_words_[w] &= live[w];
@@ -348,11 +320,6 @@ void DominanceBatch::ComputeCounts(const NpvEntry* hay_begin,
 #if defined(GSPS_DOMINANCE_HAVE_AVX2)
     case DominanceIsa::kAvx2:
       kernel_detail::CountPassAvx2(layout_, dense_.data(), counts_.data());
-      break;
-#endif
-#if defined(GSPS_DOMINANCE_HAVE_AVX512)
-    case DominanceIsa::kAvx512:
-      kernel_detail::CountPassAvx512(layout_, dense_.data(), counts_.data());
       break;
 #endif
     default:

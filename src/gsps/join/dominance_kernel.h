@@ -8,13 +8,13 @@
 // compare:
 //
 //   1. Signature pass: the hay signature is tested against the slab's
-//      contiguous signature array, 4 (AVX2) or 8 (AVX-512) signatures per
-//      instruction, yielding an accept bitset. Rejected needles are counted
-//      but never compared entry-by-entry.
+//      contiguous signature array, 4 signatures per AVX2 instruction,
+//      yielding an accept bitset. Rejected needles are counted but never
+//      compared entry-by-entry.
 //   2. Compare pass: the hay is scattered into a dense count array indexed
-//      by dense dim id; slab needles are swept in lane-major blocks of 8
-//      (AVX2) / 16 (AVX-512) vectors, one gather + compare per entry slot,
-//      so each iteration advances one entry of 8-16 query vectors at once.
+//      by dense dim id; slab needles are swept in lane-major blocks of
+//      kDominanceLanes vectors, one gather + compare per entry slot, so
+//      each iteration advances one entry of 8 query vectors at once.
 //      Blocks whose accept byte is zero are skipped wholesale.
 //
 // A second mode (ComputeCounts) keeps per-needle counts of satisfied
@@ -24,7 +24,7 @@
 //
 // Dispatch is resolved once per process from CPUID (gcc/clang
 // __builtin_cpu_supports) and the GSPS_FORCE_ISA environment override
-// (scalar|avx2|avx512); forcing an ISA the build or CPU lacks aborts with a
+// (scalar|avx2); forcing an ISA the build or CPU lacks aborts with a
 // diagnostic rather than silently falling back, so CI's dispatch matrix
 // cannot test the wrong path. The scalar fallback computes bit-identical
 // masks, counts, and stats from the same inputs — the property
@@ -44,10 +44,10 @@
 
 namespace gsps {
 
-enum class DominanceIsa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-inline constexpr int kNumDominanceIsas = 3;
+enum class DominanceIsa : int { kScalar = 0, kAvx2 = 1 };
+inline constexpr int kNumDominanceIsas = 2;
 
-// Stable lowercase name ("scalar", "avx2", "avx512").
+// Stable lowercase name ("scalar", "avx2").
 const char* DominanceIsaName(DominanceIsa isa);
 
 // Inverse of DominanceIsaName; nullopt for unknown strings.
@@ -60,11 +60,11 @@ bool DominanceIsaCompiled(DominanceIsa isa);
 bool DominanceIsaSupported(DominanceIsa isa);
 
 // The process-wide dispatch decision, resolved once on first use: the
-// GSPS_FORCE_ISA override when set (aborts if unsupported), otherwise the
-// widest supported ISA.
+// GSPS_FORCE_ISA override when set (aborts if unsupported), otherwise AVX2
+// when supported, else scalar.
 DominanceIsa ActiveDominanceIsa();
 
-// The per-ISA batch counter (gsps_dominance_batches_{scalar,avx2,avx512}).
+// The per-ISA batch counter (gsps_dominance_batches_{scalar,avx2}).
 obs::Counter DominanceBatchCounter(DominanceIsa isa);
 
 // Accumulated by the kernel, flushed by the strategies at refresh time.
@@ -77,22 +77,24 @@ struct DominanceKernelStats {
 using AlignedI32Vector =
     std::vector<int32_t, AlignedAllocator<int32_t, kNpvSlabAlignment>>;
 
+// Needles per SIMD block: one AVX2 register of int32 lanes.
+inline constexpr int32_t kDominanceLanes = 8;
+
 // Lane-major mirror of a bound slab, built once at Bind time for the SIMD
-// paths: needles are grouped into blocks of `lanes`; within a block, entry
-// slot s of lane l lives at dims[block_offset + s * lanes + l]. Lanes
-// shorter than the block's slot count are padded with {dim 0, count 0},
-// which can never fail a dominance compare; a zero nnz entry corrects the
-// count mode. Block offsets are multiples of `lanes`, so every slot row is
-// a naturally aligned vector load.
+// path: needles are grouped into blocks of kDominanceLanes; within a block,
+// entry slot s of lane l lives at dims[block_offset + s * kDominanceLanes +
+// l]. Lanes shorter than the block's slot count are padded with {dim 0,
+// count 0}, which can never fail a dominance compare; a zero nnz entry
+// corrects the count mode. Block offsets are multiples of kDominanceLanes,
+// so every slot row is a naturally aligned vector load.
 struct DominanceBlockLayout {
-  int32_t lanes = 1;
   int32_t num_vectors = 0;
   int32_t num_blocks = 0;
   std::vector<int32_t> block_slots;   // Per block: max nnz among its lanes.
   std::vector<int32_t> block_offset;  // Per block: start index in dims/counts.
   AlignedI32Vector dims;
   AlignedI32Vector counts;
-  AlignedI32Vector nnz;  // Per needle (padded to num_blocks * lanes with 0).
+  AlignedI32Vector nnz;  // Per needle (padded to whole blocks with 0).
 };
 
 // Reusable scratch bound to one query-side slab. Not thread-safe; each
@@ -166,7 +168,7 @@ class DominanceBatch {
   int32_t num_dims_ = 0;
   int32_t bound_n_ = 0;  // slab_->size() at Bind/RefreshSlot time.
   AlignedI32Vector dense_;            // Hay counts by dense dim id.
-  DominanceBlockLayout layout_;       // Built for SIMD ISAs only.
+  DominanceBlockLayout layout_;       // Built for AVX2 only.
   std::vector<uint64_t> accept_words_;
   std::vector<uint64_t> mask_words_;
   AlignedI32Vector counts_;

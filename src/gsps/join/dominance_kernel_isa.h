@@ -1,11 +1,10 @@
 // Internal contract between the dominance kernel's dispatcher
-// (dominance_kernel.cc) and its per-ISA translation units
-// (dominance_kernel_avx2.cc, dominance_kernel_avx512.cc). Each ISA supplies
-// the same three passes; definitions exist only when the matching
-// GSPS_DOMINANCE_HAVE_* macro is set by the build, and the dispatcher only
-// references them under the same guard.
+// (dominance_kernel.cc) and its AVX2 translation unit
+// (dominance_kernel_avx2.cc), which supplies three passes; definitions
+// exist only when the build sets GSPS_DOMINANCE_HAVE_AVX2, and the
+// dispatcher only references them under the same guard.
 //
-// Pass semantics (shared by every ISA, scalar included — outputs must be
+// Pass semantics (shared with the scalar fallback — outputs must be
 // bit-identical):
 //   * SigPass: accept bit i = hay_sig covers sigs[i], for i in
 //     [0, n_padded); n_padded is a multiple of 8 and the sig array carries
@@ -34,13 +33,6 @@ void MaskPassAvx2(const DominanceBlockLayout& layout, const int32_t* dense,
                   const uint64_t* accept_words, uint64_t* mask_words);
 void CountPassAvx2(const DominanceBlockLayout& layout, const int32_t* dense,
                    int32_t* counts);
-
-void SigPassAvx512(const NpvSignature* sigs, int32_t n_padded,
-                   NpvSignature hay_sig, uint64_t* accept_words);
-void MaskPassAvx512(const DominanceBlockLayout& layout, const int32_t* dense,
-                    const uint64_t* accept_words, uint64_t* mask_words);
-void CountPassAvx512(const DominanceBlockLayout& layout, const int32_t* dense,
-                     int32_t* counts);
 
 }  // namespace gsps::kernel_detail
 

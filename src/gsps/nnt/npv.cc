@@ -141,12 +141,12 @@ NpvSignature NpvDimRemap::Translate(const Npv& npv,
 int32_t NpvSlab::Append(const std::vector<NpvEntry>& entries) {
   const int32_t n = static_cast<int32_t>(entries.size());
   // Best-fit reuse of a freed slot wide enough for the new vector: the
-  // freed region is already all {0, 0} sentinels, so writing the first n
-  // entries leaves the in-slot slack correctly padded. No array resize, no
-  // allocation. Best-fit (not first-fit) so removing a query and re-adding
-  // its identical vectors lands each one back in an exact-capacity slot —
-  // first-fit would let a narrow vector squat in a wide slot and push the
-  // wide vector to tail growth, creeping the slab under steady churn.
+  // first n entries of its region are overwritten in place. No array
+  // resize, no allocation. Best-fit (not first-fit) so removing a query and
+  // re-adding its identical vectors lands each one back in an
+  // exact-capacity slot — first-fit would let a narrow vector squat in a
+  // wide slot and push the wide vector to tail growth, creeping the slab
+  // under steady churn.
   size_t best = free_slots_.size();
   for (size_t f = 0; f < free_slots_.size(); ++f) {
     const Ref& ref = refs_[static_cast<size_t>(free_slots_[f])];
@@ -174,26 +174,18 @@ int32_t NpvSlab::Append(const std::vector<NpvEntry>& entries) {
     return slot;
   }
 
-  // Tail growth: drop the previous tail padding so slot regions stay
-  // back-to-back, then re-pad both arrays — entries with {0, 0} sentinels
-  // (a zero count passes every dominance compare), signatures with
-  // all-ones sentinels.
-  entries_.resize(static_cast<size_t>(num_entries_));
+  // Tail growth: drop the previous signature padding so real signatures
+  // stay indexed by slot, then re-pad with all-ones sentinels.
   sigs_.resize(refs_.size());
   Ref ref;
-  ref.offset = num_entries_;
+  ref.offset = static_cast<int32_t>(entries_.size());
   ref.size = n;
   ref.capacity = n;
   ref.live = true;
   entries_.insert(entries_.end(), entries.begin(), entries.end());
-  num_entries_ += ref.size;
   sigs_.push_back(SignatureOf(entries_.data() + ref.offset,
                               entries_.data() + ref.offset + ref.size));
   refs_.push_back(ref);
-  const size_t padded_entries =
-      (entries_.size() + kNpvSlabEntryPad - 1) / kNpvSlabEntryPad *
-      kNpvSlabEntryPad;
-  entries_.resize(padded_entries, NpvEntry{0, 0});
   const size_t padded_sigs =
       (sigs_.size() + kNpvSlabSigPad - 1) / kNpvSlabSigPad * kNpvSlabSigPad;
   sigs_.resize(padded_sigs, ~NpvSignature{0});
@@ -208,8 +200,6 @@ int32_t NpvSlab::Append(const std::vector<NpvEntry>& entries) {
 void NpvSlab::Remove(int32_t i) {
   Ref& ref = refs_[static_cast<size_t>(i)];
   GSPS_CHECK_MSG(ref.live, "NpvSlab::Remove on a freed slot");
-  std::fill(entries_.begin() + ref.offset,
-            entries_.begin() + ref.offset + ref.size, NpvEntry{0, 0});
   sigs_[static_cast<size_t>(i)] = ~NpvSignature{0};
   ref.size = 0;
   ref.live = false;
@@ -225,7 +215,6 @@ void NpvSlab::Clear() {
   refs_.clear();
   free_slots_.clear();
   live_words_.clear();
-  num_entries_ = 0;
   num_live_ = 0;
 }
 
@@ -244,30 +233,19 @@ void NpvSlab::RemapDims(const std::vector<DimId>& old_to_new) {
 }
 
 void NpvSlab::CheckKernelLayout() const {
-  GSPS_CHECK(reinterpret_cast<uintptr_t>(entries_.data()) %
-                 kNpvSlabAlignment ==
-             0);
   GSPS_CHECK(reinterpret_cast<uintptr_t>(sigs_.data()) % kNpvSlabAlignment ==
              0);
-  GSPS_CHECK(entries_.size() % kNpvSlabEntryPad == 0);
   GSPS_CHECK(sigs_.size() % kNpvSlabSigPad == 0);
   GSPS_CHECK(live_words_.size() >= (sigs_.size() + 63) / 64);
-  // Every entry position outside a live slot's used region — in-slot slack,
-  // freed regions, tail padding — must hold the {0, 0} sentinel. Walk the
-  // slot regions (back-to-back by construction) and verify both coverage
-  // and sentinels in one pass.
-  int32_t covered = 0;
+  // Slot regions are back-to-back by construction and cover the entry
+  // array exactly.
+  size_t covered = 0;
   int32_t live_count = 0;
   for (size_t i = 0; i < refs_.size(); ++i) {
     const Ref& ref = refs_[i];
-    GSPS_CHECK(ref.offset == covered);
+    GSPS_CHECK(static_cast<size_t>(ref.offset) == covered);
     GSPS_CHECK(ref.size >= 0 && ref.size <= ref.capacity);
     GSPS_CHECK(ref.live || ref.size == 0);
-    for (int32_t j = ref.offset + ref.size; j < ref.offset + ref.capacity;
-         ++j) {
-      GSPS_CHECK(entries_[static_cast<size_t>(j)].dim == 0 &&
-                 entries_[static_cast<size_t>(j)].count == 0);
-    }
     if (ref.live) {
       ++live_count;
     } else {
@@ -275,14 +253,10 @@ void NpvSlab::CheckKernelLayout() const {
     }
     const bool bit = (live_words_[i / 64] >> (i % 64)) & 1u;
     GSPS_CHECK(bit == ref.live);
-    covered += ref.capacity;
+    covered += static_cast<size_t>(ref.capacity);
   }
-  GSPS_CHECK(covered == num_entries_);
+  GSPS_CHECK(covered == entries_.size());
   GSPS_CHECK(live_count == num_live_);
-  for (size_t i = static_cast<size_t>(num_entries_); i < entries_.size();
-       ++i) {
-    GSPS_CHECK(entries_[i].dim == 0 && entries_[i].count == 0);
-  }
   for (size_t i = refs_.size(); i < sigs_.size(); ++i) {
     GSPS_CHECK(sigs_[i] == ~NpvSignature{0});
   }

@@ -151,33 +151,29 @@ class NpvDimRemap {
   bool sealed_ = false;
 };
 
-// Alignment contract of the slab arrays (see DESIGN.md "Dominance kernel"):
-// both the entry array and the signature array start on a 64-byte boundary
-// and carry sentinel tail padding, so a vector lane that starts at the last
-// real element reads sentinels, never unowned memory.
+// Layout contract of the slab's signature array, the one slab array the
+// dominance kernel's vector passes read (see DESIGN.md "Dominance kernel"):
+// it starts on a 64-byte boundary and is padded to a multiple of 8 lanes
+// with all-ones sentinels, so a vector load that starts at the last real
+// signature reads sentinels, never unowned memory. An all-ones signature is
+// never covered unless the hay covers everything; kernel consumers
+// additionally mask out the phantom lanes.
 inline constexpr std::size_t kNpvSlabAlignment = 64;
-// Entry array padded to a multiple of 16 entries with {dim 0, count 0}
-// sentinels (a zero count can never fail a dominance compare).
-inline constexpr int32_t kNpvSlabEntryPad = 16;
-// Signature array padded to a multiple of 8 lanes with all-ones sentinels
-// (an all-ones signature is never covered unless the hay covers everything;
-// kernel consumers additionally mask out the phantom lanes).
 inline constexpr int32_t kNpvSlabSigPad = 8;
 
-using NpvEntryVector =
-    std::vector<NpvEntry, AlignedAllocator<NpvEntry, kNpvSlabAlignment>>;
 using NpvSignatureVector =
     std::vector<NpvSignature, AlignedAllocator<NpvSignature, kNpvSlabAlignment>>;
 
 // Many sparse vectors stored back-to-back in one contiguous entry array,
 // each with its signature at hand: the join strategies' cache-resident
-// query-side layout, and the memory the dominance kernel sweeps.
+// query-side layout, and what the dominance kernel's block mirror is built
+// from.
 //
 // Slots are slotted for churn: Remove frees a slot without moving live
-// vectors — its entry region is repadded with {0, 0} sentinels, its
-// signature becomes the all-ones sentinel (so the signature fast-reject
-// discards it for every hay that is not all-ones; kernel consumers
-// additionally mask with live_words), and the slot joins a free list.
+// vectors — its nnz drops to 0, its signature becomes the all-ones sentinel
+// (so the signature fast-reject discards it for every hay that is not
+// all-ones; kernel consumers additionally mask with live_words), and the
+// slot joins a free list.
 // Append reuses the best-fitting free slot (smallest adequate capacity, in
 // place, allocation-free) before growing the tail, so remove + re-add of an
 // identical vector set is zero-alloc and zero-growth in steady state.
@@ -186,14 +182,13 @@ class NpvSlab {
  public:
   // Appends a vector (entries sorted ascending by dim) and returns its
   // slot index — the best-fitting free slot when one is wide enough, else
-  // a new tail slot. Re-establishes the tail padding, so the slab is
+  // a new tail slot. Re-establishes the signature padding, so the slab is
   // kernel-ready after every append.
   int32_t Append(const std::vector<NpvEntry>& entries);
 
-  // Frees slot `i` (must be live): entries become {0, 0} sentinels, the
-  // signature becomes all-ones, and the slot is available for reuse. The
-  // slot index stays valid (size() is unchanged); nnz(i) reads 0 until the
-  // slot is reused.
+  // Frees slot `i` (must be live): the signature becomes all-ones and the
+  // slot is available for reuse. The slot index stays valid (size() is
+  // unchanged); nnz(i) reads 0 until the slot is reused.
   void Remove(int32_t i);
 
   // Forgets every slot but keeps array capacity — the scratch-slab reset.
@@ -220,10 +215,7 @@ class NpvSlab {
     return sigs_[static_cast<size_t>(i)];
   }
 
-  // Raw padded arrays for the dominance kernel's vector sweeps.
-  const NpvEntry* entry_data() const { return entries_.data(); }
-  int32_t num_entries() const { return num_entries_; }
-  int32_t padded_entries() const { return static_cast<int32_t>(entries_.size()); }
+  // Raw padded signature array for the dominance kernel's signature pass.
   const NpvSignature* sig_data() const { return sigs_.data(); }
   int32_t padded_sigs() const { return static_cast<int32_t>(sigs_.size()); }
 
@@ -232,7 +224,8 @@ class NpvSlab {
   // these so freed slots can never test as dominated.
   const std::vector<uint64_t>& live_words() const { return live_words_; }
 
-  // Validates the alignment/padding/liveness contract above; called by the
+  // Validates the signature layout contract above plus the slot regions
+  // (back-to-back, size <= capacity) and liveness bits; called by the
   // kernel at bind time in sanitizer builds and by the churn tests after
   // every op.
   void CheckKernelLayout() const;
@@ -244,11 +237,10 @@ class NpvSlab {
     int32_t capacity = 0;  // Entries reserved; fixed at first allocation.
     bool live = false;
   };
-  // [0, num_entries_) is slot-owned (live entries, in-slot slack, freed
-  // regions — all non-live positions hold {0, 0} sentinels), then tail
-  // sentinels up to the padded size.
-  NpvEntryVector entries_;
-  int32_t num_entries_ = 0;
+  // Slot regions back-to-back: each slot's [offset, offset + size) holds
+  // its entries; in-slot slack and freed regions hold stale entries that
+  // no reader touches.
+  std::vector<NpvEntry> entries_;
   NpvSignatureVector sigs_;  // [0, size()) real or all-ones, then sentinels.
   std::vector<Ref> refs_;
   std::vector<int32_t> free_slots_;

@@ -3,8 +3,8 @@
 //
 // A histogram bucket tells you *that* a slow sample happened; an exemplar
 // tells you *which one*. Stage samples (obs.h StageSample) whose value
-// meets the per-histogram threshold record an Exemplar — stage, stream id,
-// query id, timestamp, and the span id also attached to the Chrome trace
+// meets the per-histogram threshold record an Exemplar — stage, global
+// stream id, timestamp, and the span id also attached to the Chrome trace
 // span emitted for the same sample — into a small global ring. The
 // serializers surface the ring as "# exemplar" comment lines in the
 // Prometheus text (comments keep the exposition format lint-clean) and as
@@ -32,8 +32,7 @@ inline constexpr int kExemplarRingSize = 32;
 struct Exemplar {
   Hist hist = Hist::kNumHists;
   Stage stage = Stage::kNumStages;  // kNumStages when not a stage sample.
-  int32_t stream = -1;
-  int32_t query = -1;
+  int32_t stream = -1;  // Global stream id, or -1.
   int64_t value_micros = 0;
   int64_t ts_micros = 0;  // MonotonicMicros() at capture.
   uint64_t span_id = 0;   // Matches args.span_id in the trace JSON.

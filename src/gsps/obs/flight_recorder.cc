@@ -237,8 +237,6 @@ bool FlightRecorder::DumpNow(const char* path) {
     w.Int(span.stage);
     w.Str(",\"stream\":");
     w.Int(span.stream);
-    w.Str(",\"query\":");
-    w.Int(span.query);
     w.Str(",\"ts\":");
     w.Int(span.ts_micros);
     w.Str(",\"dur\":");

@@ -42,8 +42,7 @@ struct FlightSpan {
   const char* name = nullptr;
   const char* category = nullptr;
   int32_t stage = -1;   // Stage index, or -1 for non-stage spans.
-  int32_t stream = -1;
-  int32_t query = -1;
+  int32_t stream = -1;  // Global stream id, or -1.
   int64_t ts_micros = 0;   // MonotonicMicros() at span start.
   int64_t dur_micros = 0;
   uint64_t span_id = 0;

@@ -37,7 +37,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "gsps_remap_regrowths",
     "gsps_dominance_batches_scalar",
     "gsps_dominance_batches_avx2",
-    "gsps_dominance_batches_avx512",
     "gsps_tracker_observations",
     "gsps_tracker_appeared",
     "gsps_tracker_disappeared",
@@ -87,7 +86,6 @@ constexpr const char* kCounterHelp[kNumCounters] = {
     "Post-seal dimension-remap growths",
     "Dominance kernel batches on the scalar path",
     "Dominance kernel batches on the AVX2 path",
-    "Dominance kernel batches on the AVX-512 path",
     "CandidateTracker observations",
     "Candidate pairs that appeared",
     "Candidate pairs that disappeared",
@@ -350,8 +348,7 @@ std::string ToPrometheusText(const MetricSink& snapshot) {
     out += "# exemplar " + std::string(HistName(e.hist)) +
            " value=" + FormatInt(e.value_micros) + " stage=" +
            (e.stage < Stage::kNumStages ? StageName(e.stage) : "none") +
-           " stream=" + FormatInt(e.stream) + " query=" + FormatInt(e.query) +
-           " ts=" + FormatInt(e.ts_micros) +
+           " stream=" + FormatInt(e.stream) + " ts=" + FormatInt(e.ts_micros) +
            " span_id=" + FormatInt(static_cast<int64_t>(e.span_id)) + "\n";
   }
   return out;
@@ -433,7 +430,6 @@ std::string ToMetricsJson(const MetricSink& snapshot) {
            "\",\"stage\":\"" +
            (e.stage < Stage::kNumStages ? StageName(e.stage) : "none") +
            "\",\"stream\":" + FormatInt(e.stream) +
-           ",\"query\":" + FormatInt(e.query) +
            ",\"value_micros\":" + FormatInt(e.value_micros) +
            ",\"ts_micros\":" + FormatInt(e.ts_micros) +
            ",\"span_id\":" + FormatInt(static_cast<int64_t>(e.span_id)) + "}";

@@ -74,7 +74,6 @@ enum class Counter : int {
   // runtime dispatch decision observable.
   kDominanceBatchesScalar,
   kDominanceBatchesAvx2,
-  kDominanceBatchesAvx512,
   // Candidate transition tracking (engine/candidate_tracker.cc).
   kTrackerObservations,
   kTrackerAppeared,

@@ -16,15 +16,20 @@ constexpr const char* kStageSpanNames[kNumStages] = {
 
 }  // namespace
 
-void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream,
-                 int32_t query) {
+void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream) {
   const Hist hist = StageHist(stage);
   if (MetricSink* sink = CurrentSink(); sink != nullptr) {
     sink->Observe(hist, elapsed_micros);
   }
   const bool armed = FlightRecorderArmed();
+  const bool tail = elapsed_micros >= ExemplarThreshold(hist);
+  if (!tail && !armed) return;
+  if (const std::vector<int>* ids = g_obs_context.stream_ids;
+      ids != nullptr && stream >= 0) {
+    stream = (*ids)[static_cast<size_t>(stream)];
+  }
   uint64_t span_id = 0;
-  if (elapsed_micros >= ExemplarThreshold(hist)) {
+  if (tail) {
     // Tail sample: capture an exemplar and, when tracing, a trace span
     // both carrying the same fresh span id so the metrics output links to
     // the exact slow span in the trace JSON.
@@ -33,7 +38,6 @@ void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream,
     exemplar.hist = hist;
     exemplar.stage = stage;
     exemplar.stream = stream;
-    exemplar.query = query;
     exemplar.value_micros = elapsed_micros;
     exemplar.ts_micros = MonotonicMicros();
     exemplar.span_id = span_id;
@@ -50,7 +54,6 @@ void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream,
     span.category = "stage";
     span.stage = static_cast<int32_t>(stage);
     span.stream = stream;
-    span.query = query;
     span.ts_micros = MonotonicMicros() - elapsed_micros;
     span.dur_micros = elapsed_micros;
     span.span_id = span_id;

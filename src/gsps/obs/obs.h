@@ -24,16 +24,22 @@
 #ifndef GSPS_OBS_OBS_H_
 #define GSPS_OBS_OBS_H_
 
+#include <vector>
+
 #include "gsps/obs/flight_recorder.h"
 #include "gsps/obs/metrics.h"
 #include "gsps/obs/trace.h"
 
 namespace gsps::obs {
 
-// What the current thread records into. Either pointer may be null.
+// What the current thread records into. Any pointer may be null.
 struct ObsContext {
   MetricSink* sink = nullptr;
   TraceBuffer* trace = nullptr;
+  // Global stream id of each shard-local stream index, installed by a
+  // pipelined-engine worker so stage samples name the global stream; null
+  // when the thread's stream indices are already global.
+  const std::vector<int>* stream_ids = nullptr;
 };
 
 // The installed context. `constinit` guarantees constant initialization,
@@ -51,10 +57,12 @@ inline TraceBuffer* CurrentTrace() { return g_obs_context.trace; }
 // destruction. Nesting works: an inner scope shadows the outer.
 class ScopedObsContext {
  public:
-  ScopedObsContext(MetricSink* sink, TraceBuffer* trace)
+  ScopedObsContext(MetricSink* sink, TraceBuffer* trace,
+                   const std::vector<int>* stream_ids = nullptr)
       : saved_(g_obs_context) {
     g_obs_context.sink = sink;
     g_obs_context.trace = trace;
+    g_obs_context.stream_ids = stream_ids;
   }
   ~ScopedObsContext() { g_obs_context = saved_; }
 
@@ -109,10 +117,11 @@ class ScopedSpan {
 // Records one per-stage sample: observes StageHist(stage) on the current
 // sink, captures an exemplar (+ exemplar-linked trace span) when the value
 // crosses the stage histogram's tail threshold, and appends a span to the
-// flight recorder when armed. Out-of-line so the fast path of StageTimer
-// stays a clock read and a call.
-void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream = -1,
-                 int32_t query = -1);
+// flight recorder when armed. `stream` is the recording thread's stream
+// index (-1 for none); exemplars and spans carry it translated through the
+// context's stream_ids. Out-of-line so the fast path of StageTimer stays a
+// clock read and a call.
+void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream = -1);
 
 // Decimation gate for the per-refresh join stage timer. One verdict refresh
 // runs well under a microsecond, so timing every refresh spends two clock
@@ -138,9 +147,8 @@ inline bool JoinRefreshSampleTick() {
 // GSPS_OBS_JOIN_REFRESH so GSPS_OBS_DISABLED builds compile it out.
 class StageTimer {
  public:
-  explicit StageTimer(Stage stage, int32_t stream = -1, int32_t query = -1,
-                      bool sampled = false)
-      : stage_(stage), stream_(stream), query_(query) {
+  explicit StageTimer(Stage stage, int32_t stream = -1, bool sampled = false)
+      : stage_(stage), stream_(stream) {
     if ((CurrentSink() != nullptr || FlightRecorderArmed()) &&
         (!sampled || JoinRefreshSampleTick())) {
       start_ = MonotonicMicros();
@@ -148,7 +156,7 @@ class StageTimer {
   }
   ~StageTimer() {
     if (start_ >= 0) {
-      StageSample(stage_, MonotonicMicros() - start_, stream_, query_);
+      StageSample(stage_, MonotonicMicros() - start_, stream_);
     }
   }
 
@@ -158,7 +166,6 @@ class StageTimer {
  private:
   Stage stage_;
   int32_t stream_;
-  int32_t query_;
   int64_t start_ = -1;
 };
 
@@ -219,7 +226,7 @@ class StageTimer {
 
 // Times the rest of the enclosing scope as one pipeline stage:
 //   GSPS_OBS_STAGE(Stage::kDirtyDrain, stream_index);
-// Optional trailing arguments are the stream and query ids attached to
+// The optional trailing argument is the stream index attached to the
 // exemplars/flight spans the sample may produce.
 #define GSPS_OBS_STAGE(stage, ...)                          \
   ::gsps::obs::StageTimer GSPS_OBS_CONCAT(gsps_obs_stage_,  \
@@ -232,7 +239,7 @@ class StageTimer {
 #define GSPS_OBS_JOIN_REFRESH(stream)                       \
   ::gsps::obs::StageTimer GSPS_OBS_CONCAT(gsps_obs_stage_,  \
                                           __LINE__)(        \
-      ::gsps::obs::Stage::kJoinRefresh, (stream), -1, /*sampled=*/true)
+      ::gsps::obs::Stage::kJoinRefresh, (stream), /*sampled=*/true)
 
 #endif  // GSPS_OBS_DISABLED
 

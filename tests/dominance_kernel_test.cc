@@ -1,6 +1,6 @@
 // Tests for the batched dominance kernel (gsps/join/dominance_kernel.h):
-// ISA name round-trips, the NpvSlab alignment/padding contract the vector
-// paths rely on, and — the load-bearing part — an exhaustive differential
+// ISA name round-trips, the NpvSlab signature-array contract the vector
+// path relies on, and — the load-bearing part — an exhaustive differential
 // check that every compiled-and-supported ISA produces bit-identical masks,
 // counts, and stats to both the scalar kernel and a brute-force oracle,
 // across empty vectors, single-dim vectors, unaligned slab tails, multi-slot
@@ -96,6 +96,7 @@ TEST(DominanceIsaTest, NameParseRoundTrip) {
   EXPECT_FALSE(ParseDominanceIsa("").has_value());
   EXPECT_FALSE(ParseDominanceIsa("sse2").has_value());
   EXPECT_FALSE(ParseDominanceIsa("AVX2").has_value());
+  EXPECT_FALSE(ParseDominanceIsa("avx512").has_value());
 }
 
 TEST(DominanceIsaTest, ScalarAlwaysAvailable) {
@@ -108,8 +109,6 @@ TEST(DominanceIsaTest, ScalarAlwaysAvailable) {
 TEST(DominanceIsaTest, BatchCountersAreDistinct) {
   EXPECT_NE(DominanceBatchCounter(DominanceIsa::kScalar),
             DominanceBatchCounter(DominanceIsa::kAvx2));
-  EXPECT_NE(DominanceBatchCounter(DominanceIsa::kAvx2),
-            DominanceBatchCounter(DominanceIsa::kAvx512));
 }
 
 TEST(NpvSlabLayoutTest, AlignmentAndSentinelPadding) {
@@ -119,19 +118,10 @@ TEST(NpvSlabLayoutTest, AlignmentAndSentinelPadding) {
     slab.Append(RandomVector(rng, 40, 9, 5));
     // The contract must hold after EVERY append, not just the last one.
     slab.CheckKernelLayout();
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(slab.entry_data()) %
-                  kNpvSlabAlignment,
-              0u);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(slab.sig_data()) % kNpvSlabAlignment,
               0u);
-    EXPECT_EQ(slab.padded_entries() % kNpvSlabEntryPad, 0);
     EXPECT_EQ(slab.padded_sigs() % kNpvSlabSigPad, 0);
-    EXPECT_GE(slab.padded_entries(), slab.num_entries());
     EXPECT_GE(slab.padded_sigs(), slab.size());
-    for (int32_t e = slab.num_entries(); e < slab.padded_entries(); ++e) {
-      EXPECT_EQ(slab.entry_data()[e].dim, 0);
-      EXPECT_EQ(slab.entry_data()[e].count, 0);
-    }
     for (int32_t s = slab.size(); s < slab.padded_sigs(); ++s) {
       EXPECT_EQ(slab.sig_data()[s], ~NpvSignature{0});
     }
@@ -202,8 +192,8 @@ TEST(DominanceBatchTest, SignatureAndCompareBoundaries) {
 
 // The main property: every supported ISA agrees bit-for-bit with the brute
 // oracle (and hence with scalar) on masks, counts, and stats. Slab sizes
-// straddle the 8- and 16-lane block boundaries to exercise unaligned tails
-// and phantom lanes; dim universes straddle 64 to exercise signature
+// straddle 8-lane block boundaries to exercise unaligned tails and phantom
+// lanes; dim universes straddle 64 to exercise signature
 // aliasing; nnz up to 24 exercises multi-slot blocks.
 TEST(DominanceBatchTest, DifferentialAgainstBruteForce) {
   const std::vector<DominanceIsa> isas = SupportedIsas();

@@ -48,7 +48,6 @@ FlightSpan MakeSpan(uint64_t span_id) {
   span.category = "test";
   span.stage = 2;
   span.stream = 1;
-  span.query = 4;
   span.ts_micros = static_cast<int64_t>(span_id) * 10;
   span.dur_micros = 7;
   span.span_id = span_id;
@@ -85,7 +84,6 @@ TEST_F(FlightRecorderTest, DumpRoundTripParsesBack) {
   EXPECT_LT(text.find("\"span_id\":1"), text.find("\"span_id\":5"));
   EXPECT_NE(text.find("\"stage\":2"), std::string::npos);
   EXPECT_NE(text.find("\"stream\":1"), std::string::npos);
-  EXPECT_NE(text.find("\"query\":4"), std::string::npos);
 }
 
 TEST_F(FlightRecorderTest, RingOverwritesOldestPastCapacity) {

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -314,9 +316,9 @@ TEST(ObsExemplarTest, StageSampleThresholdIsInclusive) {
   obs::SetExemplarThreshold(Hist::kStageJoinRefreshMicros, 100);
   MetricSink sink;
   obs::ScopedObsContext scope(&sink, nullptr);
-  obs::StageSample(obs::Stage::kJoinRefresh, 99, /*stream=*/0, /*query=*/1);
-  obs::StageSample(obs::Stage::kJoinRefresh, 100, /*stream=*/2, /*query=*/3);
-  obs::StageSample(obs::Stage::kJoinRefresh, 101, /*stream=*/4, /*query=*/5);
+  obs::StageSample(obs::Stage::kJoinRefresh, 99, /*stream=*/0);
+  obs::StageSample(obs::Stage::kJoinRefresh, 100, /*stream=*/2);
+  obs::StageSample(obs::Stage::kJoinRefresh, 101, /*stream=*/4);
 
   std::vector<obs::Exemplar> exemplars;
   obs::ExemplarStore::Global().Snapshot(&exemplars);
@@ -325,7 +327,6 @@ TEST(ObsExemplarTest, StageSampleThresholdIsInclusive) {
   EXPECT_EQ(exemplars[0].stage, obs::Stage::kJoinRefresh);
   EXPECT_EQ(exemplars[0].hist, Hist::kStageJoinRefreshMicros);
   EXPECT_EQ(exemplars[0].stream, 2);
-  EXPECT_EQ(exemplars[0].query, 3);
   EXPECT_NE(exemplars[0].span_id, 0u);
   EXPECT_EQ(exemplars[1].value_micros, 101);
   EXPECT_NE(exemplars[1].span_id, exemplars[0].span_id);
@@ -352,6 +353,69 @@ TEST(ObsExemplarTest, RingEvictsOldestOnceFull) {
   EXPECT_EQ(exemplars.front().value_micros, 5);
   EXPECT_EQ(exemplars.back().value_micros, obs::kExemplarRingSize + 4);
   obs::ExemplarStore::Global().Reset();
+}
+
+// A pipelined engine's workers index their streams shard-locally; every
+// stage span they record must still name the global stream. Four streams
+// on two workers, one event per stream per timestamp: each stream owns
+// exactly one NNT-maintain and one dirty-drain span per timestamp.
+TEST(ObsExemplarTest, PipelinedStageSpansNameGlobalStreams) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "instrumentation compiled out (GSPS_OBS_DISABLED)";
+  }
+  SyntheticStreamParams params;
+  params.num_pairs = 4;
+  params.evolution.num_timestamps = 6;
+  params.seed = 5;
+  const StreamDataset dataset = MakeSyntheticStreams(params);
+  const int num_streams = static_cast<int>(dataset.streams.size());
+  ASSERT_EQ(num_streams, 4);
+
+  const std::string path = ::testing::TempDir() + "/obs_stream_labels.json";
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.Arm(path.c_str());
+  recorder.Reset();
+  {
+    PipelinedEngineOptions options;
+    options.num_threads = 2;
+    PipelinedQueryEngine engine(options);
+    for (const Graph& q : dataset.queries) engine.AddQuery(q);
+    for (const GraphStream& s : dataset.streams) {
+      engine.AddStream(s.StartGraph());
+    }
+    engine.Start();
+    for (int t = 1; t < params.evolution.num_timestamps; ++t) {
+      for (int i = 0; i < num_streams; ++i) {
+        IngestEvent event;
+        event.stream = i;
+        event.timestamp = t;
+        event.change = dataset.streams[static_cast<size_t>(i)].ChangeAt(t);
+        ASSERT_TRUE(engine.Ingest(std::move(event)));
+      }
+      engine.AdvanceEpoch(t);
+    }
+    engine.Shutdown();
+  }
+  const bool dumped = recorder.DumpNow();
+  recorder.Disarm();
+  recorder.Reset();
+  ASSERT_TRUE(dumped);
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+
+  const int ticks = params.evolution.num_timestamps - 1;
+  for (const obs::Stage stage :
+       {obs::Stage::kNntMaintain, obs::Stage::kDirtyDrain}) {
+    const std::string span =
+        std::string("\"stage\":") + std::to_string(static_cast<int>(stage)) +
+        ",\"stream\":";
+    for (int i = 0; i < num_streams; ++i) {
+      EXPECT_EQ(CountOccurrences(text, span + std::to_string(i) + ","), ticks)
+          << obs::StageName(stage) << " spans of stream " << i;
+    }
+  }
 }
 
 // --- Scoped context --------------------------------------------------------
@@ -594,10 +658,8 @@ TEST(ObsEndToEndTest, EveryMetricNonzeroAfterInstrumentedRun) {
   const MetricSink snapshot = obs::MetricsRegistry::Global().Snapshot();
   for (int i = 0; i < obs::kNumCounters; ++i) {
     const Counter counter = static_cast<Counter>(i);
-    if ((counter == Counter::kDominanceBatchesAvx2 &&
-         !DominanceIsaSupported(DominanceIsa::kAvx2)) ||
-        (counter == Counter::kDominanceBatchesAvx512 &&
-         !DominanceIsaSupported(DominanceIsa::kAvx512))) {
+    if (counter == Counter::kDominanceBatchesAvx2 &&
+        !DominanceIsaSupported(DominanceIsa::kAvx2)) {
       EXPECT_EQ(snapshot.Value(counter), 0) << obs::CounterName(counter);
       continue;
     }
