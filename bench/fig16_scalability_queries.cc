@@ -78,7 +78,7 @@ int Main(int argc, char** argv) {
               "and DSC's\ncandidate read is near-free because its work moved "
               "into the incremental counters,\nwhose upkeep keeps DSC's "
               "update column close to NL's (level on synthetic sparse,\n"
-              "lower on synthetic dense, about a third higher on "
+              "lower on synthetic dense, somewhat higher on "
               "reality-like streams).\n");
   return 0;
 }

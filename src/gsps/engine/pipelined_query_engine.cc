@@ -513,6 +513,13 @@ void PipelinedQueryEngine::HandleControlOp(Worker& worker,
 void PipelinedQueryEngine::WorkerLoop(int s) {
   Worker& worker = *workers_[static_cast<size_t>(s)];
   StreamShard& shard = worker.shard;
+  // Installed before setup, so the NNT builds' stage samples and the
+  // strategy's setup counters land in the worker's sink (merged at the
+  // epoch-0 marker).
+  std::optional<obs::ScopedObsContext> obs_scope;
+  if constexpr (obs::kEnabled) {
+    obs_scope.emplace(&worker.sink, worker.trace, &worker.global_streams);
+  }
   // Shard setup runs here so it is parallel across workers.
   for (const Graph& query : pending_queries_) shard.AddQuery(query);
   for (const int i : worker.global_streams) {
@@ -523,10 +530,6 @@ void PipelinedQueryEngine::WorkerLoop(int s) {
   { std::lock_guard<std::mutex> lock(epoch_mutex_); }
   epoch_cv_.notify_all();
 
-  std::optional<obs::ScopedObsContext> obs_scope;
-  if constexpr (obs::kEnabled) {
-    obs_scope.emplace(&worker.sink, worker.trace, &worker.global_streams);
-  }
   if (options_.alloc_probe != nullptr) {
     worker.last_probe = options_.alloc_probe();
   }

@@ -25,9 +25,19 @@ int32_t MergeCount(const std::vector<NpvEntry>& hay, const NpvSlab& slab,
   return satisfied;
 }
 
+// Dies unless every vector of `query` fits a uint16_t counter row.
+void CheckVectorNnz(const QueryVectors& query) {
+  for (const Npv& vector : query.vectors) {
+    GSPS_CHECK_MSG(vector.nnz() <= DominatedSetCoverJoin::kMaxVectorNnz,
+                   "DSC: a query vector has more than 65535 non-zero "
+                   "dimensions, past its uint16_t counter range");
+  }
+}
+
 }  // namespace
 
 void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
+  for (const QueryVectors& query : queries) CheckVectorNnz(query);
   query_.SetQueries(queries);
   const NpvSlab& slab = query_.slab();
   dim_lists_.resize(static_cast<size_t>(query_.remap().num_dims()));
@@ -36,6 +46,7 @@ void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
       dim_lists_[static_cast<size_t>(e->dim)].push_back(
           DimEntry{e->count, slot});
     }
+    list_entries_ += slab.nnz(slot);
   }
   for (std::vector<DimEntry>& list : dim_lists_) {
     std::sort(list.begin(), list.end(),
@@ -47,6 +58,7 @@ void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
 
 void DominatedSetCoverJoin::AddQuery(int32_t id, const QueryVectors& query,
                                      bool* grew_dims) {
+  CheckVectorNnz(query);
   const auto move_dims = [this](const std::vector<DimId>& old_to_new) {
     // Move the per-dimension lists to their new dense indices, highest
     // first (old_to_new is strictly increasing, so targets are processed
@@ -85,6 +97,7 @@ void DominatedSetCoverJoin::AddQuery(int32_t id, const QueryVectors& query,
                                   });
       list.insert(pos, DimEntry{e->count, slot});
     }
+    list_entries_ += slab.nnz(slot);
   }
 
   // Establish the new slots' dominant counters against every live vertex.
@@ -101,7 +114,8 @@ void DominatedSetCoverJoin::AddQuery(int32_t id, const QueryVectors& query,
       if (!vertex.live) continue;
       for (const int32_t slot : mine) {
         const int32_t satisfied = MergeCount(vertex.entries, slab, slot);
-        vertex.dominant[static_cast<size_t>(slot)] = satisfied;
+        vertex.dominant[static_cast<size_t>(slot)] =
+            static_cast<uint16_t>(satisfied);
         if (satisfied == slab.nnz(slot)) SetDominates(cover, slot, true);
       }
     }
@@ -126,6 +140,7 @@ void DominatedSetCoverJoin::RemoveQuery(int32_t id) {
       GSPS_CHECK(it != list.end() && it->slot == slot);
       list.erase(it);
     }
+    list_entries_ -= slab.nnz(slot);
   }
   // Zero the freed columns in every row (tombstoned rows are zero already),
   // so a later AddQuery reusing the slot starts from clean counters.
@@ -148,64 +163,15 @@ void DominatedSetCoverJoin::UpdateStreamVertex(int stream_index, VertexId v,
                                                const Npv& npv) {
   CoverQuerySide::Stream& cover = query_.stream(stream_index);
   StreamVertexState& vertex = vertices_[static_cast<size_t>(stream_index)][v];
-  const NpvSlab& slab = query_.slab();
   if (!vertex.live) {
     vertex.live = true;
     // A fresh vertex gets its row here; a tombstoned one kept its all-zero
     // row at full width.
-    vertex.dominant.resize(static_cast<size_t>(slab.size()), 0);
+    vertex.dominant.resize(static_cast<size_t>(query_.slab().size()), 0);
     CoverQuerySide::AddLiveVertex(cover);
   }
   query_.remap().Translate(npv, &translate_scratch_);
-  if (vertex.entries.empty() && !translate_scratch_.empty() &&
-      slab.size() > 0) {
-    // Bulk insert: every dominant counter of this vertex is zero (fresh
-    // vertex, or all prior contributions retracted), so one count-mode
-    // kernel sweep produces the whole row — SatisfiedCount(k) is exactly
-    // the counter the per-dimension AdjustRange walks would have
-    // accumulated from zero (and 0 for a freed slot).
-    const DominanceBatch& batch = query_.SatisfiedCounts(
-        translate_scratch_.data(),
-        translate_scratch_.data() + translate_scratch_.size());
-    int32_t* const row = vertex.dominant.data();
-    for (int32_t k = 0; k < slab.size(); ++k) {
-      const int32_t satisfied = batch.SatisfiedCount(k);
-      row[k] = satisfied;
-      if (satisfied != 0 && satisfied == slab.nnz(k)) {
-        SetDominates(cover, k, true);
-      }
-    }
-    vertex.entries.assign(translate_scratch_.begin(),
-                          translate_scratch_.end());
-    return;
-  }
-  // Incremental position update (the paper's Fig. 8 maintenance): only the
-  // dimensions whose value moved contribute counter adjustments, and within
-  // a dimension only the query entries between the old and new position.
-  auto old_it = vertex.entries.begin();
-  const auto old_end = vertex.entries.end();
-  auto new_it = translate_scratch_.begin();
-  const auto new_end = translate_scratch_.end();
-  while (old_it != old_end || new_it != new_end) {
-    if (new_it == new_end || (old_it != old_end && old_it->dim < new_it->dim)) {
-      AdjustRange(cover, vertex, old_it->dim, 0, old_it->count, -1);
-      ++old_it;
-    } else if (old_it == old_end || new_it->dim < old_it->dim) {
-      AdjustRange(cover, vertex, new_it->dim, 0, new_it->count, +1);
-      ++new_it;
-    } else {
-      if (old_it->count < new_it->count) {
-        AdjustRange(cover, vertex, old_it->dim, old_it->count,
-                    new_it->count, +1);
-      } else if (new_it->count < old_it->count) {
-        AdjustRange(cover, vertex, old_it->dim, new_it->count,
-                    old_it->count, -1);
-      }
-      ++old_it;
-      ++new_it;
-    }
-  }
-  vertex.entries.assign(translate_scratch_.begin(), translate_scratch_.end());
+  Repair(cover, vertex, translate_scratch_);
 }
 
 void DominatedSetCoverJoin::RemoveStreamVertex(int stream_index, VertexId v) {
@@ -213,9 +179,9 @@ void DominatedSetCoverJoin::RemoveStreamVertex(int stream_index, VertexId v) {
   auto it = vertices.find(v);
   if (it == vertices.end() || !it->second.live) return;
   CoverQuerySide::Stream& cover = query_.stream(stream_index);
-  Apply(cover, it->second, -1);
+  translate_scratch_.clear();
+  Repair(cover, it->second, translate_scratch_);
   it->second.live = false;
-  it->second.entries.clear();
   CoverQuerySide::RemoveLiveVertex(cover);
 }
 
@@ -224,23 +190,16 @@ void DominatedSetCoverJoin::CandidatesForStream(int stream_index,
   query_.Candidates(stream_index, out);
   GSPS_OBS_COUNT(Counter::kJoinSetCoverRounds, pending_rounds_);
   GSPS_OBS_COUNT(Counter::kJoinSetCoverFlips, pending_flips_);
+  GSPS_OBS_COUNT(Counter::kJoinSetCoverToggles, pending_toggles_);
   pending_rounds_ = 0;
   pending_flips_ = 0;
+  pending_toggles_ = 0;
 }
 
-void DominatedSetCoverJoin::Apply(CoverQuerySide::Stream& cover,
-                                  StreamVertexState& vertex, int delta) {
-  for (const NpvEntry& entry : vertex.entries) {
-    AdjustRange(cover, vertex, entry.dim, 0, entry.count, delta);
-  }
-}
-
-void DominatedSetCoverJoin::AdjustRange(CoverQuerySide::Stream& cover,
-                                        StreamVertexState& vertex, DimId dim,
-                                        int32_t from, int32_t to, int delta) {
+int64_t DominatedSetCoverJoin::PlanRange(DimId dim, int32_t from, int32_t to,
+                                         int32_t delta) {
   GSPS_DCHECK(from < to);
   GSPS_DCHECK(dim >= 0 && dim < query_.remap().num_dims());
-  ++pending_rounds_;
   const std::vector<DimEntry>& list = dim_lists_[static_cast<size_t>(dim)];
   auto value_less = [](int32_t value, const DimEntry& e) {
     return value < e.value;
@@ -250,21 +209,96 @@ void DominatedSetCoverJoin::AdjustRange(CoverQuerySide::Stream& cover,
   auto begin =
       from == 0 ? list.begin()
                 : std::upper_bound(list.begin(), list.end(), from, value_less);
-  auto end = std::upper_bound(list.begin(), list.end(), to, value_less);
-  int32_t* const row = vertex.dominant.data();
-  const NpvSlab& slab = query_.slab();
-  for (auto it = begin; it != end; ++it) {
-    const int32_t before = row[it->slot];
-    const int32_t after = before + delta;
-    row[it->slot] = after;
-    GSPS_DCHECK(after >= 0);
-    const int32_t needed = slab.nnz(it->slot);
-    if (after == needed) {
-      SetDominates(cover, it->slot, true);
-    } else if (before == needed) {
-      SetDominates(cover, it->slot, false);
+  auto end = std::upper_bound(begin, list.end(), to, value_less);
+  plan_.push_back(PlannedRange{list.data() + (begin - list.begin()),
+                               list.data() + (end - list.begin()), delta});
+  return end - begin;
+}
+
+void DominatedSetCoverJoin::Repair(CoverQuerySide::Stream& cover,
+                                   StreamVertexState& vertex,
+                                   const std::vector<NpvEntry>& next) {
+  // Plan: the paper's incremental position update (Fig. 8 maintenance).
+  // Only dimensions whose value moved contribute, and within a dimension
+  // only the query entries between the old and new position.
+  plan_.clear();
+  int64_t visits = 0;
+  auto old_it = vertex.entries.begin();
+  const auto old_end = vertex.entries.end();
+  auto new_it = next.begin();
+  const auto new_end = next.end();
+  while (old_it != old_end || new_it != new_end) {
+    if (new_it == new_end || (old_it != old_end && old_it->dim < new_it->dim)) {
+      ++pending_toggles_;  // Vanished.
+      visits += PlanRange(old_it->dim, 0, old_it->count, -1);
+      ++old_it;
+    } else if (old_it == old_end || new_it->dim < old_it->dim) {
+      ++pending_toggles_;  // Appeared.
+      visits += PlanRange(new_it->dim, 0, new_it->count, +1);
+      ++new_it;
+    } else {
+      if (old_it->count < new_it->count) {
+        visits += PlanRange(old_it->dim, old_it->count, new_it->count, +1);
+      } else if (new_it->count < old_it->count) {
+        visits += PlanRange(old_it->dim, new_it->count, old_it->count, -1);
+      }
+      ++old_it;
+      ++new_it;
     }
   }
+
+  const NpvSlab& slab = query_.slab();
+  uint16_t* const row = vertex.dominant.data();
+  if (vertex.entries.empty() && visits > list_entries_ / kDominanceLanes) {
+    // Every counter is zero (fresh vertex, or all prior contributions
+    // retracted) and the walk would cost more than one count-mode kernel
+    // sweep, which yields the whole row at once: SatisfiedCount(k) is
+    // exactly the counter the walk would accumulate from zero (and 0 for a
+    // freed slot).
+    const DominanceBatch& batch =
+        query_.SatisfiedCounts(next.data(), next.data() + next.size());
+    for (int32_t k = 0; k < slab.size(); ++k) {
+      const int32_t satisfied = batch.SatisfiedCount(k);
+      row[k] = static_cast<uint16_t>(satisfied);
+      if (satisfied != 0 && satisfied == slab.nnz(k)) {
+        SetDominates(cover, k, true);
+      }
+    }
+  } else {
+    // Apply. The walk visits slots in list (value) order, scattered over the
+    // row where the hardware prefetcher cannot follow. A walk that visits at
+    // least as many entries as the row has cache lines fetches the whole
+    // row up front; a shorter one touches too few lines to pay for it.
+    const uintptr_t row_begin = reinterpret_cast<uintptr_t>(row);
+    const uintptr_t row_end =
+        row_begin + vertex.dominant.size() * sizeof(uint16_t);
+    constexpr uintptr_t kLine = 64;
+    if (visits >= static_cast<int64_t>((row_end - row_begin + kLine - 1) /
+                                       kLine)) {
+      for (uintptr_t line = row_begin & ~(kLine - 1); line < row_end;
+           line += kLine) {
+        __builtin_prefetch(reinterpret_cast<const void*>(line), 1);
+      }
+    }
+    pending_rounds_ += static_cast<int64_t>(plan_.size());
+    for (const PlannedRange& range : plan_) {
+      if (range.delta > 0) {
+        for (const DimEntry* it = range.begin; it != range.end; ++it) {
+          if (++row[it->slot] == slab.nnz(it->slot)) {
+            SetDominates(cover, it->slot, true);
+          }
+        }
+      } else {
+        for (const DimEntry* it = range.begin; it != range.end; ++it) {
+          GSPS_DCHECK(row[it->slot] > 0);
+          if (row[it->slot]-- == slab.nnz(it->slot)) {
+            SetDominates(cover, it->slot, false);
+          }
+        }
+      }
+    }
+  }
+  vertex.entries.assign(next.begin(), next.end());
 }
 
 void DominatedSetCoverJoin::CheckChurnInvariants() const {
@@ -284,6 +318,7 @@ void DominatedSetCoverJoin::CheckChurnInvariants() const {
     dim_entries += static_cast<int64_t>(list.size());
   }
   GSPS_CHECK(dim_entries == expected_dim_entries);
+  GSPS_CHECK(dim_entries == list_entries_);
   // Recount every row from its vertex's entries, then the covers from the
   // rows.
   std::vector<int32_t> counts;
@@ -291,12 +326,12 @@ void DominatedSetCoverJoin::CheckChurnInvariants() const {
     counts.assign(static_cast<size_t>(slots), 0);
     int32_t live_vertices = 0;
     for (const auto& [v, vertex] : vertices_[static_cast<size_t>(i)]) {
-      const std::vector<int32_t>& row = vertex.dominant;
+      const std::vector<uint16_t>& row = vertex.dominant;
       GSPS_CHECK(static_cast<int32_t>(row.size()) == slots);
       if (!vertex.live) {
         GSPS_CHECK(vertex.entries.empty());
         GSPS_CHECK(std::all_of(row.begin(), row.end(),
-                               [](int32_t counter) { return counter == 0; }));
+                               [](uint16_t counter) { return counter == 0; }));
         continue;
       }
       ++live_vertices;

@@ -23,19 +23,35 @@
 // transitioning between empty and non-empty, so counter churn that flips
 // nothing reuses the previous verdict.
 //
-// Counter rows are flat, 4 B x slab slots x stream vertices, so the hot
-// loop is a direct row increment. Rows grow only when AddQuery appends a
-// tail slot (every row, tombstoned vertices included); a re-add into a
-// freed slot reuses its column, which RemoveQuery zeroed. A hash map keyed
-// by the query vectors a vertex has met costs about 40 B per entry, so the
-// row is smaller once a vertex meets more than about a tenth of the query
+// Counter rows are flat, 2 B x slab slots x stream vertices (uint16_t: a
+// counter never exceeds its query vector's nnz, so SetQueries and AddQuery
+// reject a vector with more than kMaxVectorNnz non-zero dimensions before
+// changing anything). Rows grow only when AddQuery appends a tail slot
+// (every row, tombstoned vertices included); a re-add into a freed slot
+// reuses its column, which RemoveQuery zeroed. A hash map keyed by the
+// query vectors a vertex has met costs about 40 B per entry, so the row is
+// smaller once a vertex meets more than about a twentieth of the query
 // vectors. On the reality_manyq benchmark workload a replayed vertex has
 // met a median 87% of them, and a freshly set-up one 28%.
+//
+// An update is planned, then applied. The plan is one pass over the
+// old-vs-new merge-diff that records each changed dimension's list range
+// and the total entries the walk will visit. When that total reaches the
+// row's cache-line count the whole row is prefetched, so the scattered
+// increments that follow find it in cache; a smaller update touches too
+// few lines to pay for it. A vertex with no prior entries (all counters
+// zero) is seeded by one count-kernel sweep over the whole slab instead of
+// the walk only when the walk would visit more than (total list entries) /
+// kDominanceLanes entries: the sweep handles kDominanceLanes entries per
+// vector op, so past that point it is the cheaper path. The rule reads only
+// counts, never the dispatched ISA, so every ISA takes the same path.
+// Stream NPVs reach the plan through NpvDimRemap's table-driven Translate.
 
 #ifndef GSPS_JOIN_DOMINATED_SET_COVER_JOIN_H_
 #define GSPS_JOIN_DOMINATED_SET_COVER_JOIN_H_
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +62,12 @@ namespace gsps {
 
 class DominatedSetCoverJoin final : public JoinStrategy {
  public:
+  // Largest nnz a query vector may have: the counter row's uint16_t range.
+  // Reaching it takes a query vertex with 65,536 distinct (level, label,
+  // label) dimensions.
+  static constexpr int32_t kMaxVectorNnz =
+      std::numeric_limits<uint16_t>::max();
+
   DominatedSetCoverJoin() = default;
 
   void SetQueries(std::vector<QueryVectors> queries) override;
@@ -72,23 +94,32 @@ class DominatedSetCoverJoin final : public JoinStrategy {
     std::vector<NpvEntry> entries;
     // Dominant counters indexed by slab slot, slab().size() long; zero for
     // freed slots.
-    std::vector<int32_t> dominant;
+    std::vector<uint16_t> dominant;
     // Tombstone flag: removed vertices keep their buffers (entries cleared,
     // counters retracted to zero) so a later re-add allocates nothing.
     bool live = false;
   };
   using VertexMap = std::unordered_map<VertexId, StreamVertexState>;
 
-  // Retracts (`delta`=-1) or re-adds (`delta`=+1) the counter contributions
-  // of `vertex`'s current entries, maintaining cover bookkeeping.
-  void Apply(CoverQuerySide::Stream& cover, StreamVertexState& vertex,
-             int delta);
+  // One changed dimension of a planned update: the query entries with
+  // value in (from, to] of the paper's incremental position update, whose
+  // counters all move by `delta`.
+  struct PlannedRange {
+    const DimEntry* begin;
+    const DimEntry* end;
+    int32_t delta;  // +1 or -1.
+  };
 
-  // The paper's incremental position update: adjusts the dominant counters
-  // of `vertex` in dense dimension `dim` for query entries with value in
-  // (from, to] (delta = +1) or retracts them (delta = -1). `from < to`.
-  void AdjustRange(CoverQuerySide::Stream& cover, StreamVertexState& vertex,
-                   DimId dim, int32_t from, int32_t to, int delta);
+  // Moves `vertex`'s counters from its current entries to `next` (sorted
+  // ascending by dense dim): plans, then walks or seeds by kernel, then
+  // stores `next` as the vertex's entries.
+  void Repair(CoverQuerySide::Stream& cover, StreamVertexState& vertex,
+              const std::vector<NpvEntry>& next);
+
+  // Appends to plan_ the range of dense dimension `dim`'s list whose
+  // counters move when the vertex's value there goes between `from` and
+  // `to` (`from` < `to`), and returns its length.
+  int64_t PlanRange(DimId dim, int32_t from, int32_t to, int32_t delta);
 
   void SetDominates(CoverQuerySide::Stream& cover, int32_t slot,
                     bool now_dominates) {
@@ -99,22 +130,24 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   // The query vectors, their cover counts and the candidate caches.
   CoverQuerySide query_;
   // Dense dimension -> sorted projected query values (the paper's
-  // per-dimension sorted lists), indexed directly by dense dim id. The
-  // slab's kernel also runs in count mode when a vertex arrives with no
-  // prior entries (bulk insert): counters start from zero, so one sweep
-  // yields every dominant counter without walking these lists.
+  // per-dimension sorted lists), indexed directly by dense dim id.
   std::vector<std::vector<DimEntry>> dim_lists_;
+  // Entries over all dim_lists_: the live slots' total nnz.
+  int64_t list_entries_ = 0;
   // Per stream: its vertices.
   std::vector<VertexMap> vertices_;
   std::vector<NpvEntry> translate_scratch_;
+  // The current update's plan, capacity kept across updates.
+  std::vector<PlannedRange> plan_;
 
   // Observability accumulators for the maintenance inner loops: plain
-  // member adds there (AdjustRange / SetDominates run per dimension-range
-  // per NPV move), flushed to the installed sink once per
-  // CandidatesForStream. Counts pending since the last flush are only lost
-  // if no candidate read ever follows the updates.
+  // member adds there (ranges walked, flips, and dimensions that appeared
+  // in or vanished from a vertex's NPV), flushed to the installed sink once
+  // per CandidatesForStream. Counts pending since the last flush are only
+  // lost if no candidate read ever follows the updates.
   int64_t pending_rounds_ = 0;
   int64_t pending_flips_ = 0;
+  int64_t pending_toggles_ = 0;
 };
 
 }  // namespace gsps

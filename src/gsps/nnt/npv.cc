@@ -77,43 +77,48 @@ bool Npv::Dominates(const Npv& other) const {
                         other.entries_.data() + other.entries_.size());
 }
 
+bool NpvDimRemap::Mark(const Npv& npv) {
+  bool marked = false;
+  for (const NpvEntry& e : npv.entries()) {
+    const size_t d = static_cast<size_t>(e.dim);
+    if (d >= dense_of_.size()) dense_of_.resize(d + 1, kAbsent);
+    if (dense_of_[d] == kAbsent) {
+      dense_of_[d] = kUnranked;
+      marked = true;
+    }
+  }
+  return marked;
+}
+
+void NpvDimRemap::Rank(std::vector<DimId>* old_to_new) {
+  DimId next = 0;
+  for (DimId& dense : dense_of_) {
+    if (dense == kAbsent) continue;
+    if (dense >= 0 && old_to_new != nullptr) {
+      (*old_to_new)[static_cast<size_t>(dense)] = next;
+    }
+    dense = next++;
+  }
+  num_dims_ = next;
+}
+
 void NpvDimRemap::AddDims(const Npv& npv) {
   GSPS_DCHECK(!sealed_);
-  for (const NpvEntry& e : npv.entries()) dims_.push_back(e.dim);
+  Mark(npv);
 }
 
 void NpvDimRemap::Seal() {
-  std::sort(dims_.begin(), dims_.end());
-  dims_.erase(std::unique(dims_.begin(), dims_.end()), dims_.end());
+  Rank(nullptr);
   sealed_ = true;
 }
 
 bool NpvDimRemap::GrowDims(const Npv& npv, std::vector<DimId>* old_to_new) {
   GSPS_DCHECK(sealed_);
-  // Fast path: every dim already mapped — one linear merge, no writes.
-  bool all_known = true;
-  auto probe = dims_.begin();
-  for (const NpvEntry& e : npv.entries()) {
-    while (probe != dims_.end() && *probe < e.dim) ++probe;
-    if (probe == dims_.end() || *probe != e.dim) {
-      all_known = false;
-      break;
-    }
-  }
-  if (all_known) return false;
-
-  const std::vector<DimId> old_dims = dims_;
-  for (const NpvEntry& e : npv.entries()) dims_.push_back(e.dim);
-  std::sort(dims_.begin(), dims_.end());
-  dims_.erase(std::unique(dims_.begin(), dims_.end()), dims_.end());
-
-  old_to_new->resize(old_dims.size());
-  auto it = dims_.begin();
-  for (size_t i = 0; i < old_dims.size(); ++i) {
-    it = std::lower_bound(it, dims_.end(), old_dims[i]);
-    GSPS_DCHECK(it != dims_.end() && *it == old_dims[i]);
-    (*old_to_new)[i] = static_cast<DimId>(it - dims_.begin());
-  }
+  // Every dim already mapped: Mark writes nothing, so re-adding a known
+  // query stays allocation-free.
+  if (!Mark(npv)) return false;
+  old_to_new->resize(static_cast<size_t>(num_dims_));
+  Rank(old_to_new);
   return true;
 }
 
@@ -122,18 +127,15 @@ NpvSignature NpvDimRemap::Translate(const Npv& npv,
   GSPS_DCHECK(sealed_);
   out->clear();
   NpvSignature sig = 0;
-  // Both sides sorted ascending by dim: one linear merge. Dims absent from
-  // the remap are dropped; the dense id is the remap position, so output
-  // order stays ascending.
-  auto it = dims_.begin();
+  // Dense ids ascend with global dims, so output order stays ascending.
+  const size_t table_size = dense_of_.size();
   for (const NpvEntry& e : npv.entries()) {
-    while (it != dims_.end() && *it < e.dim) ++it;
-    if (it == dims_.end()) break;
-    if (*it == e.dim) {
-      const DimId dense = static_cast<DimId>(it - dims_.begin());
-      out->push_back(NpvEntry{dense, e.count});
-      sig |= NpvSignatureBit(dense);
-    }
+    const size_t d = static_cast<size_t>(e.dim);
+    if (d >= table_size) break;
+    const DimId dense = dense_of_[d];
+    if (dense < 0) continue;
+    out->push_back(NpvEntry{dense, e.count});
+    sig |= NpvSignatureBit(dense);
   }
   return sig;
 }

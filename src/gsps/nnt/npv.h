@@ -120,6 +120,10 @@ class Npv {
 // entries possible. Stream-side dense vectors cannot be rewritten in place
 // (their source dims in the grown range were dropped at translate time) and
 // must be re-translated from the originals.
+//
+// The remap is one table indexed by global dim id, as long as the largest
+// registered dim + 1: Translate is one lookup per entry, so its cost follows
+// the translated vector's nnz, not the number of query dims.
 class NpvDimRemap {
  public:
   // Collect phase: registers the non-zero dims of `npv`.
@@ -131,7 +135,7 @@ class NpvDimRemap {
   bool sealed() const { return sealed_; }
 
   // Number of distinct dims registered. Valid after Seal.
-  int32_t num_dims() const { return static_cast<int32_t>(dims_.size()); }
+  int32_t num_dims() const { return num_dims_; }
 
   // Post-seal growth: registers any of `npv`'s dims not yet mapped. Returns
   // true when the dim set grew; *old_to_new is then resized to the previous
@@ -143,11 +147,27 @@ class NpvDimRemap {
 
   // Rewrites `npv` into *out (cleared first, capacity reused): entries with
   // a registered dim keep their count under the dense id, others are
-  // dropped. Returns the signature over the dense ids. Linear merge.
+  // dropped. Returns the signature over the dense ids. One table lookup per
+  // entry; entries ascend, so the scan stops at the first dim past the
+  // table.
   NpvSignature Translate(const Npv& npv, std::vector<NpvEntry>* out) const;
 
  private:
-  std::vector<DimId> dims_;  // Sorted ascending after Seal.
+  static constexpr DimId kAbsent = -1;    // Dim not registered.
+  static constexpr DimId kUnranked = -2;  // Registered, dense id pending.
+
+  // Registers `npv`'s unmapped dims as kUnranked, growing the table as
+  // needed. Returns true when any dim was new; writes nothing otherwise.
+  bool Mark(const Npv& npv);
+  // Numbers every registered dim in ascending global order. A dim that
+  // already had a dense id records its new one in (*old_to_new)[old] when
+  // old_to_new is non-null.
+  void Rank(std::vector<DimId>* old_to_new);
+
+  // Global dim -> dense id, kAbsent for dims no vector registered (and,
+  // implicitly, for every dim past the end).
+  std::vector<DimId> dense_of_;
+  int32_t num_dims_ = 0;
   bool sealed_ = false;
 };
 

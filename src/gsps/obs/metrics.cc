@@ -30,6 +30,7 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "gsps_join_skyline_early_stops",
     "gsps_join_set_cover_rounds",
     "gsps_join_set_cover_flips",
+    "gsps_join_set_cover_toggles",
     "gsps_join_pairs_in",
     "gsps_join_pairs_out",
     "gsps_join_verdicts_reused",
@@ -79,6 +80,7 @@ constexpr const char* kCounterHelp[kNumCounters] = {
     "Pairs pruned at the first uncovered skyline point",
     "Dominated-set-cover maintenance rounds",
     "Dominated-set-cover domination-status flips",
+    "Dimensions that appeared in or vanished from a DSC stream vertex NPV",
     "Stream/query pairs evaluated by the join",
     "Pairs surviving the join as candidates",
     "Join calls answered from cached per-stream verdicts",

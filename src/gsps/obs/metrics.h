@@ -57,8 +57,10 @@ enum class Counter : int {
   // Join strategies (join/).
   kJoinDominanceTests,     // Pairwise Npv::Dominates evaluations (NL, Skyline).
   kJoinSkylineEarlyStops,  // Pairs pruned at the first uncovered skyline point.
-  kJoinSetCoverRounds,     // DSC AdjustRange maintenance rounds.
+  kJoinSetCoverRounds,     // DSC counter-list ranges walked.
   kJoinSetCoverFlips,      // DSC domination-status flips (SetDominates).
+  kJoinSetCoverToggles,    // DSC dims that appeared in or vanished from a
+                           // stream vertex's translated NPV.
   kJoinPairsIn,            // (stream, query) pairs evaluated.
   kJoinPairsOut,           // Pairs surviving as candidates.
   kJoinVerdictsReused,     // CandidatesForStream calls answered entirely from

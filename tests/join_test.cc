@@ -23,7 +23,10 @@
 #include "gsps/gen/synthetic_generator.h"
 #include "gsps/iso/subgraph_isomorphism.h"
 #include "gsps/join/dominance.h"
+#include "gsps/join/dominance_kernel.h"
+#include "gsps/join/dominated_set_cover_join.h"
 #include "gsps/nnt/nnt_set.h"
+#include "gsps/obs/obs.h"
 
 namespace gsps {
 namespace {
@@ -453,6 +456,159 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
     EXPECT_GT(grew_dims_adds, 0) << JoinKindName(kind);
     EXPECT_GT(readds, 0) << JoinKindName(kind);
   }
+}
+
+// An NPV over dims [first, first + n), every count 1.
+Npv OnesOver(int32_t first, int32_t n) {
+  std::vector<NpvEntry> entries;
+  entries.reserve(static_cast<size_t>(n));
+  for (int32_t d = first; d < first + n; ++d) {
+    entries.push_back(NpvEntry{d, 1});
+  }
+  return Npv::FromSortedEntries(std::move(entries));
+}
+
+// DSC counters are uint16_t: a query vector of nnz 65,535 is the widest
+// accepted, and its counter must reach 65,535 on both seeding paths (the
+// count kernel for a fresh vertex, the walk for an incremental update) and
+// on AddQuery's seeding. CheckChurnInvariants recounts every counter.
+TEST(DscCounterRowTest, VectorAtTheNnzLimitIsAcceptedAndFlips) {
+  constexpr int32_t kLimit = DominatedSetCoverJoin::kMaxVectorNnz;
+  static_assert(kLimit == 65535);
+  DominatedSetCoverJoin dsc;
+  std::vector<QueryVectors> queries;
+  queries.push_back(MakeQuery({OnesOver(0, kLimit)}));
+  dsc.SetQueries(std::move(queries));
+  dsc.SetNumStreams(1);
+
+  // One dimension short: the counter stops at 65,534.
+  dsc.UpdateStreamVertex(0, 0, OnesOver(0, kLimit - 1));
+  dsc.CheckChurnInvariants();
+  EXPECT_TRUE(dsc.CandidatesForStream(0).empty());
+  // The last dimension appears: the walk takes it to 65,535, a flip.
+  dsc.UpdateStreamVertex(0, 0, OnesOver(0, kLimit));
+  dsc.CheckChurnInvariants();
+  EXPECT_EQ(dsc.CandidatesForStream(0), std::vector<int>{0});
+  // The first one vanishes: back to 65,534, a flip back.
+  dsc.UpdateStreamVertex(0, 0, OnesOver(1, kLimit - 1));
+  dsc.CheckChurnInvariants();
+  EXPECT_TRUE(dsc.CandidatesForStream(0).empty());
+  // A fresh vertex over every dimension is seeded at 65,535.
+  dsc.UpdateStreamVertex(0, 1, OnesOver(0, kLimit));
+  dsc.CheckChurnInvariants();
+  EXPECT_EQ(dsc.CandidatesForStream(0), std::vector<int>{0});
+  // A query added at the limit is seeded against the live vertices.
+  bool grew_dims = true;
+  dsc.AddQuery(1, MakeQuery({OnesOver(0, kLimit)}), &grew_dims);
+  EXPECT_FALSE(grew_dims);
+  dsc.CheckChurnInvariants();
+  EXPECT_EQ(dsc.CandidatesForStream(0), (std::vector<int>{0, 1}));
+}
+
+TEST(DscCounterRowTest, VectorPastTheNnzLimitDies) {
+  const Npv too_wide = OnesOver(0, DominatedSetCoverJoin::kMaxVectorNnz + 1);
+  EXPECT_DEATH(
+      {
+        DominatedSetCoverJoin dsc;
+        std::vector<QueryVectors> queries;
+        queries.push_back(MakeQuery({too_wide}));
+        dsc.SetQueries(std::move(queries));
+      },
+      "more than 65535 non-zero dimensions");
+  EXPECT_DEATH(
+      {
+        DominatedSetCoverJoin dsc;
+        dsc.SetQueries({});
+        dsc.SetNumStreams(1);
+        bool grew_dims = false;
+        dsc.AddQuery(0, MakeQuery({too_wide}), &grew_dims);
+      },
+      "more than 65535 non-zero dimensions");
+}
+
+// A fresh vertex is walked from zero unless the walk would visit more than
+// (total query nnz) / kDominanceLanes list entries; then the count kernel
+// seeds its row. Two fresh vertices on either side of that rule, then
+// incremental moves of both: the rows recount exactly and the candidates
+// equal NL's. The counters show which path ran: a walk counts rounds, a
+// seed one kernel batch, and both count the dimensions that appeared.
+TEST(DscCounterRowTest, FreshVerticesWalkedOrKernelSeededMatchNestedLoop) {
+  Rng rng(4242);
+  std::vector<QueryVectors> queries;
+  int64_t total_nnz = 0;
+  for (int j = 0; j < 12; ++j) {
+    QueryVectors query;
+    for (int v = 0; v < 3; ++v) {
+      std::unordered_map<DimId, int32_t> counts;
+      for (int k = 0; k < 3; ++k) {
+        counts[static_cast<DimId>(rng.UniformInt(0, 7))] =
+            static_cast<int32_t>(rng.UniformInt(1, 3));
+      }
+      query.vectors.push_back(Npv::FromMap(counts));
+      total_nnz += query.vectors.back().nnz();
+    }
+    queries.push_back(std::move(query));
+  }
+  // A fresh vertex's walk visits, per dimension of its NPV, the query
+  // entries there whose value it reaches.
+  auto walk_visits = [&](const Npv& npv) {
+    int64_t visits = 0;
+    for (const QueryVectors& query : queries) {
+      for (const Npv& vector : query.vectors) {
+        for (const NpvEntry& e : vector.entries()) {
+          if (npv.ValueAt(e.dim) >= e.count) ++visits;
+        }
+      }
+    }
+    return visits;
+  };
+  const Npv small = Npv::FromMap({{0, 1}});
+  std::unordered_map<DimId, int32_t> all_dims;
+  for (DimId d = 0; d < 8; ++d) all_dims[d] = 3;
+  const Npv large = Npv::FromMap(all_dims);
+  ASSERT_GT(walk_visits(small), 0);
+  ASSERT_LE(walk_visits(small), total_nnz / kDominanceLanes);
+  ASSERT_GT(walk_visits(large), total_nnz / kDominanceLanes);
+
+  auto dsc = MakeJoinStrategy(JoinKind::kDominatedSetCover);
+  auto nl = MakeJoinStrategy(JoinKind::kNestedLoop);
+  dsc->SetQueries(queries);
+  dsc->SetNumStreams(1);
+  nl->SetQueries(queries);
+  nl->SetNumStreams(1);
+  const obs::Counter batches = DominanceBatchCounter(ActiveDominanceIsa());
+  // Feeds both strategies; returns DSC's counters for this update alone.
+  auto update = [&](VertexId v, const Npv& npv) {
+    obs::MetricSink sink;
+    {
+      obs::ScopedObsContext scope(&sink, nullptr);
+      dsc->UpdateStreamVertex(0, v, npv);
+      dsc->CandidatesForStream(0);  // Flushes the pending counters.
+    }
+    nl->UpdateStreamVertex(0, v, npv);
+    dsc->CheckChurnInvariants();
+    EXPECT_EQ(dsc->CandidatesForStream(0), nl->CandidatesForStream(0))
+        << "vertex " << v;
+    return sink;
+  };
+
+  const obs::MetricSink walked = update(0, small);
+  const obs::MetricSink seeded = update(1, large);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(walked.Value(obs::Counter::kJoinSetCoverRounds), 1);
+    EXPECT_EQ(walked.Value(batches), 0);
+    EXPECT_EQ(walked.Value(obs::Counter::kJoinSetCoverToggles), 1);
+    EXPECT_EQ(seeded.Value(obs::Counter::kJoinSetCoverRounds), 0);
+    EXPECT_EQ(seeded.Value(batches), 1);
+    EXPECT_EQ(seeded.Value(obs::Counter::kJoinSetCoverToggles), 8);
+  }
+  // Incremental moves from either kind of row, then the swap back.
+  update(0, large);
+  update(1, small);
+  update(0, Npv::FromMap({{1, 2}, {3, 1}}));
+  update(1, Npv::FromMap({{0, 3}, {1, 1}, {6, 2}}));
+  update(1, Npv{});
+  update(1, large);
 }
 
 // End-to-end: engine candidates on an evolving stream are a superset of the

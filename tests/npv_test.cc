@@ -182,6 +182,40 @@ TEST(NpvDimRemapTest, GrowDimsExtendsTheDimSetAfterSeal) {
   EXPECT_FALSE(remap.GrowDims(Npv{}, &old_to_new));
 }
 
+// Translate looks each entry up in a table indexed by global dim. A dim
+// past the largest registered one falls off the table and is dropped (and
+// ends the scan: entries ascend). After GrowDims the same call maps
+// through the new dense ids, and the returned signature is the one over
+// them.
+TEST(NpvDimRemapTest, TranslateDropsDimsPastTheTableAndFollowsGrowth) {
+  NpvDimRemap remap;
+  remap.AddDims(Npv::FromMap({{3, 1}, {7, 1}, {100, 1}}));
+  remap.Seal();
+  std::vector<NpvEntry> out;
+
+  const Npv probe = Npv::FromMap({{3, 9}, {7, 8}, {100, 7}, {500, 5}});
+  NpvSignature sig = remap.Translate(probe, &out);
+  EXPECT_EQ(out, (std::vector<NpvEntry>{{0, 9}, {1, 8}, {2, 7}}));
+  EXPECT_EQ(sig, SignatureOf(out.data(), out.data() + out.size()));
+  EXPECT_EQ(remap.Translate(Npv::FromMap({{101, 1}, {500, 5}}), &out),
+            NpvSignature{0});
+  EXPECT_TRUE(out.empty());
+
+  // 50 lands between registered dims, 600 past every one; 500 stays
+  // unregistered inside the grown table.
+  std::vector<DimId> old_to_new;
+  ASSERT_TRUE(remap.GrowDims(Npv::FromMap({{50, 1}, {600, 1}}), &old_to_new));
+  EXPECT_EQ(old_to_new, (std::vector<DimId>{0, 1, 3}));
+  ASSERT_EQ(remap.num_dims(), 5);  // {3, 7, 50, 100, 600}.
+  sig = remap.Translate(probe, &out);
+  EXPECT_EQ(out, (std::vector<NpvEntry>{{0, 9}, {1, 8}, {3, 7}}));
+  EXPECT_EQ(sig, NpvSignatureBit(0) | NpvSignatureBit(1) | NpvSignatureBit(3));
+  sig = remap.Translate(Npv::FromMap({{50, 2}, {500, 5}, {600, 4}, {601, 1}}),
+                        &out);
+  EXPECT_EQ(out, (std::vector<NpvEntry>{{2, 2}, {4, 4}}));
+  EXPECT_EQ(sig, NpvSignatureBit(2) | NpvSignatureBit(4));
+}
+
 TEST(NpvDimRemapTest, GrowDimsMapIsStrictlyIncreasing) {
   Rng rng(20260808);
   for (int trial = 0; trial < 300; ++trial) {

@@ -21,6 +21,7 @@
 #include "gsps/engine/candidate_tracker.h"
 #include "gsps/engine/ingest_queue.h"
 #include "gsps/engine/pipelined_query_engine.h"
+#include "gsps/engine/stream_shard.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph_change.h"
 #include "gsps/join/dominance_kernel.h"
@@ -486,6 +487,71 @@ TEST(ObsTraceTest, TraceJsonParsesBackWithAllSpans) {
   EXPECT_EQ(CountOccurrences(empty, "\"ph\":\"X\""), 0);
 }
 
+// A pipelined worker sets its shard up under its own obs context, so the
+// registry holds the same setup metrics after Start as a shard started
+// under a context of its own: NntSet::Build's stage samples (one per query
+// and stream) and the strategies' setup-time kernel batches (Skyline's plan
+// build, DSC's fresh-vertex seeds). One worker holds every stream, and the
+// shard reads each stream's candidates once, as the epoch-0 marker does.
+TEST(ObsPipelinedTest, WorkerSetupRecordsLikeAStartedShard) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "instrumentation compiled out (GSPS_OBS_DISABLED)";
+  }
+  SyntheticStreamParams params;
+  params.num_pairs = 3;
+  params.evolution.num_timestamps = 2;
+  params.seed = 11;
+  const StreamDataset dataset = MakeSyntheticStreams(params);
+  const Counter batches = DominanceBatchCounter(ActiveDominanceIsa());
+
+  for (const JoinKind kind :
+       {JoinKind::kNestedLoop, JoinKind::kDominatedSetCover,
+        JoinKind::kSkylineEarlyStop}) {
+    EngineOptions engine_options;
+    engine_options.join_kind = kind;
+    MetricSink shard_sink;
+    {
+      obs::ScopedObsContext scope(&shard_sink, nullptr);
+      StreamShard shard(engine_options);
+      for (const Graph& q : dataset.queries) shard.AddQuery(q);
+      for (const GraphStream& s : dataset.streams) {
+        shard.AddStream(s.StartGraph());
+      }
+      shard.Start();
+      std::vector<int> candidates;
+      for (int i = 0; i < shard.num_streams(); ++i) {
+        shard.CandidatesForStream(i, &candidates);
+      }
+    }
+
+    obs::MetricsRegistry::Global().Reset();
+    {
+      PipelinedEngineOptions options;
+      options.engine = engine_options;
+      options.num_threads = 1;
+      PipelinedQueryEngine engine(options);
+      for (const Graph& q : dataset.queries) engine.AddQuery(q);
+      for (const GraphStream& s : dataset.streams) {
+        engine.AddStream(s.StartGraph());
+      }
+      engine.Start();
+      const MetricSink started = obs::MetricsRegistry::Global().Snapshot();
+      EXPECT_EQ(started.Value(batches), shard_sink.Value(batches))
+          << JoinKindName(kind);
+      if (kind == JoinKind::kSkylineEarlyStop) {
+        EXPECT_GT(started.Value(batches), 0) << "Skyline's plan build";
+      }
+      EXPECT_GT(started.histogram(Hist::kStageNntMaintainMicros).count, 0)
+          << JoinKindName(kind);
+      EXPECT_EQ(started.histogram(Hist::kStageNntMaintainMicros).count,
+                shard_sink.histogram(Hist::kStageNntMaintainMicros).count)
+          << JoinKindName(kind);
+      engine.Shutdown();
+    }
+    obs::MetricsRegistry::Global().Reset();
+  }
+}
+
 // --- End to end: the instrumented engine -----------------------------------
 
 // Runs the threaded engine (2 workers, one epoch per tick: updates, then
@@ -554,7 +620,7 @@ TEST(ObsEndToEndTest, EveryMetricNonzeroAfterInstrumentedRun) {
 
   MetricSink root_sink;
   // All three strategies so NL/Skyline (dominance tests, early stops) and
-  // DSC (set-cover rounds/flips) counters all fire.
+  // DSC (set-cover rounds/flips/toggles) counters all fire.
   DriveEngine(dataset, JoinKind::kNestedLoop, root_sink);
   DriveEngine(dataset, JoinKind::kDominatedSetCover, root_sink);
   DriveEngine(dataset, JoinKind::kSkylineEarlyStop, root_sink);
