@@ -37,6 +37,8 @@
 // (bench "micro_join"), archived by the CI bench-JSON job; CI also checks
 // the dominance-test count per refresh against a regression ceiling.
 
+#include <time.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -60,6 +62,16 @@ namespace {
 
 // Prevents the optimizer from deleting measured work.
 inline void KeepAlive(int64_t value) { asm volatile("" : : "r"(value)); }
+
+// CPU time of the calling thread, in microseconds. Unlike wall time it
+// leaves out what other processes on a shared host take from the thread,
+// so the obs-overhead gate compares builds on it.
+double ThreadCpuMicros() {
+  timespec now{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) * 1e6 +
+         static_cast<double>(now.tv_nsec) / 1e3;
+}
 
 // Random sparse NPV over `dims` dimensions with `nnz` non-zero entries.
 Npv RandomNpv(Rng& rng, int dims, int nnz, int max_count) {
@@ -192,13 +204,29 @@ void RunStrategy(JoinKind kind, const Workload& w, const Config& config) {
   obs::MetricSink sink;
   Stopwatch watch;
   double refresh_seconds = 0;
+  // Thread CPU time per step of the least-disturbed of kCpuChunks equal
+  // chunks of the timed loop: co-running processes still slow a thread
+  // they do not preempt (shared caches, a busy sibling hyperthread), and
+  // the chunk they disturbed least reads closest to the code's own cost.
+  constexpr int kCpuChunks = 10;
+  double delta_cpu_micros = 0;
   int64_t steady_allocs = 0;
   int64_t steady_frees = 0;
   {
     obs::ScopedObsContext context(&sink, nullptr);
     const AllocMeter meter;
     watch.Restart();
-    for (int i = 0; i < refreshes; ++i) step();
+    for (int chunk = 0; chunk < kCpuChunks; ++chunk) {
+      const int begin = refreshes * chunk / kCpuChunks;
+      const int end = refreshes * (chunk + 1) / kCpuChunks;
+      if (end == begin) continue;
+      const double cpu_start = ThreadCpuMicros();
+      for (int i = begin; i < end; ++i) step();
+      const double per_step = (ThreadCpuMicros() - cpu_start) / (end - begin);
+      if (delta_cpu_micros == 0 || per_step < delta_cpu_micros) {
+        delta_cpu_micros = per_step;
+      }
+    }
     refresh_seconds = watch.ElapsedMicros() / 1e6;
     steady_allocs = meter.allocs();
     steady_frees = meter.frees();
@@ -271,6 +299,7 @@ void RunStrategy(JoinKind kind, const Workload& w, const Config& config) {
   const std::vector<std::string> columns = {"value"};
   PrintRow("refreshes_per_sec", {refreshes_per_sec}, columns);
   PrintRow("delta_step_micros", {delta_micros}, columns);
+  PrintRow("delta_step_cpu_micros", {delta_cpu_micros}, columns);
   PrintRow("scratch_refreshes_per_sec", {scratch_refreshes_per_sec}, columns);
   PrintRow("incremental_speedup", {speedup}, columns);
   PrintRow("dominance_tests_per_refresh", {tests_per_refresh}, columns);
@@ -291,6 +320,7 @@ void RunStrategy(JoinKind kind, const Workload& w, const Config& config) {
        {"refreshes", static_cast<double>(total_refreshes)},
        {"refreshes_per_sec", refreshes_per_sec},
        {"delta_step_micros", delta_micros},
+       {"delta_step_cpu_micros", delta_cpu_micros},
        {"scratch_refreshes_per_sec", scratch_refreshes_per_sec},
        {"incremental_speedup", speedup},
        {"dominance_tests", static_cast<double>(dominance_tests)},

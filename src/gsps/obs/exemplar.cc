@@ -1,24 +1,20 @@
 #include "gsps/obs/exemplar.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 
 namespace gsps::obs {
 
 namespace {
 
-// Everything here is constant-initialized, never heap-allocated: the
-// threshold check sits on the StageSample hot path inside the benches'
-// steady-state loops, whose AllocMeter gate counts every operator new — a
-// lazily `new`ed singleton would charge its one allocation to whichever
-// strategy happens to take the first sample. Thresholds are stored as
-// deltas from the default so plain zero-initialization means "default".
-constinit std::atomic<int64_t> g_threshold_delta[kNumHists] = {};
-
+// Constant-initialized, never heap-allocated: the ring is reached from the
+// StageSample path inside the benches' steady-state loops, whose AllocMeter
+// gate counts every operator new — a lazily `new`ed singleton would charge
+// its one allocation to whichever strategy happens to take the first tail
+// sample.
 struct StoreState {
   std::mutex mutex;
-  Exemplar ring[kExemplarRingSize];
+  Span ring[kExemplarRingSize];
   int num_recorded = 0;
 };
 
@@ -26,30 +22,19 @@ constinit StoreState g_store;
 
 }  // namespace
 
-int64_t ExemplarThreshold(Hist hist) {
-  return kDefaultExemplarThresholdMicros +
-         g_threshold_delta[static_cast<size_t>(hist)].load(
-             std::memory_order_relaxed);
-}
-
-void SetExemplarThreshold(Hist hist, int64_t micros) {
-  g_threshold_delta[static_cast<size_t>(hist)].store(
-      micros - kDefaultExemplarThresholdMicros, std::memory_order_relaxed);
-}
-
 ExemplarStore& ExemplarStore::Global() {
   static constinit ExemplarStore store;
   return store;
 }
 
-void ExemplarStore::Record(const Exemplar& exemplar) {
+void ExemplarStore::Record(const Span& span) {
   StoreState& state = g_store;
   std::lock_guard<std::mutex> lock(state.mutex);
-  state.ring[state.num_recorded % kExemplarRingSize] = exemplar;
+  state.ring[state.num_recorded % kExemplarRingSize] = span;
   ++state.num_recorded;
 }
 
-void ExemplarStore::Snapshot(std::vector<Exemplar>* out) const {
+void ExemplarStore::Snapshot(std::vector<Span>* out) const {
   StoreState& state = g_store;
   std::lock_guard<std::mutex> lock(state.mutex);
   out->clear();
@@ -63,10 +48,7 @@ void ExemplarStore::Reset() {
   StoreState& state = g_store;
   std::lock_guard<std::mutex> lock(state.mutex);
   state.num_recorded = 0;
-  for (Exemplar& slot : state.ring) slot = Exemplar{};
-  for (int i = 0; i < kNumHists; ++i) {
-    SetExemplarThreshold(static_cast<Hist>(i), kDefaultExemplarThresholdMicros);
-  }
+  for (Span& slot : state.ring) slot = Span{};
 }
 
 }  // namespace gsps::obs

@@ -20,7 +20,7 @@ namespace {
 // changed stamp skips the slot as torn.
 struct RingSlot {
   std::atomic<uint64_t> stamp{0};
-  FlightSpan span;
+  Span span;
 };
 
 // Seqlock wrapper for a trivially-copyable payload. Writers are serialized
@@ -174,7 +174,7 @@ void FlightRecorder::Disarm() {
   internal::g_flight_recorder_armed.store(false, std::memory_order_relaxed);
 }
 
-void FlightRecorder::RecordSpan(const FlightSpan& span) {
+void FlightRecorder::RecordSpan(const Span& span) {
   if (!FlightRecorderArmed()) return;
   RecorderState& state = State();
   const uint64_t ticket =
@@ -221,7 +221,7 @@ bool FlightRecorder::DumpNow(const char* path) {
       ++torn_spans;
       continue;
     }
-    FlightSpan span = slot.span;
+    Span span = slot.span;
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.stamp.load(std::memory_order_acquire) != stamp_before) {
       ++torn_spans;
@@ -234,7 +234,7 @@ bool FlightRecorder::DumpNow(const char* path) {
     w.Str("\",\"cat\":\"");
     w.Str(span.category != nullptr ? span.category : "");
     w.Str("\",\"stage\":");
-    w.Int(span.stage);
+    w.Int(span.stage == Stage::kNumStages ? -1 : static_cast<int>(span.stage));
     w.Str(",\"stream\":");
     w.Int(span.stream);
     w.Str(",\"ts\":");
@@ -297,7 +297,7 @@ void FlightRecorder::Reset() {
   state.cursor.store(0, std::memory_order_relaxed);
   for (RingSlot& slot : state.ring) {
     slot.stamp.store(0, std::memory_order_relaxed);
-    slot.span = FlightSpan{};
+    slot.span = Span{};
   }
   state.window.seq.store(0, std::memory_order_relaxed);
   state.window.value = WindowSnapshot{};

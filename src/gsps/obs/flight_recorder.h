@@ -32,21 +32,10 @@
 #include <cstdint>
 
 #include "gsps/obs/metrics.h"
+#include "gsps/obs/trace.h"
 #include "gsps/obs/window.h"
 
 namespace gsps::obs {
-
-// One recorded span. name/category must be string literals (the dump
-// handler dereferences them from signal context).
-struct FlightSpan {
-  const char* name = nullptr;
-  const char* category = nullptr;
-  int32_t stage = -1;   // Stage index, or -1 for non-stage spans.
-  int32_t stream = -1;  // Global stream id, or -1.
-  int64_t ts_micros = 0;   // MonotonicMicros() at span start.
-  int64_t dur_micros = 0;
-  uint64_t span_id = 0;
-};
 
 inline constexpr int kFlightRingSize = 1024;
 
@@ -74,7 +63,7 @@ class FlightRecorder {
 
   // Appends a span to the ring (wait-free; oldest entries overwritten).
   // No-op while disarmed.
-  void RecordSpan(const FlightSpan& span);
+  void RecordSpan(const Span& span);
 
   // Seqlock-publishes the last closed window / the cumulative aggregate.
   // Callers serialize writers (window mutex / registry mutex).

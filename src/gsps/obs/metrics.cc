@@ -112,7 +112,8 @@ constexpr const char* kGaugeHelp[kNumGauges] = {
 constexpr const char* kHistHelp[kNumHists] = {
     "Stage micros: NNT edge maintenance",
     "Stage micros: dirty-root drain into the join strategy",
-    "Stage micros: join verdict recompute",
+    "Stage micros: join verdict recompute, sampled 1 refresh in 8 "
+    "(_count is not the refresh count)",
     "Stage micros: candidate tracker observe",
     "End-to-end ingest micros: enqueue stamp to engine apply",
     "Epoch micros: marker publish stamp to shard watermark advance",
@@ -344,13 +345,13 @@ std::string ToPrometheusText(const MetricSink& snapshot) {
   // Exemplars ride along as comment lines: the classic text format has no
   // exemplar syntax, and comments keep the exposition lint-clean while
   // still shipping the span linkage in the same scrape.
-  std::vector<Exemplar> exemplars;
+  std::vector<Span> exemplars;
   ExemplarStore::Global().Snapshot(&exemplars);
-  for (const Exemplar& e : exemplars) {
-    out += "# exemplar " + std::string(HistName(e.hist)) +
-           " value=" + FormatInt(e.value_micros) + " stage=" +
-           (e.stage < Stage::kNumStages ? StageName(e.stage) : "none") +
-           " stream=" + FormatInt(e.stream) + " ts=" + FormatInt(e.ts_micros) +
+  for (const Span& e : exemplars) {
+    out += "# exemplar " + std::string(HistName(StageHist(e.stage))) +
+           " value=" + FormatInt(e.dur_micros) + " stage=" +
+           StageName(e.stage) + " stream=" + FormatInt(e.stream) +
+           " ts=" + FormatInt(e.ts_micros) +
            " span_id=" + FormatInt(static_cast<int64_t>(e.span_id)) + "\n";
   }
   return out;
@@ -422,17 +423,16 @@ std::string ToMetricsJson(const MetricSink& snapshot) {
   }
   out += "}}";
 
-  std::vector<Exemplar> exemplars;
+  std::vector<Span> exemplars;
   ExemplarStore::Global().Snapshot(&exemplars);
   out += ",\"exemplars\":[";
   for (size_t i = 0; i < exemplars.size(); ++i) {
-    const Exemplar& e = exemplars[i];
+    const Span& e = exemplars[i];
     if (i > 0) out += ",";
-    out += std::string("{\"hist\":\"") + HistName(e.hist) +
-           "\",\"stage\":\"" +
-           (e.stage < Stage::kNumStages ? StageName(e.stage) : "none") +
+    out += std::string("{\"hist\":\"") + HistName(StageHist(e.stage)) +
+           "\",\"stage\":\"" + StageName(e.stage) +
            "\",\"stream\":" + FormatInt(e.stream) +
-           ",\"value_micros\":" + FormatInt(e.value_micros) +
+           ",\"value_micros\":" + FormatInt(e.dur_micros) +
            ",\"ts_micros\":" + FormatInt(e.ts_micros) +
            ",\"span_id\":" + FormatInt(static_cast<int64_t>(e.span_id)) + "}";
   }

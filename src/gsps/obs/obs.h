@@ -73,33 +73,31 @@ class ScopedObsContext {
   ObsContext saved_;
 };
 
-// Emits one complete trace_event span covering its own lifetime. Inert when
-// the current thread has no trace buffer, unless the flight recorder is
-// armed — then the span is recorded into its ring instead (so a monitor
-// run without --trace still leaves a pre-crash span history). `name` and
+// Sends a finished span to every live span sink: the current thread's
+// trace buffer when `to_trace` is set and a buffer is installed, and the
+// flight recorder's ring when it is armed. ScopedSpan and StageSample emit
+// through it and nothing else does.
+void EmitSpan(const Span& span, bool to_trace);
+
+// Emits one span covering its own lifetime. Reads the clock only when the
+// thread has a trace buffer or the flight recorder is armed. `name` and
 // `category` must be string literals.
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, const char* category)
-      : buffer_(CurrentTrace()), name_(name), category_(category) {
-    if (buffer_ != nullptr) {
-      start_ = Tracer::Global().NowMicros();
-    } else if (FlightRecorderArmed()) {
-      flight_only_ = true;
+      : name_(name), category_(category) {
+    if (CurrentTrace() != nullptr || FlightRecorderArmed()) {
       start_ = MonotonicMicros();
     }
   }
   ~ScopedSpan() {
-    if (buffer_ != nullptr) {
-      const int64_t end = Tracer::Global().NowMicros();
-      buffer_->Record(name_, category_, start_, end - start_);
-    } else if (flight_only_ && FlightRecorderArmed()) {
-      FlightSpan span;
+    if (start_ >= 0) {
+      Span span;
       span.name = name_;
       span.category = category_;
       span.ts_micros = start_;
       span.dur_micros = MonotonicMicros() - start_;
-      FlightRecorder::Global().RecordSpan(span);
+      EmitSpan(span, /*to_trace=*/true);
     }
   }
 
@@ -107,21 +105,23 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
-  TraceBuffer* buffer_;
   const char* name_;
   const char* category_;
-  int64_t start_ = 0;
-  bool flight_only_ = false;
+  int64_t start_ = -1;
 };
 
-// Records one per-stage sample: observes StageHist(stage) on the current
-// sink, captures an exemplar (+ exemplar-linked trace span) when the value
-// crosses the stage histogram's tail threshold, and appends a span to the
-// flight recorder when armed. `stream` is the recording thread's stream
-// index (-1 for none); exemplars and spans carry it translated through the
+// Records one per-stage sample that started at `start_micros` and ran
+// `elapsed_micros` (both on the MonotonicMicros() clock; no further clock
+// read): observes StageHist(stage) on the current sink and, when the
+// sample is a tail sample (elapsed >= kExemplarThresholdMicros) or the
+// flight recorder is armed, emits it as a stage span. A tail span gets a
+// fresh span id, is kept as an exemplar, and is the only kind of stage
+// span that reaches the trace buffer. `stream` is the recording thread's
+// stream index (-1 for none); spans carry it translated through the
 // context's stream_ids. Out-of-line so the fast path of StageTimer stays a
 // clock read and a call.
-void StageSample(Stage stage, int64_t elapsed_micros, int32_t stream = -1);
+void StageSample(Stage stage, int64_t start_micros, int64_t elapsed_micros,
+                 int32_t stream = -1);
 
 // Decimation gate for the per-refresh join stage timer. One verdict refresh
 // runs well under a microsecond, so timing every refresh spends two clock
@@ -156,7 +156,7 @@ class StageTimer {
   }
   ~StageTimer() {
     if (start_ >= 0) {
-      StageSample(stage_, MonotonicMicros() - start_, stream_);
+      StageSample(stage_, start_, MonotonicMicros() - start_, stream_);
     }
   }
 

@@ -1,6 +1,7 @@
 #include "gsps/obs/trace.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -9,15 +10,13 @@ namespace gsps::obs {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 // Buffers are heap-allocated unique_ptrs so handed-out pointers survive
 // vector growth; the vector itself is guarded by the mutex (NewBuffer and
 // ToJson are cold paths).
 struct TracerState {
   std::mutex mutex;
   bool enabled = false;
-  Clock::time_point epoch{};
+  int64_t epoch_micros = 0;  // MonotonicMicros() at Enable().
   std::vector<std::unique_ptr<TraceBuffer>> buffers;
 };
 
@@ -44,13 +43,7 @@ void Tracer::Enable() {
   TracerState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
   state.enabled = true;
-  state.epoch = Clock::now();
-}
-
-bool Tracer::enabled() const {
-  TracerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  return state.enabled;
+  state.epoch_micros = MonotonicMicros();
 }
 
 TraceBuffer* Tracer::NewBuffer(int32_t tid) {
@@ -61,37 +54,26 @@ TraceBuffer* Tracer::NewBuffer(int32_t tid) {
   return state.buffers.back().get();
 }
 
-int64_t Tracer::NowMicros() const {
-  TracerState& state = State();
-  Clock::time_point epoch;
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    epoch = state.epoch;
-  }
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               epoch)
-      .count();
-}
-
 std::string Tracer::ToJson() const {
   TracerState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   for (const auto& buffer : state.buffers) {
-    for (const TraceEvent& event : buffer->events()) {
+    for (const Span& span : buffer->spans()) {
       if (!first) out += ",";
       first = false;
       out += "{\"name\":\"";
-      out += event.name;
+      out += span.name;
       out += "\",\"cat\":\"";
-      out += event.category;
-      out += "\",\"ph\":\"X\",\"ts\":" + FormatInt(event.ts_micros) +
-             ",\"dur\":" + FormatInt(event.dur_micros) +
+      out += span.category;
+      out += "\",\"ph\":\"X\",\"ts\":" +
+             FormatInt(span.ts_micros - state.epoch_micros) +
+             ",\"dur\":" + FormatInt(span.dur_micros) +
              ",\"pid\":1,\"tid\":" + FormatInt(buffer->tid());
-      if (event.id != 0) {
+      if (span.span_id != 0) {
         out += ",\"args\":{\"span_id\":" +
-               FormatInt(static_cast<int64_t>(event.id)) + "}";
+               FormatInt(static_cast<int64_t>(span.span_id)) + "}";
       }
       out += "}";
     }
@@ -110,6 +92,7 @@ void Tracer::Clear() {
 int64_t MonotonicMicros() {
   // Thread-safe magic-static init on first call; a guard load + clock read
   // afterwards. No mutex, so stage timers can call this per sample.
+  using Clock = std::chrono::steady_clock;
   static const Clock::time_point epoch = Clock::now();
   return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                epoch)

@@ -16,9 +16,7 @@ struct WindowState {
   int64_t open_start_micros = 0;
   bool open_started = false;
   int64_t next_seq = 1;
-  // Ring of closed windows, oldest at (next_slot) once wrapped.
-  WindowSnapshot ring[kWindowRingSize];
-  int num_closed = 0;  // Total closed; min(num_closed, ring size) retained.
+  WindowSnapshot latest;  // seq == 0 until the first Advance().
 };
 
 WindowState& State() {
@@ -52,8 +50,7 @@ WindowSnapshot WindowedTelemetry::Advance() {
   closed.seq = state.next_seq++;
   closed.start_micros = state.open_started ? state.open_start_micros : now;
   closed.duration_micros = std::max<int64_t>(0, now - closed.start_micros);
-  state.ring[state.num_closed % kWindowRingSize] = closed;
-  ++state.num_closed;
+  state.latest = closed;
   state.open.Reset();
   state.open_start_micros = now;
   state.open_started = true;
@@ -66,18 +63,7 @@ WindowSnapshot WindowedTelemetry::Advance() {
 WindowSnapshot WindowedTelemetry::Latest() const {
   WindowState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
-  if (state.num_closed == 0) return WindowSnapshot{};
-  return state.ring[(state.num_closed - 1) % kWindowRingSize];
-}
-
-void WindowedTelemetry::Recent(std::vector<WindowSnapshot>* out) const {
-  WindowState& state = State();
-  std::lock_guard<std::mutex> lock(state.mutex);
-  out->clear();
-  const int retained = std::min(state.num_closed, kWindowRingSize);
-  for (int i = retained; i > 0; --i) {
-    out->push_back(state.ring[(state.num_closed - i) % kWindowRingSize]);
-  }
+  return state.latest;
 }
 
 MetricSink WindowedTelemetry::OpenDelta() const {
@@ -93,8 +79,7 @@ void WindowedTelemetry::Reset() {
   state.open_started = false;
   state.open_start_micros = 0;
   state.next_seq = 1;
-  state.num_closed = 0;
-  for (WindowSnapshot& slot : state.ring) slot = WindowSnapshot{};
+  state.latest = WindowSnapshot{};
 }
 
 double RatePerSec(const WindowSnapshot& window, Counter counter) {

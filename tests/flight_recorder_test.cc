@@ -10,8 +10,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,27 +24,21 @@ namespace {
 
 using obs::Counter;
 using obs::FlightRecorder;
-using obs::FlightSpan;
 using obs::MetricSink;
+using obs::Span;
 using ::gsps::testing::CountOccurrences;
 using ::gsps::testing::JsonParser;
+using ::gsps::testing::ReadWholeFile;
 
 std::string DumpPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-FlightSpan MakeSpan(uint64_t span_id) {
-  FlightSpan span;
+Span MakeSpan(uint64_t span_id) {
+  Span span;
   span.name = "unit_span";
   span.category = "test";
-  span.stage = 2;
+  span.stage = obs::Stage::kJoinRefresh;
   span.stream = 1;
   span.ts_micros = static_cast<int64_t>(span_id) * 10;
   span.dur_micros = 7;

@@ -10,8 +10,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +38,7 @@ using obs::HistogramData;
 using obs::MetricSink;
 using ::gsps::testing::CountOccurrences;
 using ::gsps::testing::JsonParser;
+using ::gsps::testing::ReadWholeFile;
 
 // --- Histogram buckets -----------------------------------------------------
 
@@ -262,23 +262,20 @@ TEST(ObsWindowTest, AdvanceRollsTheRingKeepingMostRecent) {
   obs::WindowedTelemetry& telemetry = obs::WindowedTelemetry::Global();
   EXPECT_EQ(telemetry.Latest().seq, 0) << "no window closed after reset";
 
-  const int total = obs::kWindowRingSize + 3;
-  for (int i = 1; i <= total; ++i) {
+  for (int i = 1; i <= 11; ++i) {
     MetricSink sink;
     sink.Add(Counter::kNntInsertEdges, i);
     obs::MetricsRegistry::Global().MergeAndReset(sink);
     const obs::WindowSnapshot closed = telemetry.Advance();
     EXPECT_EQ(closed.seq, i);
     EXPECT_EQ(closed.delta.Value(Counter::kNntInsertEdges), i);
+    // Latest() is the window the last Advance() returned.
+    const obs::WindowSnapshot latest = telemetry.Latest();
+    EXPECT_EQ(latest.seq, closed.seq);
+    EXPECT_EQ(latest.start_micros, closed.start_micros);
+    EXPECT_EQ(latest.duration_micros, closed.duration_micros);
+    EXPECT_EQ(latest.delta, closed.delta);
   }
-
-  std::vector<obs::WindowSnapshot> recent;
-  telemetry.Recent(&recent);
-  ASSERT_EQ(recent.size(), static_cast<size_t>(obs::kWindowRingSize));
-  // Oldest windows were evicted; the ring holds the most recent, in order.
-  EXPECT_EQ(recent.front().seq, total - obs::kWindowRingSize + 1);
-  EXPECT_EQ(recent.back().seq, total);
-  EXPECT_EQ(telemetry.Latest().seq, total);
   obs::MetricsRegistry::Global().Reset();
 }
 
@@ -286,22 +283,19 @@ TEST(ObsWindowTest, WindowsPlusOpenWindowPartitionTheCumulative) {
   // Epoch-close merges land on either side of a window boundary; every
   // sample must land in exactly one window, never zero or two.
   obs::MetricsRegistry::Global().Reset();
+  MetricSink reassembled;
   MetricSink a = SampleSinkA();
   obs::MetricsRegistry::Global().MergeAndReset(a);
-  obs::WindowedTelemetry::Global().Advance();  // Boundary between merges.
+  // Boundary between merges.
+  reassembled.MergeFrom(obs::WindowedTelemetry::Global().Advance().delta);
   MetricSink b = SampleSinkB();
   obs::MetricsRegistry::Global().MergeAndReset(b);
+  reassembled.MergeFrom(obs::WindowedTelemetry::Global().Advance().delta);
   MetricSink c;
   c.Add(Counter::kJoinPairsIn, 5);
   c.Observe(Hist::kStageJoinRefreshMicros, 9);
   obs::MetricsRegistry::Global().MergeAndReset(c);  // Stays in the open window.
 
-  MetricSink reassembled;
-  std::vector<obs::WindowSnapshot> recent;
-  obs::WindowedTelemetry::Global().Recent(&recent);
-  for (const obs::WindowSnapshot& window : recent) {
-    reassembled.MergeFrom(window.delta);
-  }
   reassembled.MergeFrom(obs::WindowedTelemetry::Global().OpenDelta());
   EXPECT_EQ(reassembled, obs::MetricsRegistry::Global().Snapshot());
   obs::MetricsRegistry::Global().Reset();
@@ -314,45 +308,41 @@ TEST(ObsExemplarTest, StageSampleThresholdIsInclusive) {
     GTEST_SKIP() << "instrumentation compiled out (GSPS_OBS_DISABLED)";
   }
   obs::ExemplarStore::Global().Reset();
-  obs::SetExemplarThreshold(Hist::kStageJoinRefreshMicros, 100);
+  const int64_t threshold = obs::kExemplarThresholdMicros;
   MetricSink sink;
   obs::ScopedObsContext scope(&sink, nullptr);
-  obs::StageSample(obs::Stage::kJoinRefresh, 99, /*stream=*/0);
-  obs::StageSample(obs::Stage::kJoinRefresh, 100, /*stream=*/2);
-  obs::StageSample(obs::Stage::kJoinRefresh, 101, /*stream=*/4);
+  obs::StageSample(obs::Stage::kJoinRefresh, 10, threshold - 1, /*stream=*/0);
+  obs::StageSample(obs::Stage::kJoinRefresh, 20, threshold, /*stream=*/2);
+  obs::StageSample(obs::Stage::kJoinRefresh, 30, threshold + 1, /*stream=*/4);
 
-  std::vector<obs::Exemplar> exemplars;
+  std::vector<obs::Span> exemplars;
   obs::ExemplarStore::Global().Snapshot(&exemplars);
-  ASSERT_EQ(exemplars.size(), 2u) << "99 is below the 100us threshold";
-  EXPECT_EQ(exemplars[0].value_micros, 100);
+  ASSERT_EQ(exemplars.size(), 2u) << "threshold - 1 is below the threshold";
+  EXPECT_EQ(exemplars[0].dur_micros, threshold);
+  EXPECT_EQ(exemplars[0].ts_micros, 20);
   EXPECT_EQ(exemplars[0].stage, obs::Stage::kJoinRefresh);
-  EXPECT_EQ(exemplars[0].hist, Hist::kStageJoinRefreshMicros);
   EXPECT_EQ(exemplars[0].stream, 2);
   EXPECT_NE(exemplars[0].span_id, 0u);
-  EXPECT_EQ(exemplars[1].value_micros, 101);
+  EXPECT_EQ(exemplars[1].dur_micros, threshold + 1);
   EXPECT_NE(exemplars[1].span_id, exemplars[0].span_id);
   // All three samples still count in the histogram.
   EXPECT_EQ(sink.histogram(Hist::kStageJoinRefreshMicros).count, 3);
-
   obs::ExemplarStore::Global().Reset();
-  EXPECT_EQ(obs::ExemplarThreshold(Hist::kStageJoinRefreshMicros),
-            obs::kDefaultExemplarThresholdMicros)
-      << "Reset restores the default threshold";
 }
 
 TEST(ObsExemplarTest, RingEvictsOldestOnceFull) {
   obs::ExemplarStore::Global().Reset();
   for (int i = 0; i < obs::kExemplarRingSize + 5; ++i) {
-    obs::Exemplar exemplar;
-    exemplar.hist = Hist::kStageNntMaintainMicros;
-    exemplar.value_micros = i;
-    obs::ExemplarStore::Global().Record(exemplar);
+    obs::Span span;
+    span.stage = obs::Stage::kNntMaintain;
+    span.dur_micros = i;
+    obs::ExemplarStore::Global().Record(span);
   }
-  std::vector<obs::Exemplar> exemplars;
+  std::vector<obs::Span> exemplars;
   obs::ExemplarStore::Global().Snapshot(&exemplars);
   ASSERT_EQ(exemplars.size(), static_cast<size_t>(obs::kExemplarRingSize));
-  EXPECT_EQ(exemplars.front().value_micros, 5);
-  EXPECT_EQ(exemplars.back().value_micros, obs::kExemplarRingSize + 4);
+  EXPECT_EQ(exemplars.front().dur_micros, 5);
+  EXPECT_EQ(exemplars.back().dur_micros, obs::kExemplarRingSize + 4);
   obs::ExemplarStore::Global().Reset();
 }
 
@@ -401,10 +391,7 @@ TEST(ObsExemplarTest, PipelinedStageSpansNameGlobalStreams) {
   recorder.Disarm();
   recorder.Reset();
   ASSERT_TRUE(dumped);
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  const std::string text = ReadWholeFile(path);
 
   const int ticks = params.evolution.num_timestamps - 1;
   for (const obs::Stage stage :
@@ -452,7 +439,6 @@ TEST(ObsTraceTest, TraceJsonParsesBackWithAllSpans) {
   obs::Tracer& tracer = obs::Tracer::Global();
   tracer.Clear();
   tracer.Enable();
-  ASSERT_TRUE(tracer.enabled());
   obs::TraceBuffer* driver = tracer.NewBuffer(/*tid=*/0);
   obs::TraceBuffer* shard = tracer.NewBuffer(/*tid=*/1);
   ASSERT_NE(driver, nullptr);
@@ -464,8 +450,17 @@ TEST(ObsTraceTest, TraceJsonParsesBackWithAllSpans) {
     obs::ScopedObsContext scope(nullptr, driver);
     obs::ScopedSpan span("tick", "monitor");
   }
-  shard->Record("shard_update", "engine", 5, 10);
-  shard->Record("shard_join", "engine", 20, 2);
+  obs::Span update;
+  update.name = "shard_update";
+  update.category = "engine";
+  update.ts_micros = 5;
+  update.dur_micros = 10;
+  shard->Record(update);
+  obs::Span join = update;
+  join.name = "shard_join";
+  join.ts_micros = 20;
+  join.dur_micros = 2;
+  shard->Record(join);
 
   const std::string json = tracer.ToJson();
   JsonParser parser(json);
@@ -479,12 +474,129 @@ TEST(ObsTraceTest, TraceJsonParsesBackWithAllSpans) {
   EXPECT_EQ(CountOccurrences(json, "\"pid\":1"), 3);
 
   tracer.Clear();
-  EXPECT_FALSE(tracer.enabled());
   EXPECT_EQ(tracer.NewBuffer(2), nullptr) << "disabled tracer hands out null";
   const std::string empty = tracer.ToJson();
   JsonParser empty_parser(empty);
   EXPECT_TRUE(empty_parser.Valid()) << empty;
   EXPECT_EQ(CountOccurrences(empty, "\"ph\":\"X\""), 0);
+}
+
+// --- One span record -------------------------------------------------------
+
+// Integer value of `"key":` in the first JSON object of `text` that
+// contains `needle`; INT64_MIN when there is none.
+int64_t FieldOf(const std::string& text, const std::string& needle,
+                const std::string& key) {
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) return INT64_MIN;
+  const size_t begin = text.rfind('{', at);
+  const size_t end = text.find('}', at);
+  const std::string quoted = "\"" + key + "\":";
+  const size_t field = text.find(quoted, begin);
+  if (field == std::string::npos || field > end) return INT64_MIN;
+  return std::strtoll(text.c_str() + field + quoted.size(), nullptr, 10);
+}
+
+// Integer value of ` key=` on an exemplar line; INT64_MIN when absent.
+int64_t ExemplarField(const std::string& line, const std::string& key) {
+  const size_t field = line.find(" " + key + "=");
+  if (field == std::string::npos) return INT64_MIN;
+  return std::strtoll(line.c_str() + field + key.size() + 2, nullptr, 10);
+}
+
+// With a trace buffer installed and the flight recorder armed, a scoped
+// span lands in both.
+TEST(ObsSpanTest, ScopedSpanReachesTraceAndFlightRecorder) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  obs::TraceBuffer* trace = tracer.NewBuffer(/*tid=*/0);
+  ASSERT_NE(trace, nullptr);
+  const std::string path = ::testing::TempDir() + "/obs_scoped_span.json";
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.Arm(path.c_str());
+  recorder.Reset();
+  {
+    obs::ScopedObsContext scope(nullptr, trace);
+    obs::ScopedSpan span("tick", "monitor");
+  }
+  const bool dumped = recorder.DumpNow();
+  recorder.Disarm();
+  recorder.Reset();
+  const std::string json = tracer.ToJson();
+  tracer.Clear();
+  ASSERT_TRUE(dumped);
+  EXPECT_EQ(CountOccurrences(json, "\"name\":\"tick\""), 1) << json;
+  const std::string dump = ReadWholeFile(path);
+  EXPECT_EQ(CountOccurrences(dump, "\"name\":\"tick\""), 1) << dump;
+}
+
+// One tail stage sample inside one scoped span, with a trace buffer
+// installed and the recorder armed: the exemplar line, the trace event and
+// the flight span describe the same record, and both timed outputs space
+// the two spans alike.
+TEST(ObsSpanTest, OneSpanThreeViewsOneClock) {
+  obs::MetricsRegistry::Global().Reset();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Clear();
+  tracer.Enable();
+  obs::TraceBuffer* trace = tracer.NewBuffer(/*tid=*/0);
+  ASSERT_NE(trace, nullptr);
+  const std::string path = ::testing::TempDir() + "/obs_one_span.json";
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
+  recorder.Arm(path.c_str());
+  recorder.Reset();
+
+  const int64_t duration = obs::kExemplarThresholdMicros + 234;
+  const std::vector<int> global_streams = {7, 3};
+  MetricSink sink;
+  {
+    obs::ScopedObsContext scope(&sink, trace, &global_streams);
+    obs::ScopedSpan tick("tick", "monitor");
+    obs::StageSample(obs::Stage::kNntMaintain, obs::MonotonicMicros(),
+                     duration, /*stream=*/1);
+  }
+  const bool dumped = recorder.DumpNow();
+  recorder.Disarm();
+  recorder.Reset();
+  const std::string json = tracer.ToJson();
+  tracer.Clear();
+  const std::string text = obs::ToPrometheusText(sink);
+  obs::MetricsRegistry::Global().Reset();
+  ASSERT_TRUE(dumped);
+  const std::string dump = ReadWholeFile(path);
+
+  const size_t line_at =
+      text.find("# exemplar gsps_stage_nnt_maintain_micros ");
+  ASSERT_NE(line_at, std::string::npos) << text;
+  const std::string line = text.substr(line_at, text.find('\n', line_at) -
+                                                    line_at);
+  EXPECT_NE(line.find(" stage=nnt_maintain "), std::string::npos) << line;
+  EXPECT_EQ(ExemplarField(line, "value"), duration) << line;
+  EXPECT_EQ(ExemplarField(line, "stream"), 3) << line;
+  const int64_t span_id = ExemplarField(line, "span_id");
+  EXPECT_GT(span_id, 0) << line;
+
+  const std::string stage_span = "\"name\":\"stage_nnt_maintain\"";
+  const std::string tick_span = "\"name\":\"tick\"";
+  EXPECT_EQ(FieldOf(json, stage_span, "span_id"), span_id) << json;
+  EXPECT_EQ(FieldOf(json, stage_span, "dur"), duration) << json;
+  EXPECT_EQ(FieldOf(dump, stage_span, "span_id"), span_id) << dump;
+  EXPECT_EQ(FieldOf(dump, stage_span, "stage"),
+            static_cast<int>(obs::Stage::kNntMaintain))
+      << dump;
+  EXPECT_EQ(FieldOf(dump, stage_span, "stream"), 3) << dump;
+  EXPECT_EQ(FieldOf(dump, stage_span, "dur"), duration) << dump;
+  EXPECT_EQ(FieldOf(dump, stage_span, "ts"), ExemplarField(line, "ts"))
+      << dump;
+
+  // One clock: the trace counts from Enable(), the dump from the process
+  // epoch, and the gap between the two spans is the same in both.
+  ASSERT_NE(FieldOf(json, tick_span, "ts"), INT64_MIN) << json;
+  ASSERT_NE(FieldOf(dump, tick_span, "ts"), INT64_MIN) << dump;
+  EXPECT_EQ(FieldOf(json, stage_span, "ts") - FieldOf(json, tick_span, "ts"),
+            FieldOf(dump, stage_span, "ts") - FieldOf(dump, tick_span, "ts"));
+  EXPECT_EQ(FieldOf(json, tick_span, "dur"), FieldOf(dump, tick_span, "dur"));
 }
 
 // A pipelined worker sets its shard up under its own obs context, so the

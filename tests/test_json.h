@@ -1,5 +1,5 @@
-// Test-only JSON validity checker and substring counter, shared by the
-// observability tests (obs_test.cc, flight_recorder_test.cc).
+// Test-only JSON validity checker, substring counter and file reader,
+// shared by the observability tests (obs_test.cc, flight_recorder_test.cc).
 //
 // Just enough of RFC 8259 to prove emitted metrics/trace/dump JSON is
 // syntactically well-formed (Perfetto and Prometheus scrapers parse it
@@ -11,6 +11,8 @@
 
 #include <cctype>
 #include <cstddef>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace gsps::testing {
@@ -128,6 +130,14 @@ inline int CountOccurrences(const std::string& haystack,
     ++count;
   }
   return count;
+}
+
+// Contents of the file at `path` (empty when it cannot be read).
+inline std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 }  // namespace gsps::testing
