@@ -31,7 +31,8 @@
 //   --kernel=1           dominance-kernel ablation instead of the strategy
 //                        rows (see RunKernelAblation)
 //   --kernel_hays=N      hay vectors in the ablation's pool (default 256)
-//   --kernel_passes=N    timed sweeps of the pool per ISA (default 300)
+//   --kernel_passes=N    timed sweeps of the pool per ISA, split over 20
+//                        interleaved rounds (default 300)
 //
 // Output: human-readable rows plus one EmitBenchJson line per strategy
 // (bench "micro_join"), archived by the CI bench-JSON job; CI also checks
@@ -341,8 +342,10 @@ void RunStrategy(JoinKind kind, const Workload& w, const Config& config) {
 // ComputeMask per ISA. Every supported ISA is first differentially verified
 // against the scalar kernel on every pool hay — masks, counts, and stats
 // must match bit-for-bit, else the bench exits non-zero (the CI
-// kernel-dispatch matrix relies on this) — then timed. One
-// "kernel_<isa>" JSON row per ISA records dominance tests/s.
+// kernel-dispatch matrix relies on this) — then timed, the ISAs
+// interleaved round by round. One "kernel_<isa>" JSON row per ISA records
+// the median dominance tests/s over rounds and the median per-round
+// speedup over scalar, which CI's kernel speedup gate reads.
 void RunKernelAblation(const Workload& w, const Config& config) {
   const int dims = config.dims;
   const int nnz = config.nnz;
@@ -443,46 +446,86 @@ void RunKernelAblation(const Workload& w, const Config& config) {
     }
   }
 
-  // Timed phase: per ISA, sweep the hay pool `passes` times.
+  // Timed phase: kKernelRounds rounds, each sweeping the pool an equal
+  // chunk of the `passes` per ISA, every ISA in turn on thread CPU time, in
+  // an order that flips every round. A slow stretch of a shared host then
+  // lands on both ISAs of a round, and the medians over rounds leave out
+  // the rounds it spoiled.
   PrintHeader("micro_join kernel (slab=" + std::to_string(slab.size()) +
               " dims=" + std::to_string(remap.num_dims()) + " hays=" +
               std::to_string(hays) + " passes=" + std::to_string(passes) +
               " active=" + DominanceIsaName(ActiveDominanceIsa()) + ")");
-  const std::vector<std::string> columns = {"value"};
-  for (const DominanceIsa isa : isas) {
-    DominanceBatch batch(isa);
-    batch.Bind(slab, remap.num_dims());
+  constexpr int kKernelRounds = 20;
+  const int chunk = std::max(1, passes / kKernelRounds);
+  struct Timed {
+    DominanceBatch batch;
     DominanceKernelStats stats;
-    Stopwatch watch;
-    watch.Restart();
-    for (int p = 0; p < passes; ++p) {
-      for (const Hay& hay : pool) {
-        batch.ComputeMask(hay.entries.data(),
-                          hay.entries.data() + hay.entries.size(), hay.sig,
-                          &stats);
+    double seconds = 0;
+    std::vector<double> rates;  // Probes/s per round.
+  };
+  std::vector<Timed> timed;
+  timed.reserve(isas.size());
+  for (const DominanceIsa isa : isas) {
+    timed.push_back(Timed{DominanceBatch(isa), {}, 0, {}});
+    timed.back().batch.Bind(slab, remap.num_dims());
+  }
+  for (int round = 0; round < kKernelRounds; ++round) {
+    for (size_t t = 0; t < timed.size(); ++t) {
+      Timed& side = timed[round % 2 == 0 ? t : timed.size() - 1 - t];
+      // One probe = one (hay, needle) dominance decision, whether it was
+      // resolved by the signature or by the compare pass.
+      const int64_t probes_before = side.stats.tests + side.stats.sig_rejects;
+      const double start = ThreadCpuMicros();
+      for (int p = 0; p < chunk; ++p) {
+        for (const Hay& hay : pool) {
+          side.batch.ComputeMask(hay.entries.data(),
+                                 hay.entries.data() + hay.entries.size(),
+                                 hay.sig, &side.stats);
+        }
       }
+      const double seconds = (ThreadCpuMicros() - start) / 1e6;
+      side.seconds += seconds;
+      side.rates.push_back(
+          static_cast<double>(side.stats.tests + side.stats.sig_rejects -
+                              probes_before) /
+          seconds);
     }
-    const double seconds = watch.ElapsedMicros() / 1e6;
-    KeepAlive(stats.tests);
-    // One probe = one (hay, needle) dominance decision, whether it was
-    // resolved by the signature or by the compare pass.
-    const double probes =
-        static_cast<double>(stats.tests + stats.sig_rejects);
-    const double probes_per_sec = probes / seconds;
-    const std::string name = std::string("kernel_") + DominanceIsaName(isa);
+  }
+  auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    const size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  };
+  const std::vector<std::string> columns = {"value"};
+  for (size_t t = 0; t < timed.size(); ++t) {
+    const Timed& side = timed[t];
+    KeepAlive(side.stats.tests);
+    // isas[0] is scalar: its rounds are the speedups' denominators.
+    std::vector<double> speedups;
+    for (int round = 0; round < kKernelRounds; ++round) {
+      speedups.push_back(side.rates[static_cast<size_t>(round)] /
+                         timed[0].rates[static_cast<size_t>(round)]);
+    }
+    const double probes_per_sec = median(side.rates);
+    const double speedup = median(speedups);
+    const std::string name = std::string("kernel_") + DominanceIsaName(isas[t]);
     PrintRow(name + "_tests_per_sec", {probes_per_sec}, columns);
+    PrintRow(name + "_speedup_vs_scalar", {speedup}, columns);
     EmitBenchJson(
         "micro_join", name,
         {{"slab_vectors", static_cast<double>(slab.size())},
          {"dims", static_cast<double>(remap.num_dims())},
          {"hays", static_cast<double>(hays)},
-         {"passes", static_cast<double>(passes)},
-         {"batches", static_cast<double>(stats.batches)},
-         {"dominance_tests", static_cast<double>(stats.tests)},
-         {"signature_rejects", static_cast<double>(stats.sig_rejects)},
-         {"seconds", seconds},
+         {"passes", static_cast<double>(chunk * kKernelRounds)},
+         {"rounds", static_cast<double>(kKernelRounds)},
+         {"batches", static_cast<double>(side.stats.batches)},
+         {"dominance_tests", static_cast<double>(side.stats.tests)},
+         {"signature_rejects", static_cast<double>(side.stats.sig_rejects)},
+         {"seconds", side.seconds},
          {"dominance_tests_per_sec", probes_per_sec},
-         {"active", isa == ActiveDominanceIsa() ? 1.0 : 0.0}});
+         {"speedup_vs_scalar", speedup},
+         {"active", isas[t] == ActiveDominanceIsa() ? 1.0 : 0.0}});
   }
 }
 

@@ -2,23 +2,19 @@
 
 namespace gsps {
 
-void CoverQuerySide::SetQueries(const std::vector<QueryVectors>& queries) {
+void CoverQuerySide::SetQueries(const std::vector<QueryVectors>& queries,
+                                const NpvDimRemap& remap) {
   GSPS_CHECK(query_live_.empty() && streams_.empty());
-  for (const QueryVectors& query : queries) {
-    for (const Npv& vector : query.vectors) remap_.AddDims(vector);
-  }
-  remap_.Seal();
   query_slots_.resize(queries.size());
   query_trivial_.resize(queries.size());
   query_live_.assign(queries.size(), 1);
   for (size_t j = 0; j < queries.size(); ++j) {
-    AppendVectors(static_cast<int32_t>(j), queries[j]);
+    AppendVectors(static_cast<int32_t>(j), queries[j], remap);
   }
-  batch_.Bind(slab_, remap_.num_dims());
+  batch_.Bind(slab_, remap.num_dims());
 }
 
 void CoverQuerySide::SetNumStreams(int num_streams) {
-  GSPS_CHECK(streams_.empty());
   streams_.resize(static_cast<size_t>(num_streams));
   for (Stream& stream : streams_) {
     stream.cover_count.assign(static_cast<size_t>(slab_.size()), 0);
@@ -26,7 +22,8 @@ void CoverQuerySide::SetNumStreams(int num_streams) {
   }
 }
 
-void CoverQuerySide::AppendVectors(int32_t id, const QueryVectors& query) {
+void CoverQuerySide::AppendVectors(int32_t id, const QueryVectors& query,
+                                   const NpvDimRemap& remap) {
   int32_t trivial = 0;
   for (const Npv& vector : query.vectors) {
     if (vector.nnz() == 0) {
@@ -34,7 +31,7 @@ void CoverQuerySide::AppendVectors(int32_t id, const QueryVectors& query) {
       continue;
     }
     // Query dims are all registered, so translation is lossless.
-    remap_.Translate(vector, &translated_);
+    remap.Translate(vector, &translated_);
     const int32_t slot = slab_.Append(translated_);
     if (slot == static_cast<int32_t>(slot_query_.size())) {
       slot_query_.push_back(id);
@@ -46,8 +43,8 @@ void CoverQuerySide::AppendVectors(int32_t id, const QueryVectors& query) {
   query_trivial_[static_cast<size_t>(id)] = trivial;
 }
 
-void CoverQuerySide::AddSlots(int32_t id, const QueryVectors& query,
-                              bool grew) {
+void CoverQuerySide::AddQuery(int32_t id, const QueryVectors& query,
+                              bool grew, const NpvDimRemap& remap) {
   const int32_t n = num_queries();
   GSPS_CHECK_MSG(id >= 0 && id <= n &&
                      (id == n || query_live_[static_cast<size_t>(id)] == 0),
@@ -59,13 +56,13 @@ void CoverQuerySide::AddSlots(int32_t id, const QueryVectors& query,
     for (Stream& stream : streams_) stream.covered_vectors.push_back(0);
   }
   query_live_[static_cast<size_t>(id)] = 1;
-  AppendVectors(id, query);
+  AppendVectors(id, query, remap);
   if (grew) {
     // RemapDims rewrote every live slot: the whole kernel mirror is stale.
-    batch_.Bind(slab_, remap_.num_dims());
+    batch_.Bind(slab_, remap.num_dims());
   } else {
     for (const int32_t slot : slots(id)) {
-      batch_.RefreshSlot(slab_, remap_.num_dims(), slot);
+      batch_.RefreshSlot(slab_, remap.num_dims(), slot);
     }
   }
   for (Stream& stream : streams_) {
@@ -74,7 +71,7 @@ void CoverQuerySide::AddSlots(int32_t id, const QueryVectors& query,
   }
 }
 
-void CoverQuerySide::RemoveQuery(int32_t id) {
+void CoverQuerySide::RemoveQuery(int32_t id, const NpvDimRemap& remap) {
   GSPS_CHECK(id >= 0 && id < num_queries());
   GSPS_CHECK_MSG(query_live_[static_cast<size_t>(id)] != 0,
                  "RemoveQuery on a retired query");
@@ -88,18 +85,18 @@ void CoverQuerySide::RemoveQuery(int32_t id) {
   }
   for (const int32_t slot : mine) {
     slab_.Remove(slot);
-    batch_.RefreshSlot(slab_, remap_.num_dims(), slot);
+    batch_.RefreshSlot(slab_, remap.num_dims(), slot);
   }
   mine.clear();
   query_trivial_[static_cast<size_t>(id)] = 0;
   query_live_[static_cast<size_t>(id)] = 0;
 }
 
-void CoverQuerySide::Candidates(int stream_index, std::vector<int>* out) {
+void CoverQuerySide::Candidates(int stream_index, int32_t live_vertices,
+                                JoinTally* tally, std::vector<int>* out) {
   Stream& stream = streams_[static_cast<size_t>(stream_index)];
-  if (stream.cache_valid) {
-    GSPS_OBS_COUNT(Counter::kJoinVerdictsReused, 1);
-  } else {
+  const bool reused = stream.cache_valid;
+  if (!reused) {
     GSPS_OBS_JOIN_REFRESH(stream_index);
     stream.cache.clear();
     for (int32_t j = 0; j < num_queries(); ++j) {
@@ -109,22 +106,14 @@ void CoverQuerySide::Candidates(int stream_index, std::vector<int>* out) {
           static_cast<int32_t>(query_slots_[q].size())) {
         continue;
       }
-      if (query_trivial_[q] > 0 && stream.live_vertices == 0) continue;
+      if (query_trivial_[q] > 0 && live_vertices == 0) continue;
       stream.cache.push_back(static_cast<int>(j));
     }
     stream.cache_valid = true;
   }
   out->assign(stream.cache.begin(), stream.cache.end());
-  GSPS_OBS_COUNT(Counter::kJoinPairsIn, static_cast<int64_t>(num_queries()));
-  GSPS_OBS_COUNT(Counter::kJoinPairsOut, static_cast<int64_t>(out->size()));
-  GSPS_OBS_COUNT(Counter::kJoinDominanceTests, pending_kernel_.tests);
-  GSPS_OBS_COUNT(Counter::kJoinSignatureRejects, pending_kernel_.sig_rejects);
-  if constexpr (obs::kEnabled) {
-    if (obs::MetricSink* sink = obs::CurrentSink(); sink != nullptr) {
-      sink->Add(batch_.batch_counter(), pending_kernel_.batches);
-    }
-  }
-  pending_kernel_ = DominanceKernelStats{};
+  tally->Publish(batch_.isa(), reused, num_queries(),
+                 static_cast<int64_t>(out->size()));
 }
 
 void CoverQuerySide::CheckQueryInvariants() const {
@@ -146,10 +135,8 @@ void CoverQuerySide::CheckQueryInvariants() const {
 }
 
 void CoverQuerySide::CheckCover(int stream_index,
-                                const std::vector<int32_t>& counts,
-                                int32_t live_vertices) const {
+                                const std::vector<int32_t>& counts) const {
   const Stream& s = stream(stream_index);
-  GSPS_CHECK(live_vertices == s.live_vertices);
   GSPS_CHECK(s.cover_count == counts);
   std::vector<int32_t> covered(static_cast<size_t>(num_queries()), 0);
   for (size_t k = 0; k < counts.size(); ++k) {

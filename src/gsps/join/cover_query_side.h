@@ -9,11 +9,11 @@
 // change through SetDominates. Both own a CoverQuerySide member, so the
 // hot calls below inline into their loops.
 //
-// It holds the dense dimension remap, the slab of non-trivial query
-// vectors (a vector's slab slot is its id throughout) and the kernel bound
-// to it; per query, its slots, trivial-vector count and liveness; per
-// stream, the cover counts and the cached candidate list. Query ids are the
-// caller's: AddQuery takes a retired id or the next unused one.
+// It holds the slab of non-trivial query vectors, translated through the
+// strategy's StreamSide remap (a vector's slab slot is its id throughout), and
+// the kernel bound to it; per query, its slots, trivial-vector count and
+// liveness; per stream, the cover counts and the cached candidate list. Query
+// ids are the caller's: AddQuery takes a retired id or the next unused one.
 
 #ifndef GSPS_JOIN_COVER_QUERY_SIDE_H_
 #define GSPS_JOIN_COVER_QUERY_SIDE_H_
@@ -24,7 +24,6 @@
 #include "gsps/common/check.h"
 #include "gsps/join/dominance_kernel.h"
 #include "gsps/join/join_strategy.h"
-#include "gsps/obs/obs.h"
 
 namespace gsps {
 
@@ -33,38 +32,28 @@ class CoverQuerySide {
   struct Stream {
     std::vector<int32_t> cover_count;  // Per slot: vertices dominating it.
     std::vector<int32_t> covered_vectors;  // Per query: slots covered.
-    int32_t live_vertices = 0;
     std::vector<int> cache;  // Candidates, valid while cache_valid.
     bool cache_valid = false;
   };
 
-  // Installs the initial queries as ids 0..n-1.
-  void SetQueries(const std::vector<QueryVectors>& queries);
+  // Installs the initial queries as ids 0..n-1 through `remap`.
+  void SetQueries(const std::vector<QueryVectors>& queries,
+                  const NpvDimRemap& remap);
   void SetNumStreams(int num_streams);
 
-  // Registers query `id`. Grows the remap over the query's dims first,
-  // calling on_grow(old_to_new) after each regrowth so the caller can move
-  // its own dense-dim state; then appends the query's slots and widens
-  // every stream's cover counts. The caller folds the new slots(id) into
-  // its live vertices. Returns true when the dims grew.
-  template <typename OnGrow>
-  bool AddQuery(int32_t id, const QueryVectors& query, OnGrow&& on_grow) {
-    bool grew = false;
-    for (const Npv& vector : query.vectors) {
-      if (!remap_.GrowDims(vector, &old_to_new_)) continue;
-      grew = true;
-      GSPS_OBS_COUNT(Counter::kRemapRegrowths, 1);
-      slab_.RemapDims(old_to_new_);
-      on_grow(old_to_new_);
-    }
-    AddSlots(id, query, grew);
-    return grew;
-  }
+  // Rewrites the slab after a remap regrowth (StreamSide::GrowDims).
+  void RemapDims(const std::vector<DimId>& m) { slab_.RemapDims(m); }
+
+  // Registers query `id` through `remap`, grown over its dims (`grew`: the
+  // slab was renumbered): appends its slots and widens every stream's cover
+  // counts. The caller folds the new slots(id) into its live vertices.
+  void AddQuery(int32_t id, const QueryVectors& query, bool grew,
+                const NpvDimRemap& remap);
 
   // Retires query `id` (must be live): zeroes its cover state and frees
   // its slots, after which slots(id) is empty and slab().live(k) is false
   // for each of them.
-  void RemoveQuery(int32_t id);
+  void RemoveQuery(int32_t id, const NpvDimRemap& remap);
 
   // One more (now_dominates) or one fewer live vertex of `stream`
   // dominates `slot`.
@@ -81,42 +70,34 @@ class CoverQuerySide {
     }
   }
 
-  // A vertex of `stream` became live / stopped being live. Only the
-  // 0 <-> 1 transitions change a verdict (trivial vectors).
-  static void AddLiveVertex(Stream& stream) {
-    if (stream.live_vertices++ == 0) stream.cache_valid = false;
-  }
-  static void RemoveLiveVertex(Stream& stream) {
-    if (--stream.live_vertices == 0) stream.cache_valid = false;
-  }
-
   // One kernel sweep of a stream vertex's dense entries against every
-  // slot: the dominated-slot bitset, or the batch holding each slot's
-  // satisfied-entry count.
+  // slot, tallied into *stats: the dominated-slot bitset, or the batch
+  // holding each slot's satisfied-entry count.
   const std::vector<uint64_t>& DominatedMask(const NpvEntry* begin,
                                              const NpvEntry* end,
-                                             NpvSignature sig) {
-    batch_.ComputeMask(begin, end, sig, &pending_kernel_);
+                                             NpvSignature sig,
+                                             DominanceKernelStats* stats) {
+    batch_.ComputeMask(begin, end, sig, stats);
     return batch_.mask_words();
   }
   const DominanceBatch& SatisfiedCounts(const NpvEntry* begin,
-                                        const NpvEntry* end) {
-    batch_.ComputeCounts(begin, end, &pending_kernel_);
+                                        const NpvEntry* end,
+                                        DominanceKernelStats* stats) {
+    batch_.ComputeCounts(begin, end, stats);
     return batch_;
   }
 
   // Writes stream `stream_index`'s candidates into *out (ascending), from
-  // the cache when it is valid, and publishes the shared join counters.
-  void Candidates(int stream_index, std::vector<int>* out);
+  // the cache when it is valid, then publishes the strategy's *tally.
+  void Candidates(int stream_index, int32_t live_vertices, JoinTally* tally,
+                  std::vector<int>* out);
 
   // Asserts the slab layout and slot ownership.
   void CheckQueryInvariants() const;
   // Asserts stream `stream_index`'s cover state against the caller's
   // recount: per slot, the live vertices dominating it.
-  void CheckCover(int stream_index, const std::vector<int32_t>& counts,
-                  int32_t live_vertices) const;
+  void CheckCover(int stream_index, const std::vector<int32_t>& counts) const;
 
-  const NpvDimRemap& remap() const { return remap_; }
   const NpvSlab& slab() const { return slab_; }
   Stream& stream(int i) { return streams_[static_cast<size_t>(i)]; }
   const Stream& stream(int i) const {
@@ -131,10 +112,9 @@ class CoverQuerySide {
   }
 
  private:
-  void AddSlots(int32_t id, const QueryVectors& query, bool grew);
-  void AppendVectors(int32_t id, const QueryVectors& query);
+  void AppendVectors(int32_t id, const QueryVectors& query,
+                     const NpvDimRemap& remap);
 
-  NpvDimRemap remap_;
   NpvSlab slab_;
   DominanceBatch batch_;  // Bound to slab_, re-synced after every churn op.
   std::vector<int32_t> slot_query_;  // Slab slot -> owning query.
@@ -142,11 +122,9 @@ class CoverQuerySide {
   std::vector<int32_t> query_trivial_;  // Per query: nnz == 0 vectors.
   std::vector<uint8_t> query_live_;
   std::vector<Stream> streams_;
-  DominanceKernelStats pending_kernel_;  // Since the last Candidates call.
   // Churn scratch, capacity-retained so steady-state churn allocates
   // nothing.
   std::vector<NpvEntry> translated_;
-  std::vector<DimId> old_to_new_;
 };
 
 }  // namespace gsps

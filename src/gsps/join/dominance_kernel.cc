@@ -121,17 +121,6 @@ DominanceIsa ActiveDominanceIsa() {
   return resolved;
 }
 
-obs::Counter DominanceBatchCounter(DominanceIsa isa) {
-  switch (isa) {
-    case DominanceIsa::kScalar:
-      return obs::Counter::kDominanceBatchesScalar;
-    case DominanceIsa::kAvx2:
-      return obs::Counter::kDominanceBatchesAvx2;
-  }
-  GSPS_CHECK_MSG(false, "unknown DominanceIsa");
-  return obs::Counter::kDominanceBatchesScalar;
-}
-
 DominanceBatch::DominanceBatch() : isa_(ActiveDominanceIsa()) {}
 
 DominanceBatch::DominanceBatch(DominanceIsa isa) : isa_(isa) {

@@ -40,7 +40,7 @@
 
 #include "gsps/common/aligned.h"
 #include "gsps/nnt/npv.h"
-#include "gsps/obs/metrics.h"
+#include "gsps/obs/obs.h"
 
 namespace gsps {
 
@@ -65,13 +65,46 @@ bool DominanceIsaSupported(DominanceIsa isa);
 DominanceIsa ActiveDominanceIsa();
 
 // The per-ISA batch counter (gsps_dominance_batches_{scalar,avx2}).
-obs::Counter DominanceBatchCounter(DominanceIsa isa);
+inline obs::Counter DominanceBatchCounter(DominanceIsa isa) {
+  static_assert(static_cast<int>(obs::Counter::kDominanceBatchesAvx2) ==
+                static_cast<int>(obs::Counter::kDominanceBatchesScalar) + 1);
+  return static_cast<obs::Counter>(
+      static_cast<int>(obs::Counter::kDominanceBatchesScalar) +
+      static_cast<int>(isa));
+}
 
 // Accumulated by the kernel, flushed by the strategies at refresh time.
 struct DominanceKernelStats {
   int64_t tests = 0;        // Needles surviving the signature reject.
   int64_t sig_rejects = 0;  // Needles rejected on signature alone.
   int64_t batches = 0;      // Kernel invocations (one per hay vector).
+};
+
+// A join strategy's counts since its last CandidatesForStream, which adds
+// them and its own counts to the thread's sink under one lookup.
+struct JoinTally {
+  DominanceKernelStats kernel;  // Batches count under the batch's ISA.
+  int64_t skyline_early_stops = 0;
+  int64_t set_cover_rounds = 0;
+  int64_t set_cover_flips = 0;
+  int64_t set_cover_toggles = 0;
+
+  void Publish(DominanceIsa isa, bool reused, int64_t pairs_in,
+               int64_t pairs_out) {
+    if (obs::MetricSink* sink = obs::kEnabled ? obs::CurrentSink() : nullptr) {
+      sink->Add(obs::Counter::kJoinVerdictsReused, reused ? 1 : 0);
+      sink->Add(obs::Counter::kJoinPairsIn, pairs_in);
+      sink->Add(obs::Counter::kJoinPairsOut, pairs_out);
+      sink->Add(obs::Counter::kJoinDominanceTests, kernel.tests);
+      sink->Add(obs::Counter::kJoinSignatureRejects, kernel.sig_rejects);
+      sink->Add(DominanceBatchCounter(isa), kernel.batches);
+      sink->Add(obs::Counter::kJoinSkylineEarlyStops, skyline_early_stops);
+      sink->Add(obs::Counter::kJoinSetCoverRounds, set_cover_rounds);
+      sink->Add(obs::Counter::kJoinSetCoverFlips, set_cover_flips);
+      sink->Add(obs::Counter::kJoinSetCoverToggles, set_cover_toggles);
+    }
+    *this = JoinTally{};
+  }
 };
 
 using AlignedI32Vector =
@@ -108,7 +141,6 @@ class DominanceBatch {
   explicit DominanceBatch(DominanceIsa isa);
 
   DominanceIsa isa() const { return isa_; }
-  obs::Counter batch_counter() const { return DominanceBatchCounter(isa_); }
 
   // Binds the needle side. `slab` must outlive the batch and stay
   // unmutated between Bind and the last Compute* call — after any

@@ -38,9 +38,10 @@ void CheckVectorNnz(const QueryVectors& query) {
 
 void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
   for (const QueryVectors& query : queries) CheckVectorNnz(query);
-  query_.SetQueries(queries);
+  streams_.SetQueries(queries);
+  query_.SetQueries(queries, streams_.remap());
   const NpvSlab& slab = query_.slab();
-  dim_lists_.resize(static_cast<size_t>(query_.remap().num_dims()));
+  dim_lists_.resize(static_cast<size_t>(streams_.remap().num_dims()));
   for (int32_t slot = 0; slot < slab.size(); ++slot) {
     for (const NpvEntry* e = slab.begin(slot); e != slab.end(slot); ++e) {
       dim_lists_[static_cast<size_t>(e->dim)].push_back(
@@ -59,32 +60,13 @@ void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
 void DominatedSetCoverJoin::AddQuery(int32_t id, const QueryVectors& query,
                                      bool* grew_dims) {
   CheckVectorNnz(query);
-  const auto move_dims = [this](const std::vector<DimId>& old_to_new) {
-    // Move the per-dimension lists to their new dense indices, highest
-    // first (old_to_new is strictly increasing, so targets are processed
-    // before sources overwrite them). A prefix that maps to itself is
-    // untouched.
-    const int32_t old_dims = static_cast<int32_t>(old_to_new.size());
-    dim_lists_.resize(static_cast<size_t>(query_.remap().num_dims()));
-    for (int32_t d = old_dims - 1; d >= 0; --d) {
-      const DimId nd = old_to_new[static_cast<size_t>(d)];
-      if (nd == d) break;  // Increasing map: the whole prefix is fixed.
-      dim_lists_[static_cast<size_t>(nd)] =
-          std::move(dim_lists_[static_cast<size_t>(d)]);
-      dim_lists_[static_cast<size_t>(d)].clear();
-    }
-    // Stream-side dense entries move with the same map so the incremental
-    // merge keeps retracting against the right lists. Dimensions the old
-    // translation dropped are re-introduced by the caller's replay.
-    for (VertexMap& vertices : vertices_) {
-      for (auto& [v, vertex] : vertices) {
-        for (NpvEntry& entry : vertex.entries) {
-          entry.dim = old_to_new[static_cast<size_t>(entry.dim)];
-        }
-      }
-    }
-  };
-  *grew_dims = query_.AddQuery(id, query, move_dims);
+  // The StreamSide moves the stream entries with the same map, so the
+  // incremental merge keeps retracting against the right lists.
+  *grew_dims = streams_.GrowDims(query, [this](const std::vector<DimId>& m) {
+    query_.RemapDims(m);
+    streams_.MoveDims(m, &dim_lists_);
+  });
+  query_.AddQuery(id, query, *grew_dims, streams_.remap());
 
   const NpvSlab& slab = query_.slab();
   const std::vector<int32_t>& mine = query_.slots(id);
@@ -103,23 +85,20 @@ void DominatedSetCoverJoin::AddQuery(int32_t id, const QueryVectors& query,
   // Establish the new slots' dominant counters against every live vertex.
   // The per-dimension lists already hold the new entries, but the
   // incremental merge only visits dimensions whose value moves, so the new
-  // vectors must be seeded explicitly. Existing rows widen here, and only
-  // here, when the slab grew a tail slot; a reused slot's column is
-  // already zero.
+  // vectors must be seeded explicitly. Live rows widen here when the slab
+  // grew a tail slot; a reused slot's column is already zero.
   const size_t slots = static_cast<size_t>(slab.size());
-  for (int i = 0; i < query_.num_streams(); ++i) {
-    CoverQuerySide::Stream& cover = query_.stream(i);
-    for (auto& [v, vertex] : vertices_[static_cast<size_t>(i)]) {
-      vertex.dominant.resize(slots, 0);
-      if (!vertex.live) continue;
-      for (const int32_t slot : mine) {
-        const int32_t satisfied = MergeCount(vertex.entries, slab, slot);
-        vertex.dominant[static_cast<size_t>(slot)] =
-            static_cast<uint16_t>(satisfied);
-        if (satisfied == slab.nnz(slot)) SetDominates(cover, slot, true);
+  streams_.ForEachLive([&](int i, Streams::Vertex& vertex) {
+    vertex.state.resize(slots, 0);
+    for (const int32_t slot : mine) {
+      const int32_t satisfied = MergeCount(vertex.entries, slab, slot);
+      vertex.state[static_cast<size_t>(slot)] =
+          static_cast<uint16_t>(satisfied);
+      if (satisfied == slab.nnz(slot)) {
+        SetDominates(query_.stream(i), slot, true);
       }
     }
-  }
+  });
 }
 
 void DominatedSetCoverJoin::RemoveQuery(int32_t id) {
@@ -142,64 +121,52 @@ void DominatedSetCoverJoin::RemoveQuery(int32_t id) {
     }
     list_entries_ -= slab.nnz(slot);
   }
-  // Zero the freed columns in every row (tombstoned rows are zero already),
-  // so a later AddQuery reusing the slot starts from clean counters.
-  for (VertexMap& vertices : vertices_) {
-    for (auto& [v, vertex] : vertices) {
-      for (const int32_t slot : mine) {
-        vertex.dominant[static_cast<size_t>(slot)] = 0;
-      }
-    }
-  }
-  query_.RemoveQuery(id);
+  // Zero the freed columns in every live row (tombstoned rows are zero
+  // already), so a later AddQuery reusing the slot starts from zero.
+  streams_.ForEachLive([&mine](int, Streams::Vertex& vertex) {
+    for (const int32_t slot : mine) vertex.state[static_cast<size_t>(slot)] = 0;
+  });
+  query_.RemoveQuery(id, streams_.remap());
 }
 
 void DominatedSetCoverJoin::SetNumStreams(int num_streams) {
+  streams_.SetNumStreams(num_streams);
   query_.SetNumStreams(num_streams);
-  vertices_.resize(static_cast<size_t>(num_streams));
 }
 
 void DominatedSetCoverJoin::UpdateStreamVertex(int stream_index, VertexId v,
                                                const Npv& npv) {
   CoverQuerySide::Stream& cover = query_.stream(stream_index);
-  StreamVertexState& vertex = vertices_[static_cast<size_t>(stream_index)][v];
-  if (!vertex.live) {
-    vertex.live = true;
-    // A fresh vertex gets its row here; a tombstoned one kept its all-zero
-    // row at full width.
-    vertex.dominant.resize(static_cast<size_t>(query_.slab().size()), 0);
-    CoverQuerySide::AddLiveVertex(cover);
-  }
-  query_.remap().Translate(npv, &translate_scratch_);
-  Repair(cover, vertex, translate_scratch_);
+  const bool became_nonempty = streams_.Update(
+      stream_index, v, npv,
+      [&](Streams::Vertex& vertex, const std::vector<NpvEntry>& next,
+          NpvSignature) {
+        // A fresh or tombstoned vertex's all-zero row widens to the slab.
+        if (!vertex.live) vertex.state.resize(query_.slab().size(), 0);
+        Repair(cover, vertex, next);
+      });
+  // Beyond flips, only the stream turning non-empty changes a verdict.
+  if (became_nonempty) cover.cache_valid = false;
 }
 
 void DominatedSetCoverJoin::RemoveStreamVertex(int stream_index, VertexId v) {
-  VertexMap& vertices = vertices_[static_cast<size_t>(stream_index)];
-  auto it = vertices.find(v);
-  if (it == vertices.end() || !it->second.live) return;
   CoverQuerySide::Stream& cover = query_.stream(stream_index);
-  translate_scratch_.clear();
-  Repair(cover, it->second, translate_scratch_);
-  it->second.live = false;
-  CoverQuerySide::RemoveLiveVertex(cover);
+  const bool emptied = streams_.Remove(
+      stream_index, v,
+      [&](Streams::Vertex& vertex) { Repair(cover, vertex, {}); });
+  if (emptied) cover.cache_valid = false;
 }
 
 void DominatedSetCoverJoin::CandidatesForStream(int stream_index,
                                                 std::vector<int>* out) {
-  query_.Candidates(stream_index, out);
-  GSPS_OBS_COUNT(Counter::kJoinSetCoverRounds, pending_rounds_);
-  GSPS_OBS_COUNT(Counter::kJoinSetCoverFlips, pending_flips_);
-  GSPS_OBS_COUNT(Counter::kJoinSetCoverToggles, pending_toggles_);
-  pending_rounds_ = 0;
-  pending_flips_ = 0;
-  pending_toggles_ = 0;
+  query_.Candidates(stream_index, streams_.live_vertices(stream_index),
+                    &tally_, out);
 }
 
 int64_t DominatedSetCoverJoin::PlanRange(DimId dim, int32_t from, int32_t to,
                                          int32_t delta) {
   GSPS_DCHECK(from < to);
-  GSPS_DCHECK(dim >= 0 && dim < query_.remap().num_dims());
+  GSPS_DCHECK(dim >= 0 && dim < streams_.remap().num_dims());
   const std::vector<DimEntry>& list = dim_lists_[static_cast<size_t>(dim)];
   auto value_less = [](int32_t value, const DimEntry& e) {
     return value < e.value;
@@ -216,8 +183,8 @@ int64_t DominatedSetCoverJoin::PlanRange(DimId dim, int32_t from, int32_t to,
 }
 
 void DominatedSetCoverJoin::Repair(CoverQuerySide::Stream& cover,
-                                   StreamVertexState& vertex,
-                                   const std::vector<NpvEntry>& next) {
+                                   Streams::Vertex& vertex,
+                                   std::span<const NpvEntry> next) {
   // Plan: the paper's incremental position update (Fig. 8 maintenance).
   // Only dimensions whose value moved contribute, and within a dimension
   // only the query entries between the old and new position.
@@ -229,11 +196,11 @@ void DominatedSetCoverJoin::Repair(CoverQuerySide::Stream& cover,
   const auto new_end = next.end();
   while (old_it != old_end || new_it != new_end) {
     if (new_it == new_end || (old_it != old_end && old_it->dim < new_it->dim)) {
-      ++pending_toggles_;  // Vanished.
+      ++tally_.set_cover_toggles;  // Vanished.
       visits += PlanRange(old_it->dim, 0, old_it->count, -1);
       ++old_it;
     } else if (old_it == old_end || new_it->dim < old_it->dim) {
-      ++pending_toggles_;  // Appeared.
+      ++tally_.set_cover_toggles;  // Appeared.
       visits += PlanRange(new_it->dim, 0, new_it->count, +1);
       ++new_it;
     } else {
@@ -248,15 +215,15 @@ void DominatedSetCoverJoin::Repair(CoverQuerySide::Stream& cover,
   }
 
   const NpvSlab& slab = query_.slab();
-  uint16_t* const row = vertex.dominant.data();
+  uint16_t* const row = vertex.state.data();
   if (vertex.entries.empty() && visits > list_entries_ / kDominanceLanes) {
     // Every counter is zero (fresh vertex, or all prior contributions
     // retracted) and the walk would cost more than one count-mode kernel
     // sweep, which yields the whole row at once: SatisfiedCount(k) is
     // exactly the counter the walk would accumulate from zero (and 0 for a
     // freed slot).
-    const DominanceBatch& batch =
-        query_.SatisfiedCounts(next.data(), next.data() + next.size());
+    const DominanceBatch& batch = query_.SatisfiedCounts(
+        next.data(), next.data() + next.size(), &tally_.kernel);
     for (int32_t k = 0; k < slab.size(); ++k) {
       const int32_t satisfied = batch.SatisfiedCount(k);
       row[k] = static_cast<uint16_t>(satisfied);
@@ -271,7 +238,7 @@ void DominatedSetCoverJoin::Repair(CoverQuerySide::Stream& cover,
     // row up front; a shorter one touches too few lines to pay for it.
     const uintptr_t row_begin = reinterpret_cast<uintptr_t>(row);
     const uintptr_t row_end =
-        row_begin + vertex.dominant.size() * sizeof(uint16_t);
+        row_begin + vertex.state.size() * sizeof(uint16_t);
     constexpr uintptr_t kLine = 64;
     if (visits >= static_cast<int64_t>((row_end - row_begin + kLine - 1) /
                                        kLine)) {
@@ -280,7 +247,7 @@ void DominatedSetCoverJoin::Repair(CoverQuerySide::Stream& cover,
         __builtin_prefetch(reinterpret_cast<const void*>(line), 1);
       }
     }
-    pending_rounds_ += static_cast<int64_t>(plan_.size());
+    tally_.set_cover_rounds += static_cast<int64_t>(plan_.size());
     for (const PlannedRange& range : plan_) {
       if (range.delta > 0) {
         for (const DimEntry* it = range.begin; it != range.end; ++it) {
@@ -298,7 +265,6 @@ void DominatedSetCoverJoin::Repair(CoverQuerySide::Stream& cover,
       }
     }
   }
-  vertex.entries.assign(next.begin(), next.end());
 }
 
 void DominatedSetCoverJoin::CheckChurnInvariants() const {
@@ -319,22 +285,21 @@ void DominatedSetCoverJoin::CheckChurnInvariants() const {
   }
   GSPS_CHECK(dim_entries == expected_dim_entries);
   GSPS_CHECK(dim_entries == list_entries_);
-  // Recount every row from its vertex's entries, then the covers from the
-  // rows.
+  // Recount every live row from its entries, then the covers from the rows.
+  // A tombstoned row is all zero, at most as wide as the slab.
+  streams_.CheckInvariants();
   std::vector<int32_t> counts;
   for (int i = 0; i < query_.num_streams(); ++i) {
     counts.assign(static_cast<size_t>(slots), 0);
-    int32_t live_vertices = 0;
-    for (const auto& [v, vertex] : vertices_[static_cast<size_t>(i)]) {
-      const std::vector<uint16_t>& row = vertex.dominant;
-      GSPS_CHECK(static_cast<int32_t>(row.size()) == slots);
+    for (const Streams::Vertex& vertex : streams_.vertices(i)) {
+      const std::vector<uint16_t>& row = vertex.state;
       if (!vertex.live) {
-        GSPS_CHECK(vertex.entries.empty());
+        GSPS_CHECK(static_cast<int32_t>(row.size()) <= slots);
         GSPS_CHECK(std::all_of(row.begin(), row.end(),
                                [](uint16_t counter) { return counter == 0; }));
         continue;
       }
-      ++live_vertices;
+      GSPS_CHECK(static_cast<int32_t>(row.size()) == slots);
       for (int32_t k = 0; k < slots; ++k) {
         const int32_t counter = row[static_cast<size_t>(k)];
         GSPS_CHECK_MSG(counter == MergeCount(vertex.entries, slab, k),
@@ -344,7 +309,7 @@ void DominatedSetCoverJoin::CheckChurnInvariants() const {
         }
       }
     }
-    query_.CheckCover(i, counts, live_vertices);
+    query_.CheckCover(i, counts);
   }
 }
 

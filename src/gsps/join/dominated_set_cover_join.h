@@ -26,9 +26,10 @@
 // Counter rows are flat, 2 B x slab slots x stream vertices (uint16_t: a
 // counter never exceeds its query vector's nnz, so SetQueries and AddQuery
 // reject a vector with more than kMaxVectorNnz non-zero dimensions before
-// changing anything). Rows grow only when AddQuery appends a tail slot
-// (every row, tombstoned vertices included); a re-add into a freed slot
-// reuses its column, which RemoveQuery zeroed. A hash map keyed by the
+// changing anything). A row is its vertex's StreamSide State. Live rows
+// widen when AddQuery appends a tail slot, and a tombstoned (all-zero) one
+// when its vertex returns; a re-add into a freed slot reuses its column,
+// which RemoveQuery zeroed. A hash map keyed by the
 // query vectors a vertex has met costs about 40 B per entry, so the row is
 // smaller once a vertex meets more than about a twentieth of the query
 // vectors. On the reality_manyq benchmark workload a replayed vertex has
@@ -45,18 +46,20 @@
 // kDominanceLanes entries: the sweep handles kDominanceLanes entries per
 // vector op, so past that point it is the cheaper path. The rule reads only
 // counts, never the dispatched ISA, so every ISA takes the same path.
-// Stream NPVs reach the plan through NpvDimRemap's table-driven Translate.
+// Stream NPVs reach the plan through the StreamSide's table-driven
+// Translate.
 
 #ifndef GSPS_JOIN_DOMINATED_SET_COVER_JOIN_H_
 #define GSPS_JOIN_DOMINATED_SET_COVER_JOIN_H_
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "gsps/join/cover_query_side.h"
 #include "gsps/join/join_strategy.h"
+#include "gsps/join/stream_side.h"
 
 namespace gsps {
 
@@ -89,17 +92,8 @@ class DominatedSetCoverJoin final : public JoinStrategy {
     int32_t slot = -1;  // The query vector's slab slot.
   };
 
-  struct StreamVertexState {
-    // Dense-translated NPV entries (query dims only), sorted ascending.
-    std::vector<NpvEntry> entries;
-    // Dominant counters indexed by slab slot, slab().size() long; zero for
-    // freed slots.
-    std::vector<uint16_t> dominant;
-    // Tombstone flag: removed vertices keep their buffers (entries cleared,
-    // counters retracted to zero) so a later re-add allocates nothing.
-    bool live = false;
-  };
-  using VertexMap = std::unordered_map<VertexId, StreamVertexState>;
+  // Per stream vertex: its dominant counter per slab slot (0 if freed).
+  using Streams = StreamSide<std::vector<uint16_t>>;
 
   // One changed dimension of a planned update: the query entries with
   // value in (from, to] of the paper's incremental position update, whose
@@ -111,10 +105,10 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   };
 
   // Moves `vertex`'s counters from its current entries to `next` (sorted
-  // ascending by dense dim): plans, then walks or seeds by kernel, then
-  // stores `next` as the vertex's entries.
-  void Repair(CoverQuerySide::Stream& cover, StreamVertexState& vertex,
-              const std::vector<NpvEntry>& next);
+  // ascending by dense dim): plans, then walks or seeds by kernel. The
+  // StreamSide stores `next` afterwards.
+  void Repair(CoverQuerySide::Stream& cover, Streams::Vertex& vertex,
+              std::span<const NpvEntry> next);
 
   // Appends to plan_ the range of dense dimension `dim`'s list whose
   // counters move when the vertex's value there goes between `from` and
@@ -123,10 +117,11 @@ class DominatedSetCoverJoin final : public JoinStrategy {
 
   void SetDominates(CoverQuerySide::Stream& cover, int32_t slot,
                     bool now_dominates) {
-    ++pending_flips_;
+    ++tally_.set_cover_flips;
     query_.SetDominates(cover, slot, now_dominates);
   }
 
+  Streams streams_;
   // The query vectors, their cover counts and the candidate caches.
   CoverQuerySide query_;
   // Dense dimension -> sorted projected query values (the paper's
@@ -134,20 +129,10 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   std::vector<std::vector<DimEntry>> dim_lists_;
   // Entries over all dim_lists_: the live slots' total nnz.
   int64_t list_entries_ = 0;
-  // Per stream: its vertices.
-  std::vector<VertexMap> vertices_;
-  std::vector<NpvEntry> translate_scratch_;
   // The current update's plan, capacity kept across updates.
   std::vector<PlannedRange> plan_;
-
-  // Observability accumulators for the maintenance inner loops: plain
-  // member adds there (ranges walked, flips, and dimensions that appeared
-  // in or vanished from a vertex's NPV), flushed to the installed sink once
-  // per CandidatesForStream. Counts pending since the last flush are only
-  // lost if no candidate read ever follows the updates.
-  int64_t pending_rounds_ = 0;
-  int64_t pending_flips_ = 0;
-  int64_t pending_toggles_ = 0;
+  // Counts since the last CandidatesForStream, which publishes them.
+  JoinTally tally_;
 };
 
 }  // namespace gsps

@@ -17,7 +17,7 @@
 //     dimension signature intersects the query's.
 //
 // All three are delta-driven: the engine's FlushDirty feeds vertex-level
-// NPV deltas through UpdateStreamVertex/RemoveStreamVertex, and each
+// NPV deltas through UpdateStreamVertex, and each
 // strategy folds the delta into per-(stream, query-vertex) cover state and
 // a cached per-stream candidate list. CandidatesForStream answers from the
 // cache when no delta touched the stream since the last call (a "verdict
@@ -27,9 +27,10 @@
 // 64-bit signature fast-reject are linear merges over contiguous arrays.
 // NL and DSC share that query side and the cover counts built on it
 // (CoverQuerySide, cover_query_side.h); Skyline keeps its own slab of
-// skyline points. Query ids are the caller's throughout: SetQueries
-// numbers the initial queries 0..n-1, and AddQuery / RemoveQuery take the
-// id the caller chose, so candidate lists need no translation.
+// skyline points. All three share one stream side (stream_side.h). Query
+// ids are the caller's: SetQueries numbers the initial queries 0..n-1, and
+// AddQuery / RemoveQuery take the id the caller chose, so candidate lists
+// need no translation.
 
 #ifndef GSPS_JOIN_JOIN_STRATEGY_H_
 #define GSPS_JOIN_JOIN_STRATEGY_H_
@@ -99,7 +100,8 @@ class JoinStrategy {
   // Installs or replaces the NPV of vertex `v` of stream `stream`.
   virtual void UpdateStreamVertex(int stream, VertexId v, const Npv& npv) = 0;
 
-  // Removes vertex `v` of stream `stream` (vertex deleted from the graph).
+  // Removes vertex `v` of stream `stream`; an id never updated is a no-op.
+  // The engine never calls it: an NntSet never drops a root's row.
   virtual void RemoveStreamVertex(int stream, VertexId v) = 0;
 
   // Writes the indices of query graphs that are candidates for stream

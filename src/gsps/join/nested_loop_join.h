@@ -14,11 +14,11 @@
 #define GSPS_JOIN_NESTED_LOOP_JOIN_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "gsps/join/cover_query_side.h"
 #include "gsps/join/join_strategy.h"
+#include "gsps/join/stream_side.h"
 
 namespace gsps {
 
@@ -39,24 +39,12 @@ class NestedLoopJoin final : public JoinStrategy {
   std::string_view name() const override { return "NL"; }
 
  private:
-  struct VertexState {
-    // Dense-translated NPV entries and their signature (see NpvDimRemap).
-    std::vector<NpvEntry> entries;
-    NpvSignature sig = 0;
-    // Slab indices of the query vectors this vertex currently dominates.
-    std::vector<int32_t> dominated;
-    // Tombstone flag: removed vertices keep their buffers' capacity so a
-    // later re-add allocates nothing.
-    bool live = false;
-  };
-  using VertexMap = std::unordered_map<VertexId, VertexState>;
+  // Per stream vertex: the slab slots of the query vectors it dominates.
+  using Streams = StreamSide<std::vector<int32_t>>;
 
-  // Removes `vertex`'s cover contributions.
-  void Retract(CoverQuerySide::Stream& cover, VertexState& vertex);
-
+  Streams streams_;
   CoverQuerySide query_;
-  // Per stream: its vertices.
-  std::vector<VertexMap> vertices_;
+  JoinTally tally_;
 };
 
 }  // namespace gsps

@@ -11,27 +11,13 @@ namespace gsps {
 
 void SkylineEarlyStopJoin::SetQueries(std::vector<QueryVectors> queries) {
   GSPS_CHECK(plans_.empty());
-  for (const QueryVectors& query : queries) {
-    for (const Npv& vector : query.vectors) remap_.AddDims(vector);
-  }
-  remap_.Seal();
+  streams_.SetQueries(queries);
   plans_.resize(queries.size());
-  DominanceKernelStats build_kernel_stats;
   for (size_t j = 0; j < queries.size(); ++j) {
-    BuildPlan(static_cast<int32_t>(j), queries[j].vectors,
-              &build_kernel_stats);
+    BuildPlan(static_cast<int32_t>(j), queries[j].vectors, &tally_.kernel);
   }
-  // Flushed here rather than deferred: setup-time kernel activity stays out
-  // of the per-refresh accumulators, preserving the steady-state
-  // per-refresh counter semantics.
-  GSPS_OBS_COUNT(Counter::kJoinDominanceTests, build_kernel_stats.tests);
-  GSPS_OBS_COUNT(Counter::kJoinSignatureRejects, build_kernel_stats.sig_rejects);
-  if constexpr (obs::kEnabled) {
-    if (obs::MetricSink* sink = obs::CurrentSink(); sink != nullptr) {
-      sink->Add(DominanceBatchCounter(ActiveDominanceIsa()),
-                build_kernel_stats.batches);
-    }
-  }
+  // Setup-time kernel work stays out of the per-refresh counts.
+  tally_.Publish(scratch_batch_.isa(), false, 0, 0);
 }
 
 void SkylineEarlyStopJoin::BuildPlan(int32_t j,
@@ -70,10 +56,10 @@ void SkylineEarlyStopJoin::BuildPlan(int32_t j,
   if (num_distinct > 0) {
     scratch_slab_.Clear();
     for (const int32_t d : scratch_distinct_) {
-      remap_.Translate(vectors[static_cast<size_t>(d)], &translate_scratch_);
-      scratch_slab_.Append(translate_scratch_);
+      scratch_slab_.Append(
+          streams_.Translate(vectors[static_cast<size_t>(d)]));
     }
-    scratch_batch_.Bind(scratch_slab_, remap_.num_dims());
+    scratch_batch_.Bind(scratch_slab_, streams_.remap().num_dims());
     const size_t words = (num_distinct + 63) / 64;
     scratch_row_.assign(words, 0);
     scratch_colset_.assign(words, 0);
@@ -103,8 +89,8 @@ void SkylineEarlyStopJoin::BuildPlan(int32_t j,
   for (const auto& [neg_count, index] : scratch_order_) {
     (void)neg_count;
     // Query dims are all registered, so translation is lossless.
-    remap_.Translate(vectors[static_cast<size_t>(index)], &translate_scratch_);
-    const int32_t point = points_.Append(translate_scratch_);
+    const int32_t point =
+        points_.Append(streams_.Translate(vectors[static_cast<size_t>(index)]));
     plan.points.push_back(point);
     plan.union_sig |= points_.signature(point);
   }
@@ -116,12 +102,8 @@ void SkylineEarlyStopJoin::AddQuery(int32_t id, const QueryVectors& query,
   GSPS_CHECK_MSG(id >= 0 && id <= n &&
                      (id == n || !plans_[static_cast<size_t>(id)].live),
                  "AddQuery: the id must be retired or the next unused one");
-  *grew_dims = false;
-  for (const Npv& vector : query.vectors) {
-    if (!remap_.GrowDims(vector, &remap_scratch_)) continue;
-    *grew_dims = true;
-    GSPS_OBS_COUNT(Counter::kRemapRegrowths, 1);
-    points_.RemapDims(remap_scratch_);
+  *grew_dims = streams_.GrowDims(query, [this](const std::vector<DimId>& m) {
+    points_.RemapDims(m);
     for (QueryPlan& plan : plans_) {
       if (!plan.live) continue;
       plan.union_sig = 0;
@@ -129,56 +111,41 @@ void SkylineEarlyStopJoin::AddQuery(int32_t id, const QueryVectors& query,
         plan.union_sig |= points_.signature(point);
       }
     }
-    const int32_t old_dims = static_cast<int32_t>(remap_scratch_.size());
-    for (StreamState& stream : streams_) {
-      // Move the per-dimension buckets to their new dense indices, highest
-      // first (the map is strictly increasing; a self-mapped prefix stays).
-      stream.buckets.resize(static_cast<size_t>(remap_.num_dims()));
-      for (int32_t d = old_dims - 1; d >= 0; --d) {
-        const DimId nd = remap_scratch_[static_cast<size_t>(d)];
-        if (nd == d) break;
-        stream.buckets[static_cast<size_t>(nd)] =
-            std::move(stream.buckets[static_cast<size_t>(d)]);
-        stream.buckets[static_cast<size_t>(d)] = DimBucket{};
-      }
-      for (auto& [v, vertex] : stream.vertices) {
-        for (NpvEntry& entry : vertex.entries) {
-          entry.dim = remap_scratch_[static_cast<size_t>(entry.dim)];
-        }
-        vertex.sig = SignatureOf(
-            vertex.entries.data(),
-            vertex.entries.data() + vertex.entries.size());
-      }
+    for (StreamState& stream : states_) {
+      streams_.MoveDims(m, &stream.buckets);
       // Dense signatures were renumbered, so the bounded changed-signature
       // filter can no longer be trusted: force full reevaluation.
       stream.changed_overflow = true;
       stream.combined_changed = ~NpvSignature{0};
       stream.cache_valid = false;
     }
-  }
+  });
 
   if (id == n) {
     plans_.emplace_back();
-    for (StreamState& stream : streams_) {
+    for (StreamState& stream : states_) {
       stream.verdicts.emplace_back();
     }
   }
+  // AddQuery's plan-build batches are not counted; its tests and rejects
+  // are published with the next refresh.
   DominanceKernelStats build_stats;
   BuildPlan(id, query.vectors, &build_stats);
-  pending_tests_ += build_stats.tests;
-  pending_rejects_ += build_stats.sig_rejects;
+  tally_.kernel.tests += build_stats.tests;
+  tally_.kernel.sig_rejects += build_stats.sig_rejects;
   const QueryPlan& plan = plans_[static_cast<size_t>(id)];
   // Eager verdict: the cached-verdict invariant ("state as of the last
   // refresh") only holds for plans that existed at that refresh, so the new
   // plan's coverage is scanned now against the current stream state.
-  for (StreamState& stream : streams_) {
+  for (size_t i = 0; i < states_.size(); ++i) {
+    StreamState& stream = states_[i];
     Verdict& verdict = stream.verdicts[static_cast<size_t>(id)];
     verdict.covered = true;
     verdict.witness = static_cast<int32_t>(plan.points.size());
-    for (size_t i = 0; i < plan.points.size(); ++i) {
-      if (!Covered(stream, plan.points[i])) {
+    for (size_t p = 0; p < plan.points.size(); ++p) {
+      if (!Covered(static_cast<int>(i), plan.points[p])) {
         verdict.covered = false;
-        verdict.witness = static_cast<int32_t>(i);
+        verdict.witness = static_cast<int32_t>(p);
         break;
       }
     }
@@ -197,7 +164,7 @@ void SkylineEarlyStopJoin::RemoveQuery(int32_t id) {
   plan.has_trivial_vector = false;
   plan.empty_query = false;
   plan.live = false;
-  for (StreamState& stream : streams_) {
+  for (StreamState& stream : states_) {
     stream.verdicts[static_cast<size_t>(id)] = Verdict{};
     stream.cache_valid = false;
   }
@@ -221,20 +188,20 @@ void SkylineEarlyStopJoin::CheckChurnInvariants() const {
     GSPS_CHECK(union_sig == plan.union_sig);
   }
   GSPS_CHECK(live_points == points_.num_live());
-  for (const StreamState& stream : streams_) {
+  streams_.CheckInvariants();
+  for (size_t i = 0; i < states_.size(); ++i) {
+    const StreamState& stream = states_[i];
     GSPS_CHECK(stream.verdicts.size() == plans_.size());
-    int32_t live_vertices = 0;
-    for (const auto& [v, vertex] : stream.vertices) {
-      if (!vertex.live) continue;
-      ++live_vertices;
-      for (const NpvEntry& entry : vertex.entries) {
+    const std::vector<Streams::Vertex>& vertices =
+        streams_.vertices(static_cast<int>(i));
+    for (size_t v = 0; v < vertices.size(); ++v) {
+      for (const NpvEntry& entry : vertices[v].entries) {
         const DimBucket& bucket =
             stream.buckets[static_cast<size_t>(entry.dim)];
-        const auto it = bucket.values.find(v);
+        const auto it = bucket.values.find(static_cast<VertexId>(v));
         GSPS_CHECK(it != bucket.values.end() && it->second == entry.count);
       }
     }
-    GSPS_CHECK(live_vertices == stream.live_vertices);
     for (const DimBucket& bucket : stream.buckets) {
       int32_t live_count = 0;
       int32_t max_value = 0;
@@ -250,10 +217,10 @@ void SkylineEarlyStopJoin::CheckChurnInvariants() const {
 }
 
 void SkylineEarlyStopJoin::SetNumStreams(int num_streams) {
-  GSPS_CHECK(streams_.empty());
-  streams_.resize(static_cast<size_t>(num_streams));
-  for (StreamState& stream : streams_) {
-    stream.buckets.resize(static_cast<size_t>(remap_.num_dims()));
+  streams_.SetNumStreams(num_streams);
+  states_.resize(static_cast<size_t>(num_streams));
+  for (StreamState& stream : states_) {
+    stream.buckets.resize(static_cast<size_t>(streams_.remap().num_dims()));
     stream.verdicts.reserve(plans_.size());
     for (const QueryPlan& plan : plans_) {
       // The empty stream covers nothing, so a plan with points starts with
@@ -265,45 +232,34 @@ void SkylineEarlyStopJoin::SetNumStreams(int num_streams) {
 
 void SkylineEarlyStopJoin::UpdateStreamVertex(int stream_index, VertexId v,
                                               const Npv& npv) {
-  StreamState& stream = streams_[static_cast<size_t>(stream_index)];
-  VertexState& vertex = stream.vertices[v];
-  if (vertex.live) {
-    DeindexVertex(stream, v, vertex.entries);
-  } else {
-    vertex.live = true;
-    ++stream.live_vertices;
-  }
-  const NpvSignature new_sig = remap_.Translate(npv, &translate_scratch_);
-  PushChanged(stream, vertex.sig | new_sig);
-  vertex.sig = new_sig;
-  vertex.entries.assign(translate_scratch_.begin(), translate_scratch_.end());
-  IndexVertex(stream, v, vertex.entries);
+  StreamState& stream = states_[static_cast<size_t>(stream_index)];
+  streams_.Update(stream_index, v, npv,
+                  [&](Streams::Vertex& vertex,
+                      const std::vector<NpvEntry>& next, NpvSignature sig) {
+                    DeindexVertex(stream, v, vertex.entries);
+                    PushChanged(stream, vertex.sig | sig);
+                    IndexVertex(stream, v, next);
+                  });
   stream.cache_valid = false;
 }
 
 void SkylineEarlyStopJoin::RemoveStreamVertex(int stream_index, VertexId v) {
-  StreamState& stream = streams_[static_cast<size_t>(stream_index)];
-  auto it = stream.vertices.find(v);
-  if (it == stream.vertices.end() || !it->second.live) return;
-  VertexState& vertex = it->second;
-  DeindexVertex(stream, v, vertex.entries);
-  PushChanged(stream, vertex.sig);
-  vertex.live = false;
-  vertex.sig = 0;
-  vertex.entries.clear();
-  --stream.live_vertices;
-  stream.cache_valid = false;
+  StreamState& stream = states_[static_cast<size_t>(stream_index)];
+  streams_.Remove(stream_index, v, [&](Streams::Vertex& vertex) {
+    DeindexVertex(stream, v, vertex.entries);
+    PushChanged(stream, vertex.sig);
+    stream.cache_valid = false;
+  });
 }
 
 void SkylineEarlyStopJoin::CandidatesForStream(int stream_index,
                                                std::vector<int>* out) {
-  StreamState& stream = streams_[static_cast<size_t>(stream_index)];
-  if (stream.cache_valid) {
-    GSPS_OBS_COUNT(Counter::kJoinVerdictsReused, 1);
-  } else {
+  StreamState& stream = states_[static_cast<size_t>(stream_index)];
+  const bool reused = stream.cache_valid;
+  if (!reused) {
     GSPS_OBS_JOIN_REFRESH(stream_index);
     stream.cache.clear();
-    const bool stream_nonempty = stream.live_vertices > 0;
+    const bool stream_nonempty = streams_.live_vertices(stream_index) > 0;
     int64_t early_stops = 0;
     for (size_t j = 0; j < plans_.size(); ++j) {
       const QueryPlan& plan = plans_[j];
@@ -318,7 +274,7 @@ void SkylineEarlyStopJoin::CandidatesForStream(int stream_index,
       // stale verdict could never be repaired later.
       if (!plan.points.empty() &&
           (plan.union_sig & stream.combined_changed) != 0) {
-        Reevaluate(stream, plan, &verdict);
+        Reevaluate(stream_index, plan, &verdict);
       }
       if (!verdict.covered) {
         ++early_stops;  // Pruned at the witness point.
@@ -331,15 +287,12 @@ void SkylineEarlyStopJoin::CandidatesForStream(int stream_index,
     stream.changed_overflow = false;
     stream.combined_changed = 0;
     stream.cache_valid = true;
-    GSPS_OBS_COUNT(Counter::kJoinSkylineEarlyStops, early_stops);
+    tally_.skyline_early_stops += early_stops;
   }
   out->assign(stream.cache.begin(), stream.cache.end());
-  GSPS_OBS_COUNT(Counter::kJoinPairsIn, static_cast<int64_t>(plans_.size()));
-  GSPS_OBS_COUNT(Counter::kJoinPairsOut, static_cast<int64_t>(out->size()));
-  GSPS_OBS_COUNT(Counter::kJoinDominanceTests, pending_tests_);
-  GSPS_OBS_COUNT(Counter::kJoinSignatureRejects, pending_rejects_);
-  pending_tests_ = 0;
-  pending_rejects_ = 0;
+  tally_.Publish(scratch_batch_.isa(), reused,
+                 static_cast<int64_t>(plans_.size()),
+                 static_cast<int64_t>(out->size()));
 }
 
 bool SkylineEarlyStopJoin::Affected(const StreamState& stream,
@@ -358,7 +311,7 @@ bool SkylineEarlyStopJoin::Affected(const StreamState& stream,
 
 void SkylineEarlyStopJoin::PushChanged(StreamState& stream, NpvSignature sig) {
   // A vertex with no query dimension can never dominate a skyline point
-  // (points are non-trivial); it only matters through live_vertices.
+  // (points are non-trivial); it only matters through the live count.
   if (sig == 0) return;
   stream.combined_changed |= sig;
   if (stream.changed_overflow) return;
@@ -369,9 +322,9 @@ void SkylineEarlyStopJoin::PushChanged(StreamState& stream, NpvSignature sig) {
   stream.changed_sigs[static_cast<size_t>(stream.num_changed++)] = sig;
 }
 
-void SkylineEarlyStopJoin::Reevaluate(StreamState& stream,
-                                      const QueryPlan& plan,
+void SkylineEarlyStopJoin::Reevaluate(int stream_index, const QueryPlan& plan,
                                       Verdict* verdict) {
+  const StreamState& stream = states_[static_cast<size_t>(stream_index)];
   const int32_t n = static_cast<int32_t>(plan.points.size());
   // Everything before the prefix was covered at the last refresh; when the
   // scan stopped early the witness itself was not.
@@ -389,7 +342,7 @@ void SkylineEarlyStopJoin::Reevaluate(StreamState& stream,
     } else if (!affected && !old_covered && i == old_witness) {
       covered_now = false;
     } else {
-      covered_now = Covered(stream, point);
+      covered_now = Covered(stream_index, point);
     }
     if (!covered_now) {
       verdict->covered = false;
@@ -399,8 +352,9 @@ void SkylineEarlyStopJoin::Reevaluate(StreamState& stream,
   }
 }
 
-bool SkylineEarlyStopJoin::Covered(const StreamState& stream, int32_t point) {
+bool SkylineEarlyStopJoin::Covered(int stream_index, int32_t point) {
   GSPS_DCHECK(points_.nnz(point) > 0);
+  const StreamState& stream = states_[static_cast<size_t>(stream_index)];
   const NpvEntry* const begin = points_.begin(point);
   const NpvEntry* const end = points_.end(point);
   // Optimization 3a: a dimension whose stream maximum is below the query
@@ -420,17 +374,18 @@ bool SkylineEarlyStopJoin::Covered(const StreamState& stream, int32_t point) {
   // bucket suffices.
   GSPS_DCHECK(best_bucket != nullptr);
   const NpvSignature point_sig = points_.signature(point);
+  const std::vector<Streams::Vertex>& vertices =
+      streams_.vertices(stream_index);
   for (const auto& [vertex, value] : best_bucket->values) {
     if (value == 0) continue;  // Tombstone.
     ++comparisons_;
-    auto vec_it = stream.vertices.find(vertex);
-    GSPS_DCHECK(vec_it != stream.vertices.end());
-    const VertexState& candidate = vec_it->second;
+    const Streams::Vertex& candidate = vertices[static_cast<size_t>(vertex)];
+    GSPS_DCHECK(candidate.live);
     if (!SignatureCovers(candidate.sig, point_sig)) {
-      ++pending_rejects_;
+      ++tally_.kernel.sig_rejects;
       continue;
     }
-    ++pending_tests_;
+    ++tally_.kernel.tests;
     if (DominatesRange(candidate.entries.data(),
                        candidate.entries.data() + candidate.entries.size(),
                        begin, end)) {

@@ -29,6 +29,8 @@
 // covered; an unaffected witness stays uncovered). The changed-signature
 // list is bounded — on overflow the refresh falls back to the combined OR
 // of all changed signatures, still sound, just a weaker filter.
+// The buckets name stream vertices by id, and a comparison reads the
+// candidate's entries from the StreamSide table by index.
 
 #ifndef GSPS_JOIN_SKYLINE_EARLYSTOP_JOIN_H_
 #define GSPS_JOIN_SKYLINE_EARLYSTOP_JOIN_H_
@@ -41,6 +43,7 @@
 
 #include "gsps/join/dominance_kernel.h"
 #include "gsps/join/join_strategy.h"
+#include "gsps/join/stream_side.h"
 
 namespace gsps {
 
@@ -99,22 +102,16 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
     int32_t max_value = 0;
   };
 
-  struct VertexState {
-    // Dense-translated NPV entries and their signature.
-    std::vector<NpvEntry> entries;
-    NpvSignature sig = 0;
-    bool live = false;
-  };
-
   // Bounded list of old|new signatures of vertices changed since the last
   // refresh.
   static constexpr int kMaxChangedSigs = 16;
 
+  struct NoVertexState {};
+  using Streams = StreamSide<NoVertexState>;
+
   struct StreamState {
-    std::unordered_map<VertexId, VertexState> vertices;
     // Indexed by dense dim id.
     std::vector<DimBucket> buckets;
-    int32_t live_vertices = 0;
     std::vector<Verdict> verdicts;
     std::array<NpvSignature, kMaxChangedSigs> changed_sigs{};
     int32_t num_changed = 0;
@@ -124,8 +121,8 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
     bool cache_valid = false;
   };
 
-  // True if some stream vector dominates point `point` (slab index).
-  bool Covered(const StreamState& stream, int32_t point);
+  // True if some vector of stream `stream_index` dominates point `point`.
+  bool Covered(int stream_index, int32_t point);
 
   // True if a changed signature could have flipped coverage of a point with
   // signature `sig`.
@@ -135,8 +132,7 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
 
   // Re-runs the skyline scan for one query, skipping points the deltas
   // provably left alone.
-  void Reevaluate(StreamState& stream, const QueryPlan& plan,
-                  Verdict* verdict);
+  void Reevaluate(int stream_index, const QueryPlan& plan, Verdict* verdict);
 
   void IndexVertex(StreamState& stream, VertexId v,
                    const std::vector<NpvEntry>& entries);
@@ -152,10 +148,9 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
   // Indexed by query id.
   std::vector<QueryPlan> plans_;
   // All skyline points of all plans, dense-translated, in one slab.
-  NpvDimRemap remap_;
   NpvSlab points_;
-  std::vector<StreamState> streams_;
-  std::vector<NpvEntry> translate_scratch_;
+  Streams streams_;
+  std::vector<StreamState> states_;  // Indexed like streams_.
   // Plan-build scratch (monochromatic-skyline computation), capacity-
   // retained so steady-state AddQuery is allocation-free.
   NpvSlab scratch_slab_;
@@ -165,13 +160,9 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
   std::vector<uint64_t> scratch_colset_;
   std::vector<int32_t> scratch_dom_count_;
   std::vector<std::pair<int32_t, int32_t>> scratch_order_;
-  std::vector<DimId> remap_scratch_;
   int64_t comparisons_ = 0;
-
-  // Observability accumulators (see dominated_set_cover_join.h), flushed
-  // once per CandidatesForStream.
-  int64_t pending_tests_ = 0;
-  int64_t pending_rejects_ = 0;
+  // Counts since the last CandidatesForStream, which publishes them.
+  JoinTally tally_;
 };
 
 }  // namespace gsps

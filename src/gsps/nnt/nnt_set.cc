@@ -32,8 +32,6 @@ void NntSet::Build(const Graph& graph) {
   graph_ = &graph;
   is_root_.clear();
   rows_.clear();
-  npv_cache_.clear();
-  npv_cache_valid_.clear();
   dirty_flag_.clear();
   dirty_list_.clear();
   walks_to_.clear();
@@ -190,7 +188,7 @@ const std::vector<NpvEntry>* NntSet::TreeOf(VertexId root) const {
       !is_root_[static_cast<size_t>(root)]) {
     return nullptr;
   }
-  return &rows_[static_cast<size_t>(root)];
+  return &rows_[static_cast<size_t>(root)].entries_;
 }
 
 std::vector<VertexId> NntSet::Roots() const {
@@ -203,18 +201,7 @@ std::vector<VertexId> NntSet::Roots() const {
 
 const Npv& NntSet::NpvOf(VertexId root) const {
   GSPS_CHECK(TreeOf(root) != nullptr);
-  const size_t r = static_cast<size_t>(root);
-  if (!npv_cache_valid_[r]) {
-    npv_cache_[r].AssignSortedEntries(rows_[r]);
-    npv_cache_valid_[r] = 1;
-    GSPS_OBS_COUNT(Counter::kNntNpvCacheRebuilds, 1);
-  }
-#if defined(GSPS_SANITIZE_ENABLED)
-  // The invalidation protocol must keep the cache an exact mirror of the
-  // live counts; recompute and compare under sanitizer builds.
-  GSPS_CHECK(npv_cache_[r].entries() == rows_[r]);
-#endif
-  return npv_cache_[r];
+  return rows_[static_cast<size_t>(root)];
 }
 
 void NntSet::TakeDirtyRoots(std::vector<VertexId>* out) {
@@ -237,28 +224,23 @@ int64_t NntSet::TotalTreeNodes() const {
   for (size_t v = 0; v < is_root_.size(); ++v) {
     if (!is_root_[v]) continue;
     ++total;
-    for (const NpvEntry& entry : rows_[v]) total += entry.count;
+    for (const NpvEntry& entry : rows_[v].entries_) total += entry.count;
   }
   return total;
 }
 
 int64_t NntSet::StorageBytes() const {
   int64_t bytes = static_cast<int64_t>(
-      is_root_.capacity() + npv_cache_valid_.capacity() +
-      dirty_flag_.capacity() + dirty_list_.capacity() * sizeof(VertexId) +
+      is_root_.capacity() + dirty_flag_.capacity() +
+      dirty_list_.capacity() * sizeof(VertexId) +
       walk_.capacity() * sizeof(uint64_t) +
       pending_.capacity() * sizeof(NpvEntry) +
       pending_slot_.capacity() * sizeof(int32_t) +
       walks_to_.capacity() * sizeof(int32_t) +
       walk_ends_.capacity() * sizeof(VertexId));
-  bytes += static_cast<int64_t>(rows_.capacity() *
-                                sizeof(std::vector<NpvEntry>));
-  for (const std::vector<NpvEntry>& row : rows_) {
-    bytes += static_cast<int64_t>(row.capacity() * sizeof(NpvEntry));
-  }
-  bytes += static_cast<int64_t>(npv_cache_.capacity() * sizeof(Npv));
-  for (const Npv& npv : npv_cache_) {
-    bytes += static_cast<int64_t>(npv.entries().capacity() * sizeof(NpvEntry));
+  bytes += static_cast<int64_t>(rows_.capacity() * sizeof(Npv));
+  for (const Npv& row : rows_) {
+    bytes += static_cast<int64_t>(row.entries_.capacity() * sizeof(NpvEntry));
   }
   return bytes;
 }
@@ -269,14 +251,11 @@ void NntSet::EnsureRoot(VertexId v) {
   if (is_root_.size() <= r) {
     is_root_.resize(r + 1, 0);
     rows_.resize(r + 1);
-    npv_cache_.resize(r + 1);
-    npv_cache_valid_.resize(r + 1, 0);
     dirty_flag_.resize(r + 1, 0);
     walks_to_.resize(r + 1, 0);
   }
   if (is_root_[r]) return;
   is_root_[r] = 1;
-  npv_cache_valid_[r] = 0;
   MarkDirty(v);
 }
 
@@ -311,8 +290,8 @@ void NntSet::FlushPending(VertexId root, int32_t sign) {
 
 void NntSet::MergeIntoRow(VertexId root, const NpvEntry* begin,
                           const NpvEntry* end, int32_t sign) {
-  const size_t r = static_cast<size_t>(root);
-  std::vector<NpvEntry>& row = rows_[r];
+  Npv& npv = rows_[static_cast<size_t>(root)];
+  std::vector<NpvEntry>& row = npv.entries_;
   // Front to back: apply each delta whose dim the row has, in place, and
   // count the dims it lacks. Only an insertion may bring a new dim.
   size_t missing = 0;
@@ -343,13 +322,14 @@ void NntSet::MergeIntoRow(VertexId root, const NpvEntry* begin,
       }
       if (read > 0 && row[read - 1].dim == delta->dim) continue;
       row[--write] = *delta;
+      npv.signature_ |= NpvSignatureBit(delta->dim);
     }
   } else if (emptied) {
     row.erase(std::remove_if(row.begin(), row.end(),
                              [](const NpvEntry& e) { return e.count == 0; }),
               row.end());
+    npv.signature_ = SignatureOf(row.data(), row.data() + row.size());
   }
-  npv_cache_valid_[r] = 0;
   MarkDirty(root);
 }
 
@@ -392,7 +372,8 @@ bool NntSet::Validate(const Graph& graph) const {
       if (!dim.has_value()) return fail("dimension not interned");
       expected[*dim] += count;
     }
-    const std::vector<NpvEntry>& row = rows_[static_cast<size_t>(root)];
+    const Npv& npv = rows_[static_cast<size_t>(root)];
+    const std::vector<NpvEntry>& row = npv.entries_;
     if (expected.size() != row.size()) {
       return fail("row cardinality differs from a fresh enumeration");
     }
@@ -403,9 +384,8 @@ bool NntSet::Validate(const Graph& graph) const {
       }
       ++at;
     }
-    if (npv_cache_valid_[static_cast<size_t>(root)] &&
-        npv_cache_[static_cast<size_t>(root)].entries() != row) {
-      return fail("NPV cache diverged from the row");
+    if (npv.signature_ != SignatureOf(row.data(), row.data() + row.size())) {
+      return fail("row signature differs from its entries'");
     }
   }
   return true;

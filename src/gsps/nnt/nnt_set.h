@@ -50,10 +50,13 @@
 //   * insertion of edge {u,v}: graph.AddEdge(u, v, l); nnts.InsertEdge(graph, u, v);
 // i.e. both run while the graph holds the edge.
 //
-// Storage is one sorted count row per root plus a cached Npv and a dirty
-// flag, all flat vectors indexed by VertexId. Maintenance reuses member
-// scratch, so an ApplyChange cycle performs zero heap allocations once
-// capacities reach their high-water marks.
+// Storage is one row per root plus a dirty flag, flat vectors indexed by
+// VertexId. A row is the root's Npv: the merge updates its sorted counts in
+// place and keeps its signature exact (an inserted dim sets its bit; an
+// erased one makes the merge recompute it, and only a deletion erases), so
+// NpvOf returns the row itself. Maintenance reuses member scratch, so an
+// ApplyChange cycle performs zero heap allocations once capacities reach
+// their high-water marks.
 
 #ifndef GSPS_NNT_NNT_SET_H_
 #define GSPS_NNT_NNT_SET_H_
@@ -103,9 +106,9 @@ class NntSet {
   // Vertices that currently have a tree, ascending.
   std::vector<VertexId> Roots() const;
 
-  // The NPV of `root`'s tree. The vertex must have a tree. Served from a
-  // per-root cache invalidated by dimension-count changes, so repeated
-  // reads are O(1). The reference is valid until the next mutating call.
+  // The NPV of `root`'s tree: its row, whose entries() are *TreeOf(root).
+  // The vertex must have a tree. The reference is valid until the next
+  // mutating call.
   const Npv& NpvOf(VertexId root) const;
 
   // Fills `out` with the vertices whose NPV changed since the previous
@@ -120,7 +123,7 @@ class NntSet {
 
   // Checks the state against `graph`: every root is a graph vertex, each
   // root's row equals the projection of EnumerateBranches(graph, root,
-  // depth) (and so does its NPV cache where valid), and the dirty flags
+  // depth) and carries the signature of its entries, and the dirty flags
   // agree with the dirty list. Returns false and prints a diagnostic on the
   // first violation. O(large); tests only.
   bool Validate(const Graph& graph) const;
@@ -129,8 +132,8 @@ class NntSet {
   // 1 + the row's counts (size metric for benches).
   int64_t TotalTreeNodes() const;
 
-  // Heap bytes held by the rows, caches, flags and scratch (capacities, not
-  // sizes — what the process actually pays).
+  // Heap bytes held by the rows, flags and scratch (capacities, not sizes —
+  // what the process actually pays).
   int64_t StorageBytes() const;
 
  private:
@@ -178,7 +181,7 @@ class NntSet {
   void FlushPending(VertexId root, int32_t sign);
 
   // Adds `sign` times each delta of [begin, end) — sorted by dim, positive
-  // counts — to `root`'s row in one merge pass.
+  // counts — to `root`'s row in one merge pass, keeping its signature exact.
   void MergeIntoRow(VertexId root, const NpvEntry* begin, const NpvEntry* end,
                     int32_t sign);
 
@@ -190,17 +193,10 @@ class NntSet {
   const Graph* graph_ = nullptr;
 
   // Per-root state, dense by vertex id. is_root_[v] says whether v has a
-  // tree; rows_[v] holds its dimension counts sorted by dim with strictly
-  // positive counts — the invariant Npv requires, so the cache refill below
-  // never sorts.
+  // tree; rows_[v] is its NPV: dimension counts sorted by dim with strictly
+  // positive counts, and their signature.
   std::vector<uint8_t> is_root_;
-  std::vector<std::vector<NpvEntry>> rows_;
-
-  // Per-root NPV cache: npv_cache_[v] mirrors rows_[v] whenever
-  // npv_cache_valid_[v] is set; a row merge clears the flag, NpvOf refills
-  // lazily. Mutable because NpvOf is logically const.
-  mutable std::vector<Npv> npv_cache_;
-  mutable std::vector<uint8_t> npv_cache_valid_;
+  std::vector<Npv> rows_;
 
   // Dirty set as flag-plus-list so marking is O(1) without hashing and the
   // drain is a sort of only the dirty roots.

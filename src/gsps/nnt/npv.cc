@@ -51,17 +51,6 @@ Npv Npv::FromSortedEntries(std::vector<NpvEntry> entries) {
   return npv;
 }
 
-void Npv::AssignSortedEntries(const std::vector<NpvEntry>& entries) {
-  entries_.assign(entries.begin(), entries.end());
-#ifndef NDEBUG
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    GSPS_DCHECK(entries_[i].count > 0);
-    if (i > 0) GSPS_DCHECK(entries_[i - 1].dim < entries_[i].dim);
-  }
-#endif
-  signature_ = SignatureOf(entries_.data(), entries_.data() + entries_.size());
-}
-
 int32_t Npv::ValueAt(DimId dim) const {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), dim,

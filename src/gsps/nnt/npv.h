@@ -61,7 +61,8 @@ NpvSignature SignatureOf(const NpvEntry* begin, const NpvEntry* end);
 bool DominatesRange(const NpvEntry* hay_begin, const NpvEntry* hay_end,
                     const NpvEntry* needle_begin, const NpvEntry* needle_end);
 
-// A sparse, immutable node projected vector.
+// A sparse node projected vector, immutable to every reader but the NntSet
+// whose row it is.
 class Npv {
  public:
   Npv() = default;
@@ -69,16 +70,11 @@ class Npv {
   // Builds from a dim -> count map; zero and negative counts are dropped
   // (counts are cardinalities, so negatives would indicate index corruption
   // and are rejected by the NntSet before reaching here). Sorts — off the
-  // hot path; the NntSet NPV cache uses AssignSortedEntries instead.
+  // hot path.
   static Npv FromMap(const std::unordered_map<DimId, int32_t>& counts);
 
   // Builds from entries that are already sorted by dim with positive counts.
   static Npv FromSortedEntries(std::vector<NpvEntry> entries);
-
-  // Replaces the contents with `entries` (already sorted by dim, positive
-  // counts), reusing this vector's capacity. The NntSet NPV cache refill —
-  // no sort, no allocation in steady state.
-  void AssignSortedEntries(const std::vector<NpvEntry>& entries);
 
   // Value at `dim` (0 when absent). O(log nnz).
   int32_t ValueAt(DimId dim) const;
@@ -101,6 +97,8 @@ class Npv {
   friend bool operator==(const Npv&, const Npv&) = default;
 
  private:
+  friend class NntSet;  // A row is an Npv, merged in place (nnt_set.h).
+
   std::vector<NpvEntry> entries_;
   NpvSignature signature_ = 0;
 };
@@ -114,12 +112,11 @@ class Npv {
 //
 // Seal is not final: GrowDims registers additional dims after Seal (a newly
 // added query may project onto dimensions no earlier query used). Growth
-// renumbers the dense ids, so the caller must re-translate every dense
-// vector it holds; GrowDims hands back the monotonic old-to-new dense-id
-// map that makes the in-place rewrite of already-translated query-side
-// entries possible. Stream-side dense vectors cannot be rewritten in place
-// (their source dims in the grown range were dropped at translate time) and
-// must be re-translated from the originals.
+// renumbers the dense ids; GrowDims hands back the monotonic old-to-new
+// dense-id map that rewrites already-translated entries in place. That is
+// exact for query-side vectors. Stream-side vectors dropped their dims in
+// the grown range at translate time, so after the rewrite they must still
+// be re-translated from the originals.
 //
 // The remap is one table indexed by global dim id, as long as the largest
 // registered dim + 1: Translate is one lookup per entry, so its cost follows

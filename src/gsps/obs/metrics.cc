@@ -25,7 +25,6 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "gsps_nnt_tree_nodes_created",
     "gsps_nnt_tree_nodes_freed",
     "gsps_nnt_roots_dirtied",
-    "gsps_nnt_npv_cache_rebuilds",
     "gsps_join_dominance_tests",
     "gsps_join_skyline_early_stops",
     "gsps_join_set_cover_rounds",
@@ -75,7 +74,6 @@ constexpr const char* kCounterHelp[kNumCounters] = {
     "NNT tree nodes (paths) counted in",
     "NNT tree nodes (paths) counted out",
     "Roots whose NPV went clean to dirty",
-    "NPV cache materializations of an invalidated root",
     "Pairwise NPV dominance evaluations",
     "Pairs pruned at the first uncovered skyline point",
     "Dominated-set-cover maintenance rounds",

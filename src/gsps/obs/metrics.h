@@ -52,8 +52,6 @@ enum class Counter : int {
   kNntTreeNodesCreated,    // Paths counted in (Build, InsertEdge).
   kNntTreeNodesFreed,      // Paths counted out (DeleteEdge).
   kNntRootsDirtied,        // Roots whose NPV went clean -> dirty.
-  kNntNpvCacheRebuilds,    // NpvOf materializations of an invalidated root;
-                           // every other NpvOf call is a cache hit.
   // Join strategies (join/).
   kJoinDominanceTests,     // Pairwise Npv::Dominates evaluations (NL, Skyline).
   kJoinSkylineEarlyStops,  // Pairs pruned at the first uncovered skyline point.

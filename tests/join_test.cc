@@ -201,10 +201,21 @@ TEST(JoinAgreementTest, RandomVectorWorkload) {
     strategies.push_back(std::move(strategy));
   }
 
+  // Vertex ids come from two ranges far apart, so a stream's vertex table
+  // has a long run of ids it never held. Removals also name ids no update
+  // used: in the gap, and past the end of every table.
   for (int step = 0; step < kSteps; ++step) {
     const int stream = static_cast<int>(rng.UniformInt(0, kNumStreams - 1));
-    const VertexId vertex = static_cast<VertexId>(rng.UniformInt(0, 9));
-    if (rng.Bernoulli(0.15)) {
+    const VertexId vertex = static_cast<VertexId>(
+        rng.UniformInt(0, 9) + (rng.Bernoulli(0.5) ? 5000 : 0));
+    if (rng.Bernoulli(0.05)) {
+      const VertexId never = static_cast<VertexId>(
+          rng.Bernoulli(0.5) ? rng.UniformInt(10, 4999)  // In the gap.
+                             : rng.UniformInt(5010, 9999));  // Past the end.
+      for (auto& strategy : strategies) {
+        strategy->RemoveStreamVertex(stream, never);
+      }
+    } else if (rng.Bernoulli(0.15)) {
       for (auto& strategy : strategies) {
         strategy->RemoveStreamVertex(stream, vertex);
       }
@@ -228,6 +239,7 @@ TEST(JoinAgreementTest, RandomVectorWorkload) {
             << strategies[s]->name();
       }
     }
+    for (auto& strategy : strategies) strategy->CheckChurnInvariants();
   }
 }
 

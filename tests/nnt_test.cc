@@ -186,6 +186,43 @@ TEST(NntTest, DeleteThenReinsertRestoresState) {
   EXPECT_EQ(nnts.NpvOf(1), before);
 }
 
+// A root's row is its NPV: NpvOf hands out the row itself, not a copy, and
+// the row merge keeps its signature exact when dims appear and vanish.
+TEST(NntTest, RowIsTheNpvWithAnExactSignature) {
+  Graph g;
+  for (const VertexLabel label : {0, 1, 2, 3}) g.AddVertex(label);
+  DimensionTable dims;
+  NntSet nnts(3, &dims);
+  nnts.Build(g);
+  auto expect_rows_are_npvs = [&](const char* step) {
+    for (const VertexId r : nnts.Roots()) {
+      const Npv& npv = nnts.NpvOf(r);
+      EXPECT_EQ(&npv.entries(), nnts.TreeOf(r)) << step << " root " << r;
+      const std::vector<NpvEntry>& entries = npv.entries();
+      EXPECT_EQ(npv.signature(),
+                SignatureOf(entries.data(), entries.data() + entries.size()))
+          << step << " root " << r;
+    }
+    EXPECT_TRUE(nnts.Validate(g)) << step;
+  };
+  for (const auto& [u, v] : {std::pair{0, 1}, {1, 2}, {2, 3}}) {
+    ASSERT_TRUE(g.AddEdge(u, v, 0));
+    nnts.InsertEdge(g, u, v);
+    expect_rows_are_npvs("insert");
+  }
+  // Deleting {1, 2} zeroes root 0's dims at levels 2 and 3.
+  const int32_t nnz_before = nnts.NpvOf(0).nnz();
+  nnts.DeleteEdge(1, 2);
+  ASSERT_TRUE(g.RemoveEdge(1, 2));
+  EXPECT_EQ(nnts.NpvOf(0).nnz(), 1);
+  EXPECT_LT(nnts.NpvOf(0).nnz(), nnz_before);
+  expect_rows_are_npvs("delete");
+  ASSERT_TRUE(g.AddEdge(1, 2, 0));
+  nnts.InsertEdge(g, 1, 2);
+  EXPECT_EQ(nnts.NpvOf(0).nnz(), nnz_before);
+  expect_rows_are_npvs("re-insert");
+}
+
 TEST(NntTest, DirtyRootsReportedOnChange) {
   Graph g = PaperExampleGraph();
   DimensionTable dims;

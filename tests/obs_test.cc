@@ -828,7 +828,7 @@ TEST(ObsEndToEndTest, EveryMetricNonzeroAfterInstrumentedRun) {
       DominanceKernelStats stats;
       batch.ComputeMask(needle.data(), needle.data() + needle.size(),
                         slab.signature(0), &stats);
-      obs::CurrentSink()->Add(batch.batch_counter(), stats.batches);
+      obs::CurrentSink()->Add(DominanceBatchCounter(batch.isa()), stats.batches);
     }
   }
 
