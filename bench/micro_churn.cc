@@ -103,7 +103,7 @@ void RunStrategy(JoinKind kind, const Workload& w, int churn_ops,
 
   // One churn op: retire query j, re-register the identical query under
   // the same id, refresh the stream's candidate set. The re-add must not
-  // grow the dim remap; best-fit slab reuse puts it back in the freed slab
+  // bring a new dim; best-fit slab reuse puts it back in the freed slab
   // slots (steady_allocs below stays 0 only if it does).
   std::vector<int> candidates;
   int64_t candidates_seen = 0;

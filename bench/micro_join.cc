@@ -357,7 +357,6 @@ void RunKernelAblation(const Workload& w, const Config& config) {
   for (const QueryVectors& query : w.queries) {
     for (const Npv& vector : query.vectors) remap.AddDims(vector);
   }
-  remap.Seal();
   NpvSlab slab;
   std::vector<NpvEntry> translated;
   for (const QueryVectors& query : w.queries) {

@@ -157,8 +157,8 @@ int StreamShard::AddQueryDynamic(const Graph& query) {
       QueryState{query, std::move(vectors), false};
   GSPS_OBS_GAUGE_SET(Gauge::kQueriesActive, num_active_queries());
   if (grew_dims) {
-    // The strategy renumbered its dense dimension space; replay every
-    // stream vertex so its translated entries use the new ids.
+    // The strategy's stored stream entries dropped the new dimensions at
+    // translate time; replay every stream vertex to bring them in.
     for (int i = 0; i < num_streams(); ++i) ReplayStream(i);
   }
   return id;

@@ -119,8 +119,9 @@ class StreamShard {
   // id when one is free, a fresh index otherwise; the shard's free list is
   // the only allocator, and the strategy is handed the same id. When the
   // new query introduces dimensions no prior query used, every stream
-  // vertex is replayed through the strategy once (the dense dim space was
-  // renumbered); otherwise the cost is proportional to the new query alone.
+  // vertex is replayed through the strategy once (its stored entries
+  // dropped those dims); otherwise the cost is proportional to the new
+  // query alone.
   int AddQueryDynamic(const Graph& query);
 
   // Retires a query in place: its slab rows, signatures and per-stream

@@ -171,9 +171,7 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
   const int num_streams = static_cast<int>(streams.size());
   const int num_queries = static_cast<int>(queries.size());
 
-  if (options.check_roundtrip) {
-    if (auto failure = CheckRoundTrips(c)) return failure;
-  }
+  if (auto failure = CheckRoundTrips(c)) return failure;
 
   // Churn bookkeeping (oracle 6): which workload queries are currently
   // registered, and the engine-slot <-> workload-query maps. Without a
@@ -268,7 +266,6 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
   current.reserve(static_cast<size_t>(num_streams));
   for (const GraphStream& s : streams) current.push_back(s.StartGraph());
 
-  const bool need_truth = options.check_strategies || options.check_baselines;
   // Churn at t=0 lands after the pipelined engine's epoch-0 snapshot and
   // before any further marker, so that snapshot is legitimately stale; the
   // t=0 comparison is skipped then (t>=1 re-snapshots at AdvanceEpoch).
@@ -363,13 +360,11 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
     }
 
     std::vector<std::vector<int>> truth(static_cast<size_t>(num_streams));
-    if (need_truth) {
-      for (int i = 0; i < num_streams; ++i) {
-        for (int q = 0; q < num_queries; ++q) {
-          if (IsSubgraphIsomorphic(queries[static_cast<size_t>(q)],
-                                   current[static_cast<size_t>(i)])) {
-            truth[static_cast<size_t>(i)].push_back(q);
-          }
+    for (int i = 0; i < num_streams; ++i) {
+      for (int q = 0; q < num_queries; ++q) {
+        if (IsSubgraphIsomorphic(queries[static_cast<size_t>(q)],
+                                 current[static_cast<size_t>(i)])) {
+          truth[static_cast<size_t>(i)].push_back(q);
         }
       }
     }
@@ -388,24 +383,22 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
       }
     }
 
-    if (options.check_strategies) {
-      for (int i = 0; i < num_streams; ++i) {
-        std::vector<std::vector<int>> candidate_sets;
-        for (NamedEngine& named : engines) {
-          candidate_sets.push_back(named.engine->CandidatesForStream(i));
+    for (int i = 0; i < num_streams; ++i) {
+      std::vector<std::vector<int>> candidate_sets;
+      for (NamedEngine& named : engines) {
+        candidate_sets.push_back(named.engine->CandidatesForStream(i));
+      }
+      for (size_t k = 0; k < engines.size(); ++k) {
+        if (auto failure = CheckNoFalseNegatives(
+                engines[k].name, t, i, to_query_space(candidate_sets[k]),
+                engine_truth[static_cast<size_t>(i)])) {
+          return failure;
         }
-        for (size_t k = 0; k < engines.size(); ++k) {
-          if (auto failure = CheckNoFalseNegatives(
-                  engines[k].name, t, i, to_query_space(candidate_sets[k]),
-                  engine_truth[static_cast<size_t>(i)])) {
+        if (k > 0) {
+          if (auto failure = CheckStrategiesAgree(
+                  engines[0].name, candidate_sets[0], engines[k].name,
+                  candidate_sets[k], t, i)) {
             return failure;
-          }
-          if (k > 0) {
-            if (auto failure = CheckStrategiesAgree(
-                    engines[0].name, candidate_sets[0], engines[k].name,
-                    candidate_sets[k], t, i)) {
-              return failure;
-            }
           }
         }
       }
@@ -508,13 +501,11 @@ std::optional<std::string> RunOracles(const FuzzCase& c,
       }
     }
 
-    if (options.check_nnt_rebuild) {
-      for (int i = 0; i < num_streams; ++i) {
-        if (auto failure = CheckNntRebuild(reference.StreamNnts(i),
-                                           current[static_cast<size_t>(i)],
-                                           c.nnt_depth, t, i)) {
-          return failure;
-        }
+    for (int i = 0; i < num_streams; ++i) {
+      if (auto failure = CheckNntRebuild(reference.StreamNnts(i),
+                                         current[static_cast<size_t>(i)],
+                                         c.nnt_depth, t, i)) {
+        return failure;
       }
     }
 

@@ -55,11 +55,10 @@
 
 namespace gsps {
 
+// The oracles a caller may switch off; the engine side of oracle 1 and
+// oracles 2 and 4 always run.
 struct OracleOptions {
-  bool check_strategies = true;   // Oracle 1, engine side.
   bool check_baselines = true;    // Oracle 1, GraphGrep + gIndex2.
-  bool check_nnt_rebuild = true;  // Oracle 2.
-  bool check_roundtrip = true;    // Oracle 4.
   bool check_incremental = true;  // Oracle 5.
   bool check_churn = true;        // Oracle 6 (no-op without a schedule).
   bool check_pipelined = true;    // Oracle 8 (oracle 3 merged into it).

@@ -44,7 +44,7 @@ void CoverQuerySide::AppendVectors(int32_t id, const QueryVectors& query,
 }
 
 void CoverQuerySide::AddQuery(int32_t id, const QueryVectors& query,
-                              bool grew, const NpvDimRemap& remap) {
+                              const NpvDimRemap& remap) {
   const int32_t n = num_queries();
   GSPS_CHECK_MSG(id >= 0 && id <= n &&
                      (id == n || query_live_[static_cast<size_t>(id)] == 0),
@@ -57,13 +57,8 @@ void CoverQuerySide::AddQuery(int32_t id, const QueryVectors& query,
   }
   query_live_[static_cast<size_t>(id)] = 1;
   AppendVectors(id, query, remap);
-  if (grew) {
-    // RemapDims rewrote every live slot: the whole kernel mirror is stale.
-    batch_.Bind(slab_, remap.num_dims());
-  } else {
-    for (const int32_t slot : slots(id)) {
-      batch_.RefreshSlot(slab_, remap.num_dims(), slot);
-    }
+  for (const int32_t slot : slots(id)) {
+    batch_.RefreshSlot(slab_, remap.num_dims(), slot);
   }
   for (Stream& stream : streams_) {
     stream.cover_count.resize(static_cast<size_t>(slab_.size()), 0);

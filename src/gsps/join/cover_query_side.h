@@ -10,10 +10,11 @@
 // hot calls below inline into their loops.
 //
 // It holds the slab of non-trivial query vectors, translated through the
-// strategy's StreamSide remap (a vector's slab slot is its id throughout), and
-// the kernel bound to it; per query, its slots, trivial-vector count and
-// liveness; per stream, the cover counts and the cached candidate list. Query
-// ids are the caller's: AddQuery takes a retired id or the next unused one.
+// strategy's StreamSide query-dim filter (a vector's slab slot is its id
+// throughout), and the kernel bound to it; per query, its slots,
+// trivial-vector count and liveness; per stream, the cover counts and the
+// cached candidate list. Query ids are the caller's: AddQuery takes a
+// retired id or the next unused one.
 
 #ifndef GSPS_JOIN_COVER_QUERY_SIDE_H_
 #define GSPS_JOIN_COVER_QUERY_SIDE_H_
@@ -41,13 +42,10 @@ class CoverQuerySide {
                   const NpvDimRemap& remap);
   void SetNumStreams(int num_streams);
 
-  // Rewrites the slab after a remap regrowth (StreamSide::GrowDims).
-  void RemapDims(const std::vector<DimId>& m) { slab_.RemapDims(m); }
-
-  // Registers query `id` through `remap`, grown over its dims (`grew`: the
-  // slab was renumbered): appends its slots and widens every stream's cover
+  // Registers query `id` through `remap`, which has flagged its dims:
+  // appends its slots, re-syncs the kernel and widens every stream's cover
   // counts. The caller folds the new slots(id) into its live vertices.
-  void AddQuery(int32_t id, const QueryVectors& query, bool grew,
+  void AddQuery(int32_t id, const QueryVectors& query,
                 const NpvDimRemap& remap);
 
   // Retires query `id` (must be live): zeroes its cover state and frees
@@ -70,7 +68,7 @@ class CoverQuerySide {
     }
   }
 
-  // One kernel sweep of a stream vertex's dense entries against every
+  // One kernel sweep of a stream vertex's translated entries against every
   // slot, tallied into *stats: the dominated-slot bitset, or the batch
   // holding each slot's satisfied-entry count.
   const std::vector<uint64_t>& DominatedMask(const NpvEntry* begin,

@@ -2,8 +2,8 @@
 //
 // The join strategies' inner question — "which slab-resident query vectors
 // does this stream NPV dominate?" — is answered here in bulk. One kernel
-// invocation tests a single stream NPV (the "hay", dense-dim-translated)
-// against every vector of a bound NpvSlab (the "needles") and produces a
+// invocation tests a single stream NPV (the "hay", translated to the query
+// dims) against every vector of a bound NpvSlab (the "needles") and produces a
 // dominated bitset, fusing the 64-bit signature fast-reject with the vector
 // compare:
 //
@@ -12,7 +12,7 @@
 //      yielding an accept bitset. Rejected needles are counted but never
 //      compared entry-by-entry.
 //   2. Compare pass: the hay is scattered into a dense count array indexed
-//      by dense dim id; slab needles are swept in lane-major blocks of
+//      by dim id; slab needles are swept in lane-major blocks of
 //      kDominanceLanes vectors, one gather + compare per entry slot, so
 //      each iteration advances one entry of 8 query vectors at once.
 //      Blocks whose accept byte is zero are skipped wholesale.
@@ -144,10 +144,10 @@ class DominanceBatch {
 
   // Binds the needle side. `slab` must outlive the batch and stay
   // unmutated between Bind and the last Compute* call — after any
-  // Append/Remove/RemapDims, re-Bind (allocation-free when the slab's
+  // Append/Remove, re-Bind or RefreshSlot (allocation-free when the slab's
   // padded extents did not grow: every buffer is assign()ed in place).
-  // `num_dims` is the dense dim-id universe (NpvDimRemap::num_dims) every
-  // hay and slab entry lives in. Freed slab slots never test as dominated:
+  // `num_dims` bounds the dim ids (NpvDimRemap::num_dims) every hay and
+  // slab entry lives in. Freed slab slots never test as dominated:
   // both bitsets are masked with the slab's live words before stats, so
   // dead slots count as signature rejects on every ISA identically.
   void Bind(const NpvSlab& slab, int32_t num_dims);
@@ -164,7 +164,7 @@ class DominanceBatch {
 
   int32_t bound_size() const { return bound_n_; }
 
-  // Tests hay (entries sorted ascending by dense dim, signature over them)
+  // Tests hay (entries sorted ascending by dim, signature over them)
   // against every bound needle. Afterwards Dominated(k) is exact dominance
   // of needle k; stats accrue one batch, and tests/sig_rejects split the
   // needle count by the signature verdict.
@@ -199,7 +199,7 @@ class DominanceBatch {
   const NpvSlab* slab_ = nullptr;
   int32_t num_dims_ = 0;
   int32_t bound_n_ = 0;  // slab_->size() at Bind/RefreshSlot time.
-  AlignedI32Vector dense_;            // Hay counts by dense dim id.
+  AlignedI32Vector dense_;            // Hay counts by dim id.
   DominanceBlockLayout layout_;       // Built for AVX2 only.
   std::vector<uint64_t> accept_words_;
   std::vector<uint64_t> mask_words_;

@@ -9,7 +9,7 @@
 namespace gsps {
 namespace {
 
-// Number of slab slot `k`'s entries that `hay` (sorted by dense dim)
+// Number of slab slot `k`'s entries that `hay` (sorted by dim)
 // satisfies: the dominant counter of a vertex with entries `hay`. Linear
 // merge; a freed slot has no entries and counts 0.
 int32_t MergeCount(const std::vector<NpvEntry>& hay, const NpvSlab& slab,
@@ -60,13 +60,9 @@ void DominatedSetCoverJoin::SetQueries(std::vector<QueryVectors> queries) {
 void DominatedSetCoverJoin::AddQuery(int32_t id, const QueryVectors& query,
                                      bool* grew_dims) {
   CheckVectorNnz(query);
-  // The StreamSide moves the stream entries with the same map, so the
-  // incremental merge keeps retracting against the right lists.
-  *grew_dims = streams_.GrowDims(query, [this](const std::vector<DimId>& m) {
-    query_.RemapDims(m);
-    streams_.MoveDims(m, &dim_lists_);
-  });
-  query_.AddQuery(id, query, *grew_dims, streams_.remap());
+  *grew_dims = streams_.GrowDims(query);
+  query_.AddQuery(id, query, streams_.remap());
+  dim_lists_.resize(static_cast<size_t>(streams_.remap().num_dims()));
 
   const NpvSlab& slab = query_.slab();
   const std::vector<int32_t>& mine = query_.slots(id);

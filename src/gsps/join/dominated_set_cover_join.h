@@ -2,18 +2,18 @@
 //
 // Query side (fixed): every query vertex vector is projected into each of
 // its non-zero single dimensions; per dimension the projected values are
-// kept sorted. Dimensions are translated into the dense query dim-id space
-// (NpvDimRemap), so the per-dimension lists live in a flat array indexed by
-// dense id, and stream NPVs drop dimensions no query projects into — those
-// can never flip a counter. Every non-trivial query vector lives in one
-// NpvSlab slot, and the slot index is its id throughout: per-dimension list
-// entries, cover counts and counter rows are all indexed by it. Stream side
-// (changing): each stream vertex keeps one dominant counter per slab slot —
-// in how many of that query vector's non-zero dimensions the stream
-// vector's value is no smaller. A stream vertex dominates a query vector
-// exactly when the counter reaches the query vector's non-zero dimension
-// count; a query graph is a candidate for a stream exactly when the union
-// of dominated query vectors covers all of its vectors (Theorem 4.1).
+// kept sorted. The per-dimension lists live in a flat array indexed by
+// global dim id, and stream NPVs drop dimensions no query projects into
+// (NpvDimRemap) — those can never flip a counter. Every non-trivial query
+// vector lives in one NpvSlab slot, and the slot index is its id
+// throughout: per-dimension list entries, cover counts and counter rows are
+// all indexed by it. Stream side (changing): each stream vertex keeps one
+// dominant counter per slab slot — in how many of that query vector's
+// non-zero dimensions the stream vector's value is no smaller. A stream
+// vertex dominates a query vector exactly when the counter reaches the
+// query vector's non-zero dimension count; a query graph is a candidate
+// for a stream exactly when the union of dominated query vectors covers
+// all of its vectors (Theorem 4.1).
 //
 // Updates are incremental: when a stream vertex's NPV moves, only its own
 // counter contributions are retracted and re-added, and the cover counts
@@ -86,7 +86,7 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   std::string_view name() const override { return "DSC"; }
 
  private:
-  // One projected query value in a single (dense) dimension.
+  // One projected query value in a single dimension.
   struct DimEntry {
     int32_t value = 0;
     int32_t slot = -1;  // The query vector's slab slot.
@@ -105,12 +105,12 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   };
 
   // Moves `vertex`'s counters from its current entries to `next` (sorted
-  // ascending by dense dim): plans, then walks or seeds by kernel. The
+  // ascending by dim): plans, then walks or seeds by kernel. The
   // StreamSide stores `next` afterwards.
   void Repair(CoverQuerySide::Stream& cover, Streams::Vertex& vertex,
               std::span<const NpvEntry> next);
 
-  // Appends to plan_ the range of dense dimension `dim`'s list whose
+  // Appends to plan_ the range of dimension `dim`'s list whose
   // counters move when the vertex's value there goes between `from` and
   // `to` (`from` < `to`), and returns its length.
   int64_t PlanRange(DimId dim, int32_t from, int32_t to, int32_t delta);
@@ -124,8 +124,9 @@ class DominatedSetCoverJoin final : public JoinStrategy {
   Streams streams_;
   // The query vectors, their cover counts and the candidate caches.
   CoverQuerySide query_;
-  // Dense dimension -> sorted projected query values (the paper's
-  // per-dimension sorted lists), indexed directly by dense dim id.
+  // Dimension -> sorted projected query values (the paper's per-dimension
+  // sorted lists), indexed directly by dim id, one past the largest query
+  // dim long.
   std::vector<std::vector<DimEntry>> dim_lists_;
   // Entries over all dim_lists_: the live slots' total nnz.
   int64_t list_entries_ = 0;

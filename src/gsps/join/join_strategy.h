@@ -22,9 +22,10 @@
 // a cached per-stream candidate list. CandidatesForStream answers from the
 // cache when no delta touched the stream since the last call (a "verdict
 // reuse"), and otherwise recomputes only what the delta invalidated.
-// Query-side vectors live in a dense dim-id-translated slab (see
-// NpvDimRemap/NpvSlab in nnt/npv.h), so dominance tests that survive the
-// 64-bit signature fast-reject are linear merges over contiguous arrays.
+// Query-side vectors live in a slab, and stream vectors keep only the query
+// dims (see NpvDimRemap/NpvSlab in nnt/npv.h), so dominance tests that
+// survive the 64-bit signature fast-reject are linear merges over contiguous
+// arrays.
 // NL and DSC share that query side and the cover counts built on it
 // (CoverQuerySide, cover_query_side.h); Skyline keeps its own slab of
 // skyline points. All three share one stream side (stream_side.h). Query
@@ -78,10 +79,10 @@ class JoinStrategy {
   // (one past the largest id ever registered), and the strategy checks
   // both. May be called after SetNumStreams with stream state already in
   // place; the strategy folds the new query into every live stream vertex
-  // incrementally. Sets *grew_dims to true when the query introduced dense
+  // incrementally. Sets *grew_dims to true when the query introduced
   // dimensions no existing query used — the caller must then replay every
   // stream vertex NPV through UpdateStreamVertex, because stream-side
-  // vectors translated before the growth dropped those dimensions at
+  // vectors translated before the query dropped those dimensions at
   // translate time and cannot be fixed up in place.
   virtual void AddQuery(int32_t id, const QueryVectors& query,
                         bool* grew_dims) = 0;

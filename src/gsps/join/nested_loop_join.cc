@@ -18,10 +18,8 @@ void NestedLoopJoin::SetNumStreams(int num_streams) {
 
 void NestedLoopJoin::AddQuery(int32_t id, const QueryVectors& query,
                               bool* grew_dims) {
-  *grew_dims = streams_.GrowDims(query, [this](const std::vector<DimId>& m) {
-    query_.RemapDims(m);
-  });
-  query_.AddQuery(id, query, *grew_dims, streams_.remap());
+  *grew_dims = streams_.GrowDims(query);
+  query_.AddQuery(id, query, streams_.remap());
   // On growth the caller replays every vertex, re-translating its entries.
   if (*grew_dims) return;
   // Fold the new vectors into the existing cover state: each live vertex
@@ -55,37 +53,54 @@ void NestedLoopJoin::RemoveQuery(int32_t id) {
 void NestedLoopJoin::UpdateStreamVertex(int stream_index, VertexId v,
                                         const Npv& npv) {
   CoverQuerySide::Stream& cover = query_.stream(stream_index);
-  streams_.Update(
+  const bool became_nonempty = streams_.Update(
       stream_index, v, npv,
       [&](Streams::Vertex& vertex, const std::vector<NpvEntry>& next,
           NpvSignature sig) {
-        for (const int32_t k : vertex.state) {
-          query_.SetDominates(cover, k, false);
-        }
-        vertex.state.clear();
         const std::vector<uint64_t>& mask = query_.DominatedMask(
             next.data(), next.data() + next.size(), sig, &tally_.kernel);
+        // Diff the old slot list against the new mask: only flipped slots
+        // reach SetDominates, so an update that flips none keeps the cache.
+        // Every slot is below the bound slab's size, so the mask covers it.
+        dominated_before_.resize(mask.size(), 0);
+        for (const int32_t k : vertex.state) {
+          GSPS_DCHECK(static_cast<size_t>(k) / 64 < mask.size());
+          dominated_before_[static_cast<size_t>(k) / 64] |=
+              uint64_t{1} << (static_cast<uint32_t>(k) % 64);
+        }
+        vertex.state.clear();
+        auto slot = [](size_t w, uint64_t word) {
+          return static_cast<int32_t>(
+              w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
+        };
         for (size_t w = 0; w < mask.size(); ++w) {
-          uint64_t word = mask[w];
-          while (word != 0) {
-            const int32_t k = static_cast<int32_t>(
-                w * 64 + static_cast<size_t>(__builtin_ctzll(word)));
-            word &= word - 1;
-            vertex.state.push_back(k);
-            query_.SetDominates(cover, k, true);
+          const uint64_t before = dominated_before_[w];
+          dominated_before_[w] = 0;
+          for (uint64_t lost = before & ~mask[w]; lost != 0; lost &= lost - 1) {
+            query_.SetDominates(cover, slot(w, lost), false);
+          }
+          for (uint64_t word = mask[w]; word != 0; word &= word - 1) {
+            vertex.state.push_back(slot(w, word));
+          }
+          for (uint64_t won = mask[w] & ~before; won != 0; won &= won - 1) {
+            query_.SetDominates(cover, slot(w, won), true);
           }
         }
       });
-  cover.cache_valid = false;
+  // Beyond flips, only the stream turning non-empty changes a verdict.
+  if (became_nonempty) cover.cache_valid = false;
 }
 
 void NestedLoopJoin::RemoveStreamVertex(int stream_index, VertexId v) {
   CoverQuerySide::Stream& cover = query_.stream(stream_index);
-  streams_.Remove(stream_index, v, [&](Streams::Vertex& vertex) {
-    for (const int32_t k : vertex.state) query_.SetDominates(cover, k, false);
-    vertex.state.clear();
-    cover.cache_valid = false;
-  });
+  const bool emptied =
+      streams_.Remove(stream_index, v, [&](Streams::Vertex& vertex) {
+        for (const int32_t k : vertex.state) {
+          query_.SetDominates(cover, k, false);
+        }
+        vertex.state.clear();
+      });
+  if (emptied) cover.cache_valid = false;
 }
 
 void NestedLoopJoin::CandidatesForStream(int stream_index,

@@ -4,11 +4,11 @@
 // stream vertex (Lemma 4.2). The pairwise dominance scan is the baseline the
 // optimized strategies are property-tested against, but it is evaluated
 // incrementally: when a stream vertex's NPV changes, only that vertex is
-// re-tested against the query vectors (signature fast-reject first, then a
-// linear merge against the dense query slab), and the shared cover counts
-// (CoverQuerySide) absorb the delta. CandidatesForStream is an O(queries)
-// counter scan, answered from a cached list when no delta touched the
-// stream.
+// re-tested against the query vectors (one kernel sweep of the query slab,
+// signature fast-reject first), and only the slots whose domination flipped
+// reach the shared cover counts (CoverQuerySide). CandidatesForStream is an
+// O(queries) counter scan, answered from a cached list while no slot has
+// flipped and the stream's emptiness has held since the last call.
 
 #ifndef GSPS_JOIN_NESTED_LOOP_JOIN_H_
 #define GSPS_JOIN_NESTED_LOOP_JOIN_H_
@@ -44,6 +44,9 @@ class NestedLoopJoin final : public JoinStrategy {
 
   Streams streams_;
   CoverQuerySide query_;
+  // Update scratch: the vertex's old slots as a bitset, all zero between
+  // updates, capacity kept so steady-state updates allocate nothing.
+  std::vector<uint64_t> dominated_before_;
   JoinTally tally_;
 };
 

@@ -14,15 +14,14 @@ void SkylineEarlyStopJoin::SetQueries(std::vector<QueryVectors> queries) {
   streams_.SetQueries(queries);
   plans_.resize(queries.size());
   for (size_t j = 0; j < queries.size(); ++j) {
-    BuildPlan(static_cast<int32_t>(j), queries[j].vectors, &tally_.kernel);
+    BuildPlan(static_cast<int32_t>(j), queries[j].vectors);
   }
   // Setup-time kernel work stays out of the per-refresh counts.
   tally_.Publish(scratch_batch_.isa(), false, 0, 0);
 }
 
 void SkylineEarlyStopJoin::BuildPlan(int32_t j,
-                                     const std::vector<Npv>& vectors,
-                                     DominanceKernelStats* build_stats) {
+                                     const std::vector<Npv>& vectors) {
   QueryPlan& plan = plans_[static_cast<size_t>(j)];
   plan.points.clear();
   plan.union_sig = 0;
@@ -67,7 +66,7 @@ void SkylineEarlyStopJoin::BuildPlan(int32_t j,
     for (size_t i = 0; i < num_distinct; ++i) {
       const int32_t k = static_cast<int32_t>(i);
       scratch_batch_.ComputeMask(scratch_slab_.begin(k), scratch_slab_.end(k),
-                                 scratch_slab_.signature(k), build_stats);
+                                 scratch_slab_.signature(k), &tally_.kernel);
       int64_t dominated = 0;
       for (size_t w = 0; w < words; ++w) {
         scratch_row_[w] = scratch_batch_.mask_words()[w];
@@ -102,24 +101,11 @@ void SkylineEarlyStopJoin::AddQuery(int32_t id, const QueryVectors& query,
   GSPS_CHECK_MSG(id >= 0 && id <= n &&
                      (id == n || !plans_[static_cast<size_t>(id)].live),
                  "AddQuery: the id must be retired or the next unused one");
-  *grew_dims = streams_.GrowDims(query, [this](const std::vector<DimId>& m) {
-    points_.RemapDims(m);
-    for (QueryPlan& plan : plans_) {
-      if (!plan.live) continue;
-      plan.union_sig = 0;
-      for (const int32_t point : plan.points) {
-        plan.union_sig |= points_.signature(point);
-      }
-    }
-    for (StreamState& stream : states_) {
-      streams_.MoveDims(m, &stream.buckets);
-      // Dense signatures were renumbered, so the bounded changed-signature
-      // filter can no longer be trusted: force full reevaluation.
-      stream.changed_overflow = true;
-      stream.combined_changed = ~NpvSignature{0};
-      stream.cache_valid = false;
-    }
-  });
+  // No signature moves, so the changed-signature lists stay valid; the
+  // new dims' buckets start empty until the caller's replay fills them.
+  *grew_dims = streams_.GrowDims(query);
+  const size_t num_dims = static_cast<size_t>(streams_.remap().num_dims());
+  for (StreamState& stream : states_) stream.buckets.resize(num_dims);
 
   if (id == n) {
     plans_.emplace_back();
@@ -127,12 +113,8 @@ void SkylineEarlyStopJoin::AddQuery(int32_t id, const QueryVectors& query,
       stream.verdicts.emplace_back();
     }
   }
-  // AddQuery's plan-build batches are not counted; its tests and rejects
-  // are published with the next refresh.
-  DominanceKernelStats build_stats;
-  BuildPlan(id, query.vectors, &build_stats);
-  tally_.kernel.tests += build_stats.tests;
-  tally_.kernel.sig_rejects += build_stats.sig_rejects;
+  // The plan build's kernel work is published with the next refresh.
+  BuildPlan(id, query.vectors);
   const QueryPlan& plan = plans_[static_cast<size_t>(id)];
   // Eager verdict: the cached-verdict invariant ("state as of the last
   // refresh") only holds for plans that existed at that refresh, so the new

@@ -110,7 +110,7 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
   using Streams = StreamSide<NoVertexState>;
 
   struct StreamState {
-    // Indexed by dense dim id.
+    // Indexed by dim id, one past the largest query dim long.
     std::vector<DimBucket> buckets;
     std::vector<Verdict> verdicts;
     std::array<NpvSignature, kMaxChangedSigs> changed_sigs{};
@@ -140,14 +140,14 @@ class SkylineEarlyStopJoin final : public JoinStrategy {
                      const std::vector<NpvEntry>& entries);
 
   // Computes the plan (skyline + ordering + point slab slots) for one
-  // query's vectors into plans_[j] using the member scratch. Shared by
-  // SetQueries and AddQuery (which follows it with an eager verdict scan).
-  void BuildPlan(int32_t j, const std::vector<Npv>& vectors,
-                 DominanceKernelStats* build_stats);
+  // query's vectors into plans_[j] using the member scratch, tallying its
+  // kernel work. Shared by SetQueries and AddQuery (which follows it with
+  // an eager verdict scan).
+  void BuildPlan(int32_t j, const std::vector<Npv>& vectors);
 
   // Indexed by query id.
   std::vector<QueryPlan> plans_;
-  // All skyline points of all plans, dense-translated, in one slab.
+  // All skyline points of all plans, in one slab.
   NpvSlab points_;
   Streams streams_;
   std::vector<StreamState> states_;  // Indexed like streams_.

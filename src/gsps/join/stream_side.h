@@ -2,10 +2,11 @@
 //
 // A stream's candidates depend only on its vertices' NPVs (Lemma 4.2,
 // Theorem 4.1), so all three keep one record per stream vertex, in a flat
-// table per stream indexed by VertexId: the NPV in the dense query dims,
-// its signature, and the strategy's own `State`. StreamSide owns the
-// tables, the live counts and the remap. A removed vertex is a tombstone
-// that keeps its buffers' capacity, so re-adding it allocates nothing.
+// table per stream indexed by VertexId: the NPV's entries in the query
+// dims (global ids, NpvDimRemap), its signature, and the strategy's own
+// `State`. StreamSide owns the tables, the live counts and the query-dim
+// filter. A removed vertex is a tombstone that keeps its buffers' capacity,
+// so re-adding it allocates nothing.
 
 #ifndef GSPS_JOIN_STREAM_SIDE_H_
 #define GSPS_JOIN_STREAM_SIDE_H_
@@ -24,18 +25,17 @@ template <typename State>
 class StreamSide {
  public:
   struct Vertex {
-    std::vector<NpvEntry> entries;  // Dense dims, ascending; empty if dead.
+    std::vector<NpvEntry> entries;  // Query dims, ascending; empty if dead.
     NpvSignature sig = 0;
     bool live = false;
     [[no_unique_address]] State state;
   };
 
-  // Seals the remap over the initial queries' dims.
+  // Flags the initial queries' dims.
   void SetQueries(const std::vector<QueryVectors>& queries) {
     for (const QueryVectors& query : queries) {
       for (const Npv& vector : query.vectors) remap_.AddDims(vector);
     }
-    remap_.Seal();
   }
 
   void SetNumStreams(int num_streams) {
@@ -43,45 +43,20 @@ class StreamSide {
     streams_.resize(static_cast<size_t>(num_streams));
   }
 
-  // Grows the remap over `query`'s dims; returns true when they grew. Each
-  // regrowth rewrites every stored entry and signature, then on_grow(
-  // old_to_new) moves the strategy's query side. Dropped dims come back
-  // only when the caller replays every vertex.
-  template <typename OnGrow>
-  bool GrowDims(const QueryVectors& query, OnGrow&& on_grow) {
+  // Flags `query`'s dims; returns true when some were new. No id moves, so
+  // stored entries stay valid, but they dropped the new dims at translate
+  // time: those come back only when the caller replays every vertex.
+  bool GrowDims(const QueryVectors& query) {
     bool grew = false;
     for (const Npv& vector : query.vectors) {
-      if (!remap_.GrowDims(vector, &old_to_new_)) continue;
+      if (!remap_.AddDims(vector)) continue;
       grew = true;
       GSPS_OBS_COUNT(Counter::kRemapRegrowths, 1);
-      for (Stream& stream : streams_) {
-        for (Vertex& vertex : stream.vertices) {
-          for (NpvEntry& e : vertex.entries) e.dim = NewDim(old_to_new_, e.dim);
-          vertex.sig = SignatureOf(vertex.entries.data(),
-                                   vertex.entries.data() +
-                                       vertex.entries.size());
-        }
-      }
-      on_grow(old_to_new_);
     }
     return grew;
   }
 
-  // Moves per-dense-dim state to the ids a regrowth gave its dims, highest
-  // first: old_to_new is strictly increasing, so a self-mapped prefix stays.
-  template <typename T>
-  void MoveDims(const std::vector<DimId>& old_to_new,
-                std::vector<T>* per_dim) const {
-    per_dim->resize(static_cast<size_t>(remap_.num_dims()));
-    for (DimId d = static_cast<DimId>(old_to_new.size()) - 1;
-         d >= 0 && NewDim(old_to_new, d) != d; --d) {
-      // The target is fresh or already vacated, so d is left empty.
-      std::swap((*per_dim)[static_cast<size_t>(NewDim(old_to_new, d))],
-                (*per_dim)[static_cast<size_t>(d)]);
-    }
-  }
-
-  // `npv` in the dense dims, in scratch that the next call overwrites.
+  // `npv` in the query dims, in scratch that the next call overwrites.
   const std::vector<NpvEntry>& Translate(const Npv& npv) {
     remap_.Translate(npv, &next_);
     return next_;
@@ -164,15 +139,10 @@ class StreamSide {
     int32_t live = 0;
   };
 
-  static DimId NewDim(const std::vector<DimId>& old_to_new, DimId dim) {
-    return old_to_new[static_cast<size_t>(dim)];
-  }
-
   NpvDimRemap remap_;
   std::vector<Stream> streams_;
   // Scratch, capacity kept so steady-state updates allocate nothing.
   std::vector<NpvEntry> next_;
-  std::vector<DimId> old_to_new_;
 };
 
 }  // namespace gsps

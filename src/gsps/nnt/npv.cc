@@ -66,65 +66,30 @@ bool Npv::Dominates(const Npv& other) const {
                         other.entries_.data() + other.entries_.size());
 }
 
-bool NpvDimRemap::Mark(const Npv& npv) {
-  bool marked = false;
+bool NpvDimRemap::AddDims(const Npv& npv) {
+  bool added = false;
   for (const NpvEntry& e : npv.entries()) {
     const size_t d = static_cast<size_t>(e.dim);
-    if (d >= dense_of_.size()) dense_of_.resize(d + 1, kAbsent);
-    if (dense_of_[d] == kAbsent) {
-      dense_of_[d] = kUnranked;
-      marked = true;
+    if (d >= flagged_.size()) flagged_.resize(d + 1, 0);
+    if (flagged_[d] == 0) {
+      flagged_[d] = 1;
+      added = true;
     }
   }
-  return marked;
-}
-
-void NpvDimRemap::Rank(std::vector<DimId>* old_to_new) {
-  DimId next = 0;
-  for (DimId& dense : dense_of_) {
-    if (dense == kAbsent) continue;
-    if (dense >= 0 && old_to_new != nullptr) {
-      (*old_to_new)[static_cast<size_t>(dense)] = next;
-    }
-    dense = next++;
-  }
-  num_dims_ = next;
-}
-
-void NpvDimRemap::AddDims(const Npv& npv) {
-  GSPS_DCHECK(!sealed_);
-  Mark(npv);
-}
-
-void NpvDimRemap::Seal() {
-  Rank(nullptr);
-  sealed_ = true;
-}
-
-bool NpvDimRemap::GrowDims(const Npv& npv, std::vector<DimId>* old_to_new) {
-  GSPS_DCHECK(sealed_);
-  // Every dim already mapped: Mark writes nothing, so re-adding a known
-  // query stays allocation-free.
-  if (!Mark(npv)) return false;
-  old_to_new->resize(static_cast<size_t>(num_dims_));
-  Rank(old_to_new);
-  return true;
+  return added;
 }
 
 NpvSignature NpvDimRemap::Translate(const Npv& npv,
                                     std::vector<NpvEntry>* out) const {
-  GSPS_DCHECK(sealed_);
   out->clear();
   NpvSignature sig = 0;
-  // Dense ids ascend with global dims, so output order stays ascending.
-  const size_t table_size = dense_of_.size();
+  const size_t table_size = flagged_.size();
   for (const NpvEntry& e : npv.entries()) {
     const size_t d = static_cast<size_t>(e.dim);
     if (d >= table_size) break;
-    const DimId dense = dense_of_[d];
-    if (dense < 0) continue;
-    out->push_back(NpvEntry{dense, e.count});
-    sig |= NpvSignatureBit(dense);
+    if (flagged_[d] == 0) continue;
+    out->push_back(e);
+    sig |= NpvSignatureBit(e.dim);
   }
   return sig;
 }
@@ -207,20 +172,6 @@ void NpvSlab::Clear() {
   free_slots_.clear();
   live_words_.clear();
   num_live_ = 0;
-}
-
-void NpvSlab::RemapDims(const std::vector<DimId>& old_to_new) {
-  for (size_t i = 0; i < refs_.size(); ++i) {
-    const Ref& ref = refs_[i];
-    if (!ref.live) continue;
-    NpvEntry* begin = entries_.data() + ref.offset;
-    NpvEntry* end = begin + ref.size;
-    for (NpvEntry* e = begin; e != end; ++e) {
-      GSPS_DCHECK(static_cast<size_t>(e->dim) < old_to_new.size());
-      e->dim = old_to_new[static_cast<size_t>(e->dim)];
-    }
-    sigs_[i] = SignatureOf(begin, end);
-  }
 }
 
 void NpvSlab::CheckKernelLayout() const {

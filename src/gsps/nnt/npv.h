@@ -8,13 +8,12 @@
 // (dim mod 64) set for each non-zero dimension. A vector can dominate
 // another only if its signature is a bit-superset of the other's, so
 // Dominates rejects most non-dominating pairs with one mask before the
-// entry merge. NpvDimRemap + NpvSlab support the join strategies' dense
-// layout: query-side vectors are translated into a contiguous dense dim-id
-// space and stored back-to-back, and stream vectors are translated into the
-// same space (dropping dimensions no query uses, which is
+// entry merge. NpvDimRemap + NpvSlab support the join strategies' layout:
+// query-side vectors are stored back-to-back, and stream vectors keep only
+// the dimensions some query uses, under their own ids (dropping the rest is
 // dominance-preserving because only the query's non-zero dimensions are
-// ever inspected). With at most 64 distinct query dimensions the dense
-// signatures are exact, not hashed.
+// ever inspected). When every query dimension is below 64 the signatures
+// are exact, not hashed.
 
 #ifndef GSPS_NNT_NPV_H_
 #define GSPS_NNT_NPV_H_
@@ -38,7 +37,7 @@ struct NpvEntry {
 
 // Bit (dim mod 64) per non-zero dimension. A superset test on signatures is
 // a necessary condition for dominance (exact when all dims are < 64, e.g.
-// after dense translation of a small query dim set).
+// a small query dim set interned before any stream's).
 using NpvSignature = uint64_t;
 
 constexpr NpvSignature NpvSignatureBit(DimId dim) {
@@ -103,69 +102,33 @@ class Npv {
   NpvSignature signature_ = 0;
 };
 
-// Dense dimension-id translation for a vector set (the join query side).
-// Build with AddDims over every query vector, then Seal; the dims seen map
-// to the dense range [0, num_dims()) in ascending order, so translation
-// preserves entry order. Stream-side vectors translated through the same
-// remap drop every dimension no query uses — such dimensions can never fail
-// a dominance test against a query vector.
+// The join's dimension filter over global dim ids (the join query side).
+// AddDims flags the dims of every query vector; Translate keeps a vector's
+// entries in flagged dims, under their own ids, and drops the rest — such
+// dimensions can never fail a dominance test against a query vector. A
+// query with new dims only flags them: no id moves, so nothing translated
+// earlier needs a rewrite. Stream vectors translated before the flag
+// dropped the new dims, so the caller must re-translate them.
 //
-// Seal is not final: GrowDims registers additional dims after Seal (a newly
-// added query may project onto dimensions no earlier query used). Growth
-// renumbers the dense ids; GrowDims hands back the monotonic old-to-new
-// dense-id map that rewrites already-translated entries in place. That is
-// exact for query-side vectors. Stream-side vectors dropped their dims in
-// the grown range at translate time, so after the rewrite they must still
-// be re-translated from the originals.
-//
-// The remap is one table indexed by global dim id, as long as the largest
-// registered dim + 1: Translate is one lookup per entry, so its cost follows
-// the translated vector's nnz, not the number of query dims.
+// The filter is one flag per global dim, as long as the largest flagged
+// dim + 1: Translate is one lookup per entry, so its cost follows the
+// translated vector's nnz, not the number of query dims.
 class NpvDimRemap {
  public:
-  // Collect phase: registers the non-zero dims of `npv`.
-  void AddDims(const Npv& npv);
+  // Flags the non-zero dims of `npv`. Returns true when a dim was new;
+  // writes nothing otherwise, so re-adding a known query allocates nothing.
+  bool AddDims(const Npv& npv);
 
-  // Freezes the dim set; after this, only GrowDims may extend it.
-  void Seal();
+  // One past the largest flagged dim: the extent of every per-dim array.
+  int32_t num_dims() const { return static_cast<int32_t>(flagged_.size()); }
 
-  bool sealed() const { return sealed_; }
-
-  // Number of distinct dims registered. Valid after Seal.
-  int32_t num_dims() const { return num_dims_; }
-
-  // Post-seal growth: registers any of `npv`'s dims not yet mapped. Returns
-  // true when the dim set grew; *old_to_new is then resized to the previous
-  // num_dims() with old_to_new[old_dense] = new dense id (strictly
-  // increasing, so rewriting dims in place keeps entries sorted). When
-  // nothing grew, returns false without touching *old_to_new — that path is
-  // allocation-free, so re-adding a known query stays zero-alloc.
-  bool GrowDims(const Npv& npv, std::vector<DimId>* old_to_new);
-
-  // Rewrites `npv` into *out (cleared first, capacity reused): entries with
-  // a registered dim keep their count under the dense id, others are
-  // dropped. Returns the signature over the dense ids. One table lookup per
-  // entry; entries ascend, so the scan stops at the first dim past the
-  // table.
+  // Copies `npv`'s entries in flagged dims into *out (cleared first,
+  // capacity reused) and returns their signature. Entries ascend, so the
+  // scan stops at the first dim past the table.
   NpvSignature Translate(const Npv& npv, std::vector<NpvEntry>* out) const;
 
  private:
-  static constexpr DimId kAbsent = -1;    // Dim not registered.
-  static constexpr DimId kUnranked = -2;  // Registered, dense id pending.
-
-  // Registers `npv`'s unmapped dims as kUnranked, growing the table as
-  // needed. Returns true when any dim was new; writes nothing otherwise.
-  bool Mark(const Npv& npv);
-  // Numbers every registered dim in ascending global order. A dim that
-  // already had a dense id records its new one in (*old_to_new)[old] when
-  // old_to_new is non-null.
-  void Rank(std::vector<DimId>* old_to_new);
-
-  // Global dim -> dense id, kAbsent for dims no vector registered (and,
-  // implicitly, for every dim past the end).
-  std::vector<DimId> dense_of_;
-  int32_t num_dims_ = 0;
-  bool sealed_ = false;
+  std::vector<uint8_t> flagged_;  // Per global dim: 1 when a query uses it.
 };
 
 // Layout contract of the slab's signature array, the one slab array the
@@ -210,11 +173,6 @@ class NpvSlab {
 
   // Forgets every slot but keeps array capacity — the scratch-slab reset.
   void Clear();
-
-  // Rewrites the dims of every live entry through `old_to_new` (from
-  // NpvDimRemap::GrowDims; strictly increasing, so per-slot entry order is
-  // preserved) and recomputes the live signatures. Sentinels are untouched.
-  void RemapDims(const std::vector<DimId>& old_to_new);
 
   int32_t size() const { return static_cast<int32_t>(refs_.size()); }
   int32_t num_live() const { return num_live_; }

@@ -83,7 +83,7 @@ constexpr const char* kCounterHelp[kNumCounters] = {
     "Pairs surviving the join as candidates",
     "Join calls answered from cached per-stream verdicts",
     "Dominance pairs rejected on the 64-bit signature alone",
-    "Post-seal dimension-remap growths",
+    "Runtime-added query vectors that brought new dimensions",
     "Dominance kernel batches on the scalar path",
     "Dominance kernel batches on the AVX2 path",
     "CandidateTracker observations",

@@ -63,12 +63,12 @@ enum class Counter : int {
   kJoinPairsOut,           // Pairs surviving as candidates.
   kJoinVerdictsReused,     // CandidatesForStream calls answered entirely from
                            // the cached per-stream verdicts (no delta since
-                           // the last refresh).
+                           // the last refresh could change one).
   kJoinSignatureRejects,   // Dominance pairs rejected by the 64-bit non-zero
                            // dimension signature before any entry merge.
-  kRemapRegrowths,         // NpvDimRemap post-seal growths: a dynamically
-                           // added query introduced dims no earlier query
-                           // used, forcing a re-translate of the slab.
+  kRemapRegrowths,         // Query vectors added at runtime with dims no
+                           // earlier query used: the join flags them, and
+                           // the shard replays every stream vertex.
   // Dominance kernel dispatch (join/dominance_kernel.cc). One batch = one
   // hay NPV tested against a whole bound slab; the split by ISA makes the
   // runtime dispatch decision observable.

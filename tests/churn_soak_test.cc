@@ -42,7 +42,7 @@ constexpr JoinKind kAllKinds[] = {
 };
 
 // A query over labels the synthetic generator never emits; `salt` varies
-// the dim set so repeated adds keep forcing remap regrowth.
+// the dim set so repeated adds keep bringing new dims.
 Graph FreshLabelQuery(int salt) {
   Graph g;
   g.EnsureVertex(0, 90 + 2 * salt);
@@ -150,7 +150,7 @@ TEST(ChurnSoakTest, SteadyStateRemoveReaddAllocatesNothing) {
     for (int j = 0; j < nq; ++j) {
       strategy->RemoveQuery(j);
       strategy->AddQuery(j, qvecs[static_cast<size_t>(j)], &grew);
-      ASSERT_FALSE(grew);  // The remap already knows every dim.
+      ASSERT_FALSE(grew);  // Every dim is already flagged.
       strategy->CandidatesForStream(0, &cands);
     }
 

@@ -3,7 +3,7 @@
 // freshly built engine over the surviving query set — per strategy, per
 // engine (sequential and threaded), at every timestamp, including
 // bit-identical re-adds into reused slots and a query that introduces new
-// dense dimensions mid-run. The churn-oracle in the fuzzer (oracle 6)
+// dimensions mid-run. The churn-oracle in the fuzzer (oracle 6)
 // extends this with randomized schedules; this file pins the deterministic
 // corners.
 
@@ -55,7 +55,7 @@ ChurnData MakeChurnData(uint64_t seed) {
 }
 
 // A query over labels the synthetic generator never emits: registering it
-// dynamically is guaranteed to grow the strategies' dense dim space.
+// dynamically is guaranteed to bring dims no earlier query used.
 Graph FreshLabelQuery() {
   Graph g;
   g.EnsureVertex(0, 91);
@@ -171,7 +171,7 @@ TEST_P(ChurnDifferentialTest, ChurnedEnginesMatchFreshBuildsAtEveryTimestamp) {
         EXPECT_EQ(add(data.queries[1]), 1);  // Reuses the retired slot.
         break;
       case 8:
-        add(FreshLabelQuery());  // Forces a dim-remap regrowth.
+        add(FreshLabelQuery());  // Brings new dims: a replay.
         break;
       case 10:
         remove(0);

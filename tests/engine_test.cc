@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "gsps/engine/filter_stats.h"
 #include "gsps/gen/stream_generator.h"
 #include "gsps/graph/graph_change.h"
+#include "gsps/iso/branch_compatibility.h"
 
 namespace gsps {
 namespace {
@@ -155,6 +158,51 @@ TEST(EngineTest, EngineMatchesColdRestartAcrossAStream) {
     fresh.Start();
     EXPECT_EQ(incremental.AllCandidatePairs(), fresh.AllCandidatePairs())
         << "t=" << t;
+  }
+}
+
+// AddQuery builds a query's NPVs at once and Start builds the stream NNTs,
+// so the shard's DimensionTable numbers the query dims [0, Q) before any
+// stream dim. The join keeps global dim ids, so with Q <= 64 its
+// signatures are exact.
+TEST(EngineTest, QueriesInternTheirDimsBeforeAnyStream) {
+  SyntheticStreamParams params;
+  params.num_pairs = 3;
+  params.avg_graph_edges = 10;
+  params.evolution.num_timestamps = 6;
+  params.seed = 21;
+  const StreamDataset dataset = MakeSyntheticStreams(params);
+
+  EngineOptions options;
+  options.nnt_depth = 3;
+  ContinuousQueryEngine engine(options);
+  for (const Graph& q : dataset.queries) engine.AddQuery(q);
+  const int32_t num_query_dims = engine.dimensions().size();
+  ASSERT_GT(num_query_dims, 0);
+  for (const GraphStream& s : dataset.streams) engine.AddStream(s.StartGraph());
+  engine.Start();
+  for (int t = 1; t < params.evolution.num_timestamps; ++t) {
+    for (size_t i = 0; i < dataset.streams.size(); ++i) {
+      engine.ApplyChange(static_cast<int>(i), dataset.streams[i].ChangeAt(t));
+    }
+  }
+  // The streams interned dims no query uses, so the check is not vacuous.
+  EXPECT_GT(engine.dimensions().size(), num_query_dims);
+
+  // A branch of k edges counts at (k, label of vertex k-1, label of vertex
+  // k), which sit at signature positions 2k-2 and 2k.
+  for (const Graph& q : dataset.queries) {
+    for (VertexId v = 0; v < q.VertexIdBound(); ++v) {
+      if (!q.HasVertex(v)) continue;
+      for (const auto& [branch, count] :
+           EnumerateBranches(q, v, options.nnt_depth)) {
+        const size_t k = (branch.size() - 1) / 2;
+        const std::optional<DimId> dim = engine.dimensions().Find(
+            static_cast<int32_t>(k), branch[2 * k - 2], branch[2 * k]);
+        ASSERT_TRUE(dim.has_value());
+        EXPECT_LT(*dim, num_query_dims);
+      }
+    }
   }
 }
 

@@ -470,6 +470,75 @@ TEST(JoinIncrementalTest, StrategyMatchesFreshReplayUnderChurn) {
   }
 }
 
+// An update that moves a vertex's NPV but flips no slot changes no
+// verdict, so the next refresh is a reuse; a flip is not.
+TEST(JoinVerdictCacheTest, UpdateThatFlipsNoSlotReusesTheVerdict) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "instrumentation compiled out (GSPS_OBS_DISABLED)";
+  }
+  for (const JoinKind kind :
+       {JoinKind::kNestedLoop, JoinKind::kDominatedSetCover}) {
+    auto strategy = MakeJoinStrategy(kind);
+    std::vector<QueryVectors> queries;
+    queries.push_back(MakeQuery({Npv::FromMap({{0, 1}})}));
+    queries.push_back(MakeQuery({Npv::FromMap({{1, 2}})}));
+    strategy->SetQueries(std::move(queries));
+    strategy->SetNumStreams(1);
+    strategy->UpdateStreamVertex(0, 0, Npv::FromMap({{0, 1}, {1, 1}}));
+    ASSERT_EQ(strategy->CandidatesForStream(0), std::vector<int>{0});
+
+    obs::MetricSink sink;
+    {
+      obs::ScopedObsContext scope(&sink, nullptr);
+      // Still dominates query 0's vector, still misses query 1's.
+      strategy->UpdateStreamVertex(0, 0, Npv::FromMap({{0, 3}, {1, 1}}));
+      EXPECT_EQ(strategy->CandidatesForStream(0), std::vector<int>{0});
+      EXPECT_EQ(sink.Value(obs::Counter::kJoinVerdictsReused), 1)
+          << JoinKindName(kind);
+      // Now it dominates query 1's vector too.
+      strategy->UpdateStreamVertex(0, 0, Npv::FromMap({{0, 3}, {1, 2}}));
+      EXPECT_EQ(strategy->CandidatesForStream(0), (std::vector<int>{0, 1}));
+      EXPECT_EQ(sink.Value(obs::Counter::kJoinVerdictsReused), 1)
+          << JoinKindName(kind);
+    }
+    strategy->CheckChurnInvariants();
+  }
+}
+
+// Skyline's plan build runs one kernel batch per distinct non-trivial
+// query vector. A query added at runtime publishes those batches with the
+// next refresh, under the dispatched ISA's counter.
+TEST(SkylinePlanBuildTest, AddQueryBatchesAreCounted) {
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "instrumentation compiled out (GSPS_OBS_DISABLED)";
+  }
+  auto skyline = MakeJoinStrategy(JoinKind::kSkylineEarlyStop);
+  std::vector<QueryVectors> queries;
+  queries.push_back(
+      MakeQuery({Npv::FromMap({{0, 1}}), Npv::FromMap({{1, 1}})}));
+  skyline->SetQueries(std::move(queries));
+  skyline->SetNumStreams(1);
+  skyline->UpdateStreamVertex(0, 0, Npv::FromMap({{0, 2}, {1, 1}}));
+  skyline->CandidatesForStream(0);
+
+  // Three distinct non-trivial vectors, a repeat and a trivial one, all
+  // over known dims.
+  const Npv a = Npv::FromMap({{0, 1}});
+  const QueryVectors added = MakeQuery(
+      {a, Npv::FromMap({{1, 1}}), Npv::FromMap({{0, 2}, {1, 1}}), a, Npv{}});
+  const obs::Counter batches = DominanceBatchCounter(ActiveDominanceIsa());
+  obs::MetricSink sink;
+  {
+    obs::ScopedObsContext scope(&sink, nullptr);
+    bool grew_dims = true;
+    skyline->AddQuery(1, added, &grew_dims);
+    EXPECT_FALSE(grew_dims);
+    EXPECT_EQ(skyline->CandidatesForStream(0), (std::vector<int>{0, 1}));
+  }
+  EXPECT_EQ(sink.Value(batches), 3);
+  skyline->CheckChurnInvariants();
+}
+
 // An NPV over dims [first, first + n), every count 1.
 Npv OnesOver(int32_t first, int32_t n) {
   std::vector<NpvEntry> entries;

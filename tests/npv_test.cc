@@ -1,4 +1,4 @@
-// Tests for the NPV dominance kernel: signatures, the dense dim remap, the
+// Tests for the NPV dominance kernel: signatures, the query-dim filter, the
 // contiguous slab, and the raw-range dominance merge.
 //
 // Key properties:
@@ -6,8 +6,8 @@
 //     a.Dominates(b) — no dominating pair is ever signature-rejected;
 //   * NpvDimRemap::Translate preserves dominance outcomes against query
 //     vectors even though it drops stream-only dimensions;
-//   * translated signatures are exact (bit i == dense dim i non-zero) when
-//     the query dim set fits in 64 dims.
+//   * translation keeps every query dim under its own id, so signatures
+//     are exact (bit i == dim i non-zero) when every query dim is below 64.
 
 #include "gsps/nnt/npv.h"
 
@@ -97,23 +97,20 @@ TEST(NpvDominatesTest, RangeKernelMatchesNaive) {
   }
 }
 
-TEST(NpvDimRemapTest, DenseIdsAreAscendingAndExact) {
+TEST(NpvDimRemapTest, TranslateKeepsFlaggedDimsUnderTheirIds) {
   NpvDimRemap remap;
-  remap.AddDims(Npv::FromMap({{7, 1}, {100, 2}}));
-  remap.AddDims(Npv::FromMap({{3, 4}, {7, 1}}));
-  EXPECT_FALSE(remap.sealed());
-  remap.Seal();
-  ASSERT_TRUE(remap.sealed());
-  EXPECT_EQ(remap.num_dims(), 3);  // {3, 7, 100} -> {0, 1, 2}.
+  EXPECT_TRUE(remap.AddDims(Npv::FromMap({{7, 1}, {100, 2}})));
+  EXPECT_TRUE(remap.AddDims(Npv::FromMap({{3, 4}, {7, 1}})));
+  EXPECT_EQ(remap.num_dims(), 101);  // One past the largest flagged dim.
 
   std::vector<NpvEntry> out;
   // A vector over all three dims, plus a stream-only dim that is dropped.
   const NpvSignature sig =
       remap.Translate(Npv::FromMap({{3, 9}, {7, 8}, {42, 5}, {100, 7}}), &out);
-  const std::vector<NpvEntry> expected = {{0, 9}, {1, 8}, {2, 7}};
+  const std::vector<NpvEntry> expected = {{3, 9}, {7, 8}, {100, 7}};
   EXPECT_EQ(out, expected);
   EXPECT_EQ(sig,
-            NpvSignatureBit(0) | NpvSignatureBit(1) | NpvSignatureBit(2));
+            NpvSignatureBit(3) | NpvSignatureBit(7) | NpvSignatureBit(100));
 
   // A vector touching none of the query dims translates to nothing.
   EXPECT_EQ(remap.Translate(Npv::FromMap({{42, 5}}), &out), NpvSignature{0});
@@ -133,7 +130,6 @@ TEST(NpvDimRemapTest, TranslationPreservesDominanceAgainstQueryVectors) {
       query_vectors.push_back(RandomNpv(rng, 20, 4, 3));
       remap.AddDims(query_vectors.back());
     }
-    remap.Seal();
 
     std::vector<NpvEntry> translated_query;
     std::vector<NpvEntry> translated_stream;
@@ -157,102 +153,72 @@ TEST(NpvDimRemapTest, TranslationPreservesDominanceAgainstQueryVectors) {
   }
 }
 
-TEST(NpvDimRemapTest, GrowDimsExtendsTheDimSetAfterSeal) {
+TEST(NpvDimRemapTest, AddDimsReportsOnlyNewDims) {
   NpvDimRemap remap;
-  remap.AddDims(Npv::FromMap({{3, 1}, {7, 1}, {100, 1}}));
-  remap.Seal();
-  ASSERT_EQ(remap.num_dims(), 3);  // {3, 7, 100}.
+  ASSERT_TRUE(remap.AddDims(Npv::FromMap({{3, 1}, {7, 1}, {100, 1}})));
+  ASSERT_EQ(remap.num_dims(), 101);
 
-  // Dim 50 is new; 7 is already mapped.
-  std::vector<DimId> old_to_new;
-  ASSERT_TRUE(remap.GrowDims(Npv::FromMap({{7, 2}, {50, 1}}), &old_to_new));
-  EXPECT_EQ(remap.num_dims(), 4);  // {3, 7, 50, 100}.
-  const std::vector<DimId> expected_map = {0, 1, 3};
-  EXPECT_EQ(old_to_new, expected_map);
-
-  // A vector over only known dims does not grow and leaves the map alone.
-  old_to_new = {42};
-  EXPECT_FALSE(remap.GrowDims(Npv::FromMap({{3, 5}, {50, 5}}), &old_to_new));
-  EXPECT_EQ(remap.num_dims(), 4);
-  EXPECT_EQ(old_to_new, std::vector<DimId>{42});
-  EXPECT_FALSE(remap.GrowDims(Npv{}, &old_to_new));
+  // Dim 50 is new; 7 is already flagged. The extent holds: 50 < 100.
+  EXPECT_TRUE(remap.AddDims(Npv::FromMap({{7, 2}, {50, 1}})));
+  EXPECT_EQ(remap.num_dims(), 101);
+  // A vector over only known dims, or over none, adds nothing.
+  EXPECT_FALSE(remap.AddDims(Npv::FromMap({{3, 5}, {50, 5}})));
+  EXPECT_FALSE(remap.AddDims(Npv{}));
+  EXPECT_EQ(remap.num_dims(), 101);
+  // A dim past the extent widens it.
+  EXPECT_TRUE(remap.AddDims(Npv::FromMap({{200, 1}})));
+  EXPECT_EQ(remap.num_dims(), 201);
 }
 
 // Translate looks each entry up in a table indexed by global dim. A dim
-// past the largest registered one falls off the table and is dropped (and
-// ends the scan: entries ascend). After GrowDims the same call maps
-// through the new dense ids, and the returned signature is the one over
-// them.
+// past the largest flagged one falls off the table and is dropped (and
+// ends the scan: entries ascend). After AddDims flags more dims the same
+// call keeps those too, and no earlier entry changes.
 TEST(NpvDimRemapTest, TranslateDropsDimsPastTheTableAndFollowsGrowth) {
   NpvDimRemap remap;
   remap.AddDims(Npv::FromMap({{3, 1}, {7, 1}, {100, 1}}));
-  remap.Seal();
   std::vector<NpvEntry> out;
 
   const Npv probe = Npv::FromMap({{3, 9}, {7, 8}, {100, 7}, {500, 5}});
   NpvSignature sig = remap.Translate(probe, &out);
-  EXPECT_EQ(out, (std::vector<NpvEntry>{{0, 9}, {1, 8}, {2, 7}}));
+  const std::vector<NpvEntry> kept = {{3, 9}, {7, 8}, {100, 7}};
+  EXPECT_EQ(out, kept);
   EXPECT_EQ(sig, SignatureOf(out.data(), out.data() + out.size()));
   EXPECT_EQ(remap.Translate(Npv::FromMap({{101, 1}, {500, 5}}), &out),
             NpvSignature{0});
   EXPECT_TRUE(out.empty());
 
-  // 50 lands between registered dims, 600 past every one; 500 stays
-  // unregistered inside the grown table.
-  std::vector<DimId> old_to_new;
-  ASSERT_TRUE(remap.GrowDims(Npv::FromMap({{50, 1}, {600, 1}}), &old_to_new));
-  EXPECT_EQ(old_to_new, (std::vector<DimId>{0, 1, 3}));
-  ASSERT_EQ(remap.num_dims(), 5);  // {3, 7, 50, 100, 600}.
+  // 50 lands between flagged dims, 600 past every one; 500 stays
+  // unflagged inside the grown table.
+  ASSERT_TRUE(remap.AddDims(Npv::FromMap({{50, 1}, {600, 1}})));
+  ASSERT_EQ(remap.num_dims(), 601);
   sig = remap.Translate(probe, &out);
-  EXPECT_EQ(out, (std::vector<NpvEntry>{{0, 9}, {1, 8}, {3, 7}}));
-  EXPECT_EQ(sig, NpvSignatureBit(0) | NpvSignatureBit(1) | NpvSignatureBit(3));
+  EXPECT_EQ(out, kept);
+  EXPECT_EQ(sig,
+            NpvSignatureBit(3) | NpvSignatureBit(7) | NpvSignatureBit(100));
   sig = remap.Translate(Npv::FromMap({{50, 2}, {500, 5}, {600, 4}, {601, 1}}),
                         &out);
-  EXPECT_EQ(out, (std::vector<NpvEntry>{{2, 2}, {4, 4}}));
-  EXPECT_EQ(sig, NpvSignatureBit(2) | NpvSignatureBit(4));
-}
-
-TEST(NpvDimRemapTest, GrowDimsMapIsStrictlyIncreasing) {
-  Rng rng(20260808);
-  for (int trial = 0; trial < 300; ++trial) {
-    NpvDimRemap remap;
-    const Npv base = RandomNpv(rng, 30, 6, 3);
-    remap.AddDims(base);
-    remap.Seal();
-    const int32_t before = remap.num_dims();
-    std::vector<DimId> old_to_new;
-    if (!remap.GrowDims(RandomNpv(rng, 40, 6, 3), &old_to_new)) continue;
-    ASSERT_EQ(static_cast<int32_t>(old_to_new.size()), before);
-    for (size_t k = 0; k < old_to_new.size(); ++k) {
-      if (k > 0) {
-        EXPECT_GT(old_to_new[k], old_to_new[k - 1]);
-      }
-      EXPECT_GE(old_to_new[k], static_cast<DimId>(k));
-      EXPECT_LT(old_to_new[k], remap.num_dims());
-    }
-  }
+  EXPECT_EQ(out, (std::vector<NpvEntry>{{50, 2}, {600, 4}}));
+  EXPECT_EQ(sig, NpvSignatureBit(50) | NpvSignatureBit(600));
 }
 
 TEST(NpvDimRemapTest, GrowthMatchesARemapBuiltFromScratch) {
   // After any sequence of growths, Translate must agree with a fresh remap
-  // that saw every vector up front — growth only renumbers, never changes
-  // which dims map or their relative order.
+  // that saw every vector up front — growth only flags dims, never moves
+  // an id.
   Rng rng(77);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<Npv> all;
     all.push_back(RandomNpv(rng, 25, 5, 3));
     NpvDimRemap grown;
     grown.AddDims(all.back());
-    grown.Seal();
-    std::vector<DimId> old_to_new;
     const int extra = static_cast<int>(rng.UniformInt(1, 4));
     for (int k = 0; k < extra; ++k) {
       all.push_back(RandomNpv(rng, 25, 5, 3));
-      grown.GrowDims(all.back(), &old_to_new);
+      grown.AddDims(all.back());
     }
     NpvDimRemap fresh;
     for (const Npv& v : all) fresh.AddDims(v);
-    fresh.Seal();
     ASSERT_EQ(grown.num_dims(), fresh.num_dims());
 
     std::vector<NpvEntry> got;
@@ -262,29 +228,6 @@ TEST(NpvDimRemapTest, GrowthMatchesARemapBuiltFromScratch) {
     const NpvSignature want_sig = fresh.Translate(probe, &want);
     EXPECT_EQ(got, want) << "trial " << trial;
     EXPECT_EQ(got_sig, want_sig) << "trial " << trial;
-  }
-}
-
-TEST(NpvDimRemapTest, OldTranslationsStayValidUnderTheGrowthMap) {
-  // The contract that lets strategies rewrite already-translated entries in
-  // place: dense id d before growth refers to the same source dim as
-  // old_to_new[d] after.
-  NpvDimRemap remap;
-  const Npv q0 = Npv::FromMap({{2, 4}, {9, 1}, {17, 6}});
-  remap.AddDims(q0);
-  remap.Seal();
-  std::vector<NpvEntry> before;
-  remap.Translate(q0, &before);
-
-  std::vector<DimId> old_to_new;
-  ASSERT_TRUE(remap.GrowDims(Npv::FromMap({{1, 1}, {12, 1}}), &old_to_new));
-
-  std::vector<NpvEntry> after;
-  remap.Translate(q0, &after);
-  ASSERT_EQ(before.size(), after.size());
-  for (size_t k = 0; k < before.size(); ++k) {
-    EXPECT_EQ(old_to_new[static_cast<size_t>(before[k].dim)], after[k].dim);
-    EXPECT_EQ(before[k].count, after[k].count);
   }
 }
 
@@ -359,21 +302,6 @@ TEST(NpvSlabTest, AppendTooWideForAnyFreeSlotGrowsTheTail) {
   EXPECT_EQ(std::vector<NpvEntry>(slab.begin(2), slab.end(2)), wide);
   EXPECT_EQ(slab.Append({{7, 2}}), 0);
   slab.CheckKernelLayout();
-}
-
-TEST(NpvSlabTest, RemapDimsRewritesLiveSlotsOnly) {
-  NpvSlab slab;
-  slab.Append({{0, 4}, {2, 1}});
-  slab.Append({{1, 6}});
-  slab.Remove(1);
-  // Growth inserted a dim between old dense ids 1 and 2: {0->0, 1->1, 2->3}.
-  const std::vector<DimId> old_to_new = {0, 1, 3};
-  slab.RemapDims(old_to_new);
-  slab.CheckKernelLayout();
-  const std::vector<NpvEntry> expected = {{0, 4}, {3, 1}};
-  EXPECT_EQ(std::vector<NpvEntry>(slab.begin(0), slab.end(0)), expected);
-  EXPECT_EQ(slab.signature(0), NpvSignatureBit(0) | NpvSignatureBit(3));
-  EXPECT_EQ(slab.signature(1), ~NpvSignature{0});  // Freed sentinel intact.
 }
 
 TEST(NpvSlabTest, ClearKeepsNothingButPassesLayout) {

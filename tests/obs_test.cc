@@ -702,7 +702,7 @@ void DriveEngine(const StreamDataset& dataset, JoinKind kind,
   // verdict caches (gsps_join_verdicts_reused).
   engine.AdvanceEpoch(++epoch);
   // Dynamic churn: a query over labels no synthetic query uses introduces
-  // fresh dimensions, forcing a dim-remap regrowth in every strategy
+  // fresh dimensions, which every strategy registers
   // (gsps_remap_regrowths); the remove exercises slot retirement and the
   // gsps_queries_active gauge.
   Graph churn_query;
