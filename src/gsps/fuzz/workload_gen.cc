@@ -1,6 +1,8 @@
 #include "gsps/fuzz/workload_gen.h"
 
 #include <algorithm>
+#include <climits>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -10,16 +12,33 @@
 namespace gsps {
 namespace {
 
+// Scattered int32 labels, extremes included. A scattered Labeler maps its
+// i-th label to kScatteredLabels[i], so label ids and dimension rows meet
+// negative, extreme and far-apart values, not only [0, alphabet).
+constexpr VertexLabel kScatteredLabels[] = {
+    INT32_MIN, INT32_MAX, -1, 1 << 30, 0, 7919, -2, 1, 1 << 20, -(1 << 30),
+    65536, INT32_MIN + 1, -7919, INT32_MAX - 1, 12, -100000, 1 << 16, 3,
+    -(1 << 20), 999983, -65537, 1 << 24, -999983, 42};
+
+// Vertex alphabet of about one case in eight: wide enough that a
+// (level, label) dimension row outgrows its first capacity.
+constexpr int kWideAlphabet = 24;
+
 // Label sampler: uniform, or Zipf-skewed so one label dominates (the
-// adversarial regime for dominance filtering — most dimensions collapse).
+// adversarial regime for dominance filtering — most dimensions collapse),
+// optionally mapped to scattered values.
 struct Labeler {
   int alphabet = 1;
   bool skewed = false;
+  bool scattered = false;
 
   VertexLabel Draw(Rng& rng) const {
-    if (alphabet <= 1) return 0;
-    if (skewed) return static_cast<VertexLabel>(rng.Zipf(alphabet, 1.2));
-    return static_cast<VertexLabel>(rng.UniformInt(0, alphabet - 1));
+    int label = 0;
+    if (alphabet > 1) {
+      label = skewed ? rng.Zipf(alphabet, 1.2)
+                     : static_cast<int>(rng.UniformInt(0, alphabet - 1));
+    }
+    return scattered ? kScatteredLabels[label] : label;
   }
 };
 
@@ -109,7 +128,10 @@ GraphChange RandomBatch(const Graph& cur, int max_ops,
       }
       VertexLabel u_label = EndpointLabel(cur, u, vertex_labels, rng);
       VertexLabel v_label = EndpointLabel(cur, v, vertex_labels, rng);
-      if (rng.Bernoulli(0.06)) u_label += 1;  // Conflicting label: op skipped.
+      if (rng.Bernoulli(0.06)) {
+        // Conflicting label: op skipped. Wraps, since labels reach INT32_MAX.
+        u_label = static_cast<VertexLabel>(static_cast<uint32_t>(u_label) + 1);
+      }
       batch.ops.push_back(
           EdgeOp::Insert(u, v, edge_labels.Draw(rng), u_label, v_label));
     } else if (roll < 0.56) {
@@ -199,9 +221,19 @@ FuzzCase GenerateCase(const GenParams& params, Rng& rng) {
   c.nnt_depth = params.nnt_depth > 0
                     ? params.nnt_depth
                     : static_cast<int>(rng.UniformInt(1, 3));
-  Labeler vertex_labels{
-      static_cast<int>(rng.UniformInt(1, params.max_vertex_labels)),
-      rng.Bernoulli(0.5)};
+  // About one case in eight draws from a wide alphabet, and about a quarter
+  // scatter their labels (when the table covers the alphabet).
+  const int max_vertex_labels = rng.Bernoulli(0.125)
+                                    ? std::max(kWideAlphabet,
+                                               params.max_vertex_labels)
+                                    : params.max_vertex_labels;
+  Labeler vertex_labels;
+  vertex_labels.alphabet =
+      static_cast<int>(rng.UniformInt(1, max_vertex_labels));
+  vertex_labels.skewed = rng.Bernoulli(0.5);
+  vertex_labels.scattered =
+      rng.Bernoulli(0.25) &&
+      vertex_labels.alphabet <= static_cast<int>(std::size(kScatteredLabels));
   Labeler edge_labels{
       static_cast<int>(rng.UniformInt(1, params.max_edge_labels)), false};
 

@@ -4,7 +4,8 @@
 //
 // The generator is deliberately adversarial where example-based tests are
 // not: empty and single-vertex graphs, isolated vertices, Zipf-skewed
-// label alphabets (one label dominating), batches that delete absent
+// label alphabets (one label dominating), wide alphabets, labels scattered
+// over the int32 range (extremes included), batches that delete absent
 // edges, re-insert just-deleted edges, insert duplicates or conflicting
 // endpoint labels (ops the engine must skip), introduce brand-new vertices
 // with gap ids, and wipe out whole vertices edge by edge.

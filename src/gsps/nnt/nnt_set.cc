@@ -32,14 +32,16 @@ void NntSet::Build(const Graph& graph) {
   graph_ = &graph;
   is_root_.clear();
   rows_.clear();
+  label_id_.clear();
   dirty_flag_.clear();
   dirty_list_.clear();
   walks_to_.clear();
   paths_counted_ = 0;
-  for (const VertexId v : graph.VertexIds()) {
-    EnsureRoot(v);
+  const std::vector<VertexId> vertices = graph.VertexIds();
+  for (const VertexId v : vertices) EnsureRoot(v);
+  for (const VertexId v : vertices) {
     walk_.clear();
-    WalkForward(v, graph.GetVertexLabel(v), /*level=*/1);
+    WalkForward(v, label_id_[static_cast<size_t>(v)], /*level=*/1);
     FlushPending(v, +1);
   }
   GSPS_OBS_COUNT(Counter::kNntTreeNodesCreated, paths_counted_);
@@ -63,10 +65,10 @@ void NntSet::DeleteEdge(VertexId u, VertexId v) {
 void NntSet::CountPathsThrough(VertexId u, VertexId v, int32_t sign) {
   walks_back_ = 0;
   paths_counted_ = 0;
-  const VertexLabel u_label = graph_->GetVertexLabel(u);
-  const VertexLabel v_label = graph_->GetVertexLabel(v);
-  const Crossing uv{u, v, u_label, v_label, sign};
-  const Crossing vu{v, u, v_label, u_label, sign};
+  const int32_t u_id = label_id_[static_cast<size_t>(u)];
+  const int32_t v_id = label_id_[static_cast<size_t>(v)];
+  const Crossing uv{u, v, u_id, v_id, sign};
+  const Crossing vu{v, u, v_id, u_id, sign};
   if (depth_ <= 3) {
     CountShallow(uv);
     CountShallow(vu);
@@ -83,22 +85,49 @@ void NntSet::CountPathsThrough(VertexId u, VertexId v, int32_t sign) {
   }
 }
 
+inline DimId NntSet::DimAt(DimensionTable::RowView& row, int32_t level,
+                           int32_t parent_id, int32_t child_id) {
+  const DimId dim = row.Find(child_id);
+  if (dim != kInvalidDim) return dim;
+  const DimId interned = dimensions_->InternIds(level, parent_id, child_id);
+  row = dimensions_->Row(level, parent_id);
+  return interned;
+}
+
+inline void NntSet::AddPath(DimId dim) {
+  if (static_cast<size_t>(dim) >= pending_slot_.size()) {
+    pending_slot_.resize(static_cast<size_t>(dimensions_->size()), -1);
+  }
+  int32_t& slot = pending_slot_[static_cast<size_t>(dim)];
+  if (slot < 0) {
+    slot = static_cast<int32_t>(pending_.size());
+    pending_.push_back(NpvEntry{dim, 1});
+  } else {
+    ++pending_[static_cast<size_t>(slot)].count;
+  }
+}
+
 void NntSet::CountShallow(const Crossing& crossing) {
   const VertexId a = crossing.a;
   const VertexId b = crossing.b;
-  const VertexLabel a_label = crossing.a_label;
-  const VertexLabel b_label = crossing.b_label;
-  // Root a: the crossing, then every forward extension from b.
+  const int32_t a_id = crossing.a_id;
+  const int32_t b_id = crossing.b_id;
+  // Root a: the crossing, then every forward extension from b. Each row is
+  // resolved once: (2, lb, .) per orientation, (3, lc, .) per c. An insert
+  // into one row leaves the views of the others valid.
   ++walks_back_;
-  AddPath(1, a_label, b_label);
+  AddPath(dimensions_->InternIds(1, a_id, b_id));
   if (depth_ >= 2) {
+    DimensionTable::RowView b_row = dimensions_->Row(2, b_id);
     for (const HalfEdge& bc : graph_->Neighbors(b)) {
       if (bc.to == a) continue;
-      const VertexLabel c_label = graph_->GetVertexLabel(bc.to);
-      AddPath(2, b_label, c_label);
+      const int32_t c_id = label_id_[static_cast<size_t>(bc.to)];
+      AddPath(DimAt(b_row, 2, b_id, c_id));
       if (depth_ < 3) continue;
+      DimensionTable::RowView c_row = dimensions_->Row(3, c_id);
       for (const HalfEdge& cd : graph_->Neighbors(bc.to)) {
-        if (cd.to != b) AddPath(3, c_label, graph_->GetVertexLabel(cd.to));
+        if (cd.to == b) continue;
+        AddPath(DimAt(c_row, 3, c_id, label_id_[static_cast<size_t>(cd.to)]));
       }
     }
   }
@@ -108,10 +137,12 @@ void NntSet::CountShallow(const Crossing& crossing) {
   // a lone neighbour means there is no r1 (and no 2-walk).
   const std::vector<HalfEdge>& a_neighbors = graph_->Neighbors(a);
   if (depth_ < 2 || a_neighbors.size() < 2) return;
-  AddPath(2, a_label, b_label);
+  AddPath(dimensions_->InternIds(2, a_id, b_id));
   if (depth_ >= 3) {
+    DimensionTable::RowView b_row = dimensions_->Row(3, b_id);
     for (const HalfEdge& bc : graph_->Neighbors(b)) {
-      if (bc.to != a) AddPath(3, b_label, graph_->GetVertexLabel(bc.to));
+      if (bc.to == a) continue;
+      AddPath(DimAt(b_row, 3, b_id, label_id_[static_cast<size_t>(bc.to)]));
     }
   }
   SortPending();
@@ -137,7 +168,7 @@ void NntSet::CountShallow(const Crossing& crossing) {
     }
   }
   if (walk_ends_.empty()) return;
-  NpvEntry crossing_at_3{dimensions_->Intern(3, a_label, b_label), 0};
+  NpvEntry crossing_at_3{dimensions_->InternIds(3, a_id, b_id), 0};
   for (const VertexId r2 : walk_ends_) {
     int32_t& walks = walks_to_[static_cast<size_t>(r2)];
     crossing_at_3.count = walks;
@@ -150,9 +181,9 @@ void NntSet::CountShallow(const Crossing& crossing) {
 void NntSet::WalkBack(const Crossing& crossing, VertexId root,
                       int32_t length) {
   ++walks_back_;
-  AddPath(length + 1, crossing.a_label, crossing.b_label);
+  AddPath(dimensions_->InternIds(length + 1, crossing.a_id, crossing.b_id));
   if (length + 1 < depth_) {
-    WalkForward(crossing.b, crossing.b_label, length + 2);
+    WalkForward(crossing.b, crossing.b_id, length + 2);
   }
   FlushPending(root, crossing.sign);
   if (length + 1 >= depth_) return;
@@ -165,15 +196,18 @@ void NntSet::WalkBack(const Crossing& crossing, VertexId root,
   }
 }
 
-void NntSet::WalkForward(VertexId at, VertexLabel at_label, int32_t level) {
+void NntSet::WalkForward(VertexId at, int32_t at_id, int32_t level) {
+  // The recursion inserts into deeper levels' rows only, so `row` stays
+  // valid across it.
+  DimensionTable::RowView row = dimensions_->Row(level, at_id);
   for (const HalfEdge& half : graph_->Neighbors(at)) {
     const uint64_t key = EdgeKey(at, half.to);
     if (OnWalk(key)) continue;
-    const VertexLabel to_label = graph_->GetVertexLabel(half.to);
-    AddPath(level, at_label, to_label);
+    const int32_t to_id = label_id_[static_cast<size_t>(half.to)];
+    AddPath(DimAt(row, level, at_id, to_id));
     if (level < depth_) {
       walk_.push_back(key);
-      WalkForward(half.to, to_label, level + 1);
+      WalkForward(half.to, to_id, level + 1);
       walk_.pop_back();
     }
   }
@@ -232,6 +266,7 @@ int64_t NntSet::TotalTreeNodes() const {
 int64_t NntSet::StorageBytes() const {
   int64_t bytes = static_cast<int64_t>(
       is_root_.capacity() + dirty_flag_.capacity() +
+      label_id_.capacity() * sizeof(int32_t) +
       dirty_list_.capacity() * sizeof(VertexId) +
       walk_.capacity() * sizeof(uint64_t) +
       pending_.capacity() * sizeof(NpvEntry) +
@@ -251,27 +286,19 @@ void NntSet::EnsureRoot(VertexId v) {
   if (is_root_.size() <= r) {
     is_root_.resize(r + 1, 0);
     rows_.resize(r + 1);
+    label_id_.resize(r + 1, -1);
     dirty_flag_.resize(r + 1, 0);
     walks_to_.resize(r + 1, 0);
   }
-  if (is_root_[r]) return;
-  is_root_[r] = 1;
-  MarkDirty(v);
-}
-
-void NntSet::AddPath(int32_t level, VertexLabel parent_label,
-                     VertexLabel child_label) {
-  const DimId dim = dimensions_->Intern(level, parent_label, child_label);
-  if (static_cast<size_t>(dim) >= pending_slot_.size()) {
-    pending_slot_.resize(static_cast<size_t>(dimensions_->size()), -1);
+  const VertexLabel label = graph_->GetVertexLabel(v);
+  if (!is_root_[r]) {
+    is_root_[r] = 1;
+    MarkDirty(v);
+  } else if (dimensions_->Label(label_id_[r]) == label) {
+    return;
   }
-  int32_t& slot = pending_slot_[static_cast<size_t>(dim)];
-  if (slot < 0) {
-    slot = static_cast<int32_t>(pending_.size());
-    pending_.push_back(NpvEntry{dim, 1});
-  } else {
-    ++pending_[static_cast<size_t>(slot)].count;
-  }
+  // A new root, or a vertex id that came back under another label.
+  label_id_[r] = dimensions_->LabelId(label);
 }
 
 void NntSet::SortPending() {
@@ -292,14 +319,38 @@ void NntSet::MergeIntoRow(VertexId root, const NpvEntry* begin,
                           const NpvEntry* end, int32_t sign) {
   Npv& npv = rows_[static_cast<size_t>(root)];
   std::vector<NpvEntry>& row = npv.entries_;
-  // Front to back: apply each delta whose dim the row has, in place, and
-  // count the dims it lacks. Only an insertion may bring a new dim.
+  if (end - begin == 1) {
+    // One delta (each distance-2 root). Its position is the number of
+    // entries below its dim, counted in a forward scan with no exit branch;
+    // then it adds, inserts or erases in place.
+    paths_counted_ += begin->count;
+    ptrdiff_t below = 0;
+    for (const NpvEntry& entry : row) below += entry.dim < begin->dim;
+    const auto at = row.begin() + below;
+    if (at != row.end() && at->dim == begin->dim) {
+      at->count += sign * begin->count;
+      GSPS_CHECK(at->count >= 0);
+      if (at->count == 0) {
+        row.erase(at);
+        npv.signature_ = SignatureOf(row.data(), row.data() + row.size());
+      }
+    } else {
+      GSPS_CHECK(sign > 0);
+      row.insert(at, *begin);
+      npv.signature_ |= NpvSignatureBit(begin->dim);
+    }
+    MarkDirty(root);
+    return;
+  }
+  // Front to back, scanning forward from the previous delta's position:
+  // apply each delta whose dim the row has, in place, and count the dims it
+  // lacks. Only an insertion may bring a new dim.
   size_t missing = 0;
   bool emptied = false;
   auto at = row.begin();
   for (const NpvEntry* delta = begin; delta != end; ++delta) {
     paths_counted_ += delta->count;
-    at = std::lower_bound(at, row.end(), *delta, DimLess);
+    while (at != row.end() && at->dim < delta->dim) ++at;
     if (at != row.end() && at->dim == delta->dim) {
       at->count += sign * delta->count;
       GSPS_CHECK(at->count >= 0);
@@ -361,6 +412,11 @@ bool NntSet::Validate(const Graph& graph) const {
 
   for (const VertexId root : Roots()) {
     if (!graph.HasVertex(root)) return fail("root is not a graph vertex");
+    const int32_t label_id = label_id_[static_cast<size_t>(root)];
+    if (label_id < 0 ||
+        dimensions_->Label(label_id) != graph.GetVertexLabel(root)) {
+      return fail("cached label id does not map to the root's label");
+    }
     // A branch of k edges is one level-k tree node: it counts at (k, label
     // of vertex k-1, label of vertex k), which sit at signature positions
     // 2k-2 and 2k.

@@ -36,12 +36,18 @@
 // every step prev->cur is one more node of NNT(r). Build runs the forward
 // walk from every vertex.
 //
+// Dimensions without hashing: each root caches its label's dense id from
+// the DimensionTable (EnsureRoot, one hash per new vertex), and the
+// counting loops resolve the table's (level, parent label id) row once and
+// look each child label id up in it, so no counted step hashes.
+//
 // Row updates: a root's paths are first summed per dimension in member
 // scratch (a dim -> slot index into a short (dim, count) list), then the
 // few touched dims are sorted and merged into the root's sorted row in one
-// pass, inserting dims that appear and erasing those that reach zero. So
-// each list above, each walk endpoint and each Build root costs one merge,
-// not one row lookup per path.
+// forward pass, inserting dims that appear and erasing those that reach
+// zero. So each list above, each walk endpoint and each Build root costs
+// one merge, not one row lookup per path. A one-entry merge (each
+// distance-2 root) scans to its dim and adds, inserts or erases in place.
 //
 // Graph binding: DeleteEdge takes no graph, so Build(graph) binds the set
 // to `graph`, which must stay at a fixed address for the set's lifetime.
@@ -121,19 +127,20 @@ class NntSet {
 
   // --- Test / debugging hooks ---------------------------------------------
 
-  // Checks the state against `graph`: every root is a graph vertex, each
-  // root's row equals the projection of EnumerateBranches(graph, root,
-  // depth) and carries the signature of its entries, and the dirty flags
-  // agree with the dirty list. Returns false and prints a diagnostic on the
-  // first violation. O(large); tests only.
+  // Checks the state against `graph`: every root is a graph vertex whose
+  // cached label id maps back to its label, each root's row equals the
+  // projection of EnumerateBranches(graph, root, depth) and carries the
+  // signature of its entries, and the dirty flags agree with the dirty
+  // list. Returns false and prints a diagnostic on the first violation.
+  // O(large); tests only.
   bool Validate(const Graph& graph) const;
 
   // Tree nodes across all trees, roots included: the sum over roots of
   // 1 + the row's counts (size metric for benches).
   int64_t TotalTreeNodes() const;
 
-  // Heap bytes held by the rows, flags and scratch (capacities, not sizes —
-  // what the process actually pays).
+  // Heap bytes held by the rows, label ids, flags and scratch (capacities,
+  // not sizes — what the process actually pays).
   int64_t StorageBytes() const;
 
  private:
@@ -141,8 +148,8 @@ class NntSet {
   struct Crossing {
     VertexId a;
     VertexId b;
-    VertexLabel a_label;
-    VertexLabel b_label;
+    int32_t a_id;  // Label ids of a and b.
+    int32_t b_id;
     int32_t sign;
   };
 
@@ -161,18 +168,23 @@ class NntSet {
   void WalkBack(const Crossing& crossing, VertexId root, int32_t length);
 
   // Adds to the pending deltas every edge-simple extension of the walk
-  // ending at `at` (label `at_label`); its first edge is at `level`.
-  void WalkForward(VertexId at, VertexLabel at_label, int32_t level);
+  // ending at `at` (label id `at_id`); its first edge is at `level`.
+  void WalkForward(VertexId at, int32_t at_id, int32_t level);
 
   bool OnWalk(uint64_t edge_key) const;
 
-  // Creates an empty row for `v` if it has none, marking it dirty.
+  // Creates an empty row for `v` if it has none, marking it dirty, and
+  // caches the id of v's label.
   void EnsureRoot(VertexId v);
 
-  // Adds one path at dimension (level, parent_label, child_label) to the
-  // pending deltas.
-  void AddPath(int32_t level, VertexLabel parent_label,
-               VertexLabel child_label);
+  // The dim of (level, parent_id, child_id) looked up in `row`, the
+  // resolved row of (level, parent_id). Interns a new dim and then resolves
+  // `row` again, since the insert may have grown it.
+  DimId DimAt(DimensionTable::RowView& row, int32_t level, int32_t parent_id,
+              int32_t child_id);
+
+  // Adds one path at `dim` to the pending deltas.
+  void AddPath(DimId dim);
 
   // Sorts the pending deltas by dim and resets their index slots.
   void SortPending();
@@ -181,7 +193,8 @@ class NntSet {
   void FlushPending(VertexId root, int32_t sign);
 
   // Adds `sign` times each delta of [begin, end) — sorted by dim, positive
-  // counts — to `root`'s row in one merge pass, keeping its signature exact.
+  // counts — to `root`'s row in one forward merge pass, keeping its
+  // signature exact.
   void MergeIntoRow(VertexId root, const NpvEntry* begin, const NpvEntry* end,
                     int32_t sign);
 
@@ -194,9 +207,11 @@ class NntSet {
 
   // Per-root state, dense by vertex id. is_root_[v] says whether v has a
   // tree; rows_[v] is its NPV: dimension counts sorted by dim with strictly
-  // positive counts, and their signature.
+  // positive counts, and their signature. label_id_[v] is the id of v's
+  // label in *dimensions_.
   std::vector<uint8_t> is_root_;
   std::vector<Npv> rows_;
+  std::vector<int32_t> label_id_;
 
   // Dirty set as flag-plus-list so marking is O(1) without hashing and the
   // drain is a sort of only the dirty roots.

@@ -554,5 +554,95 @@ TEST(DimensionTableTest, DistinguishesFullLabelRange) {
   EXPECT_EQ(dims.size(), 3 * 9 * 9);
 }
 
+TEST(DimensionTableTest, WideAlphabetStaysLinear) {
+  // A 4,000-vertex path where every vertex has its own label. A dense
+  // (level, label, label) matrix would hold 3 * 4,000^2 slots; per-parent
+  // rows stay linear in the interned dims and the labels.
+  constexpr int kVertices = 4000;
+  Graph g;
+  for (int i = 0; i < kVertices; ++i) g.AddVertex(i * 7919 + 13);
+  for (VertexId v = 0; v + 1 < kVertices; ++v) {
+    ASSERT_TRUE(g.AddEdge(v, v + 1, 0));
+  }
+  DimensionTable dims;
+  NntSet nnts(3, &dims);
+  nnts.Build(g);
+  for (VertexId v = 0; v + 1 < kVertices; v += 2) {
+    nnts.DeleteEdge(v, v + 1);
+    ASSERT_TRUE(g.RemoveEdge(v, v + 1));
+  }
+  ASSERT_TRUE(nnts.Validate(g));
+  for (VertexId v = 0; v + 1 < kVertices; v += 2) {
+    ASSERT_TRUE(g.AddEdge(v, v + 1, 0));
+    nnts.InsertEdge(g, v, v + 1);
+  }
+  ASSERT_TRUE(nnts.Validate(g));
+  // Per directed edge x->y: (1, lx, ly) always, (2, lx, ly) unless x is an
+  // end, (3, lx, ly) unless x is an end or next to one.
+  EXPECT_EQ(dims.size(), 23988);
+  EXPECT_LE(dims.StorageBytes(), int64_t{256} * (dims.size() + kVertices));
+}
+
+TEST(NntTest, VertexIdReaddedUnderAnotherLabel) {
+  // A root keeps its row after its vertex leaves the graph, so an id that
+  // comes back under another label must not count with the old one.
+  Graph g;
+  g.AddVertex(5);
+  g.AddVertex(1);
+  g.AddVertex(1);
+  ASSERT_TRUE(g.AddEdge(1, 2, 0));
+  DimensionTable dims;
+  NntSet nnts(2, &dims);
+  nnts.Build(g);
+  ASSERT_TRUE(g.RemoveVertex(0));
+  ASSERT_TRUE(g.EnsureVertex(0, 7));
+  ASSERT_TRUE(g.AddEdge(0, 1, 0));
+  nnts.InsertEdge(g, 0, 1);
+  EXPECT_TRUE(nnts.Validate(g));
+  EXPECT_TRUE(dims.Find(1, 7, 1).has_value());
+  EXPECT_FALSE(dims.Find(1, 5, 1).has_value());
+}
+
+TEST(NntTest, LabelsFirstSeenMidStream) {
+  // Twelve leaves whose labels the table has not seen join one hub, so the
+  // hub's (level, label, .) rows grow past their first capacity.
+  const VertexLabel kNewLabels[] = {INT32_MIN, INT32_MAX, -1,  1 << 30,
+                                    -(1 << 30), 2,        3,   -2,
+                                    7919,       1 << 20,  100, INT32_MIN + 1};
+  for (int depth = 1; depth <= 4; ++depth) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    // A square over labels {0, 1} with a tail; the hub is vertex 0.
+    Graph g;
+    for (const VertexLabel label : {0, 1, 0, 1, 1}) g.AddVertex(label);
+    const std::pair<VertexId, VertexId> kEdges[] = {
+        {0, 1}, {1, 2}, {2, 3}, {3, 0}, {3, 4}};
+    for (const auto& [u, v] : kEdges) ASSERT_TRUE(g.AddEdge(u, v, 0));
+    DimensionTable dims;
+    NntSet nnts(depth, &dims);
+    nnts.Build(g);
+    ASSERT_TRUE(nnts.Validate(g));
+    std::vector<VertexId> leaves;
+    for (const VertexLabel label : kNewLabels) {
+      const VertexId leaf = g.AddVertex(label);
+      ASSERT_TRUE(g.AddEdge(0, leaf, 0));
+      nnts.InsertEdge(g, 0, leaf);
+      ASSERT_TRUE(nnts.Validate(g));
+      // The square reaches the hub by walks of 0..3 edges, so the leaf sits
+      // at every level below the hub, and the hub below the leaf.
+      for (int32_t level = 1; level <= depth; ++level) {
+        EXPECT_TRUE(dims.Find(level, 0, label).has_value()) << level;
+      }
+      EXPECT_TRUE(dims.Find(1, label, 0).has_value());
+      leaves.push_back(leaf);
+    }
+    for (const VertexId leaf : leaves) {
+      nnts.DeleteEdge(0, leaf);
+      ASSERT_TRUE(g.RemoveEdge(0, leaf));
+      ASSERT_TRUE(nnts.Validate(g));
+    }
+    ExpectMatchesRebuild(nnts, g, &dims);
+  }
+}
+
 }  // namespace
 }  // namespace gsps
